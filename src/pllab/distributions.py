@@ -2,17 +2,32 @@
 
 Every distribution here is a univariate law used as an i.i.d. perturbation
 source for perturbed-leader policies.  The closed forms matter: the selection
-quadrature integrates f, f' and F directly, so each concrete class implements
-them exactly rather than through scipy.stats wrappers.
+quadrature integrates f, f' and F directly, so each law evaluates them
+exactly rather than through scipy.stats wrappers.
+
+The laws are built from a few one-sided primitives on [0, inf) and one
+combinator, ``Hybrid``, which glues a right and a left primitive at 0 with
+half the mass on each side.  The primitives are ``GeneralizedPareto``,
+``Frechet``, ``Exponential`` and ``Truncated`` (any law conditioned above 1
+and shifted back to 0); ``Gumbel`` is the only law written out on the whole
+line.  The named two-sided laws are thin constructors of composed laws:
+
+=========================  =================================================
+``SymmetricPareto(a)``     ``Hybrid(GeneralizedPareto(a, 1), GeneralizedPareto(a, 1))``
+``LaplacePareto()``        ``Hybrid(GeneralizedPareto(2, 1), Exponential(2))``
+``AsymmetricPareto(a, b)`` ``Hybrid(GeneralizedPareto(a, 1), GeneralizedPareto(b, b/a))``
+``Laplace(r)``             ``Hybrid(Exponential(r), Exponential(r))``
+``ParetoLomax(a)``         ``GeneralizedPareto(a, 1)``
+=========================  =================================================
 
 Conventions
 -----------
 * ``pdf_prime`` returns the right-hand derivative at non-differentiable
   points (two-sided laws typically have a kink at 0); the kink locations are
-  exposed via ``kinks`` and ``pdf_prime_flagged``.
+  exposed via ``kinks``.
 * ``tail_index_right`` / ``tail_index_left`` give the polynomial decay order
   of each tail; exponential or absent tails are reported as ``math.inf``.
-* All evaluators accept scalars or numpy arrays.
+* All evaluators accept scalars or numpy arrays; scalars give floats.
 """
 
 from __future__ import annotations
@@ -26,16 +41,18 @@ from .errors import DomainError
 
 __all__ = [
     "PerturbationDistribution",
+    "OneSided",
+    "GeneralizedPareto",
+    "Frechet",
+    "Exponential",
+    "Truncated",
+    "Hybrid",
+    "Gumbel",
     "SymmetricPareto",
     "LaplacePareto",
     "AsymmetricPareto",
-    "Frechet",
-    "ParetoLomax",
-    "GeneralizedPareto",
-    "Gumbel",
     "Laplace",
-    "Hybrid",
-    "Truncated",
+    "ParetoLomax",
     "parse_dist",
     "GridSpec",
     "McSpec",
@@ -46,10 +63,18 @@ __all__ = [
 _TINY_U = 0.5 / 2.0**53  # remap for the measure-zero event rng.random() == 0
 
 
+def _is_scalar(x):
+    return isinstance(x, (float, int)) or getattr(x, "ndim", 1) == 0
+
+
 def _scalarize(x, out):
-    if np.isscalar(x) or getattr(x, "ndim", 1) == 0:
-        return float(out)
-    return out
+    return float(out) if _is_scalar(x) else out
+
+
+def _require_positive(**params):
+    for name, value in params.items():
+        if not (math.isfinite(value) and value > 0.0):
+            raise DomainError(f"{name} must be positive and finite, got {value!r}")
 
 
 class PerturbationDistribution:
@@ -64,8 +89,7 @@ class PerturbationDistribution:
         raise NotImplementedError
 
     def sf(self, x):
-        """Survival function 1 - F(x); overridden where the subtraction cancels."""
-        return 1.0 - self.cdf(x) if np.isscalar(x) else 1.0 - np.asarray(self.cdf(x))
+        raise NotImplementedError
 
     def pdf(self, x):
         raise NotImplementedError
@@ -83,10 +107,9 @@ class PerturbationDistribution:
     def _quantile(self, u):
         raise NotImplementedError
 
-    def pdf_prime_flagged(self, x):
-        """(right-hand derivative of f at x, True iff x is a kink point)."""
-        at_kink = bool(np.any([np.isclose(x, k, rtol=0.0, atol=0.0) for k in self.kinks]))
-        return self.pdf_prime(x), at_kink
+    def _isf(self, q):
+        """Inverse survival function for q in (0, 1]; exact where overridden."""
+        return self._quantile(1.0 - q)
 
     def density_jumps(self):
         """((location, f(loc+) - f(loc-)), ...) where the density is discontinuous.
@@ -96,15 +119,8 @@ class PerturbationDistribution:
         """
         return ()
 
-    # -- sampling (inverse transform; determinism comes from the caller's rng)
-
-    def sample(self, rng):
-        return float(self.sample_array((), rng))
-
-    def sample_vector(self, k, rng):
-        return self.sample_array(k, rng)
-
     def sample_array(self, shape, rng):
+        """Draws by inverse transform; determinism comes from the caller's rng."""
         u = rng.random(shape)
         u = np.where(u == 0.0, _TINY_U, u)
         return self._quantile(u)
@@ -129,276 +145,136 @@ class PerturbationDistribution:
         return f"{type(self).__name__}()"
 
 
-@dataclass(frozen=True, repr=False)
-class SymmetricPareto(PerturbationDistribution):
-    """Two-sided polynomial law  f(x) = a / (2 (|x|+1)^(a+1)),  shape a > 0.
+# ---------------------------------------------------------------------------
+# one-sided primitives
+# ---------------------------------------------------------------------------
 
-    The canonical heavy-tailed symmetric perturbation; shape 2 is the default
-    used throughout the counterexample scans.
+class OneSided(PerturbationDistribution):
+    """A law on [0, inf) given by raw formulas on the half line y >= 0.
+
+    Subclasses define ``_sf``, ``_pdf`` and ``_pdf_prime`` of y >= 0, the
+    inverse survival function ``_isf`` of a level q in (0, 1] and the exact
+    one-sided density ``density_at_zero`` = f(0+).  ``Hybrid`` calls these
+    raw formulas directly; the public evaluators here extend them by
+    F = f = f' = 0 on x <= 0.
     """
 
-    a: float = 2.0
-    kinks = (0.0,)
-
-    def __post_init__(self):
-        if self.a <= 0:
-            raise DomainError("shape must be positive")
-        object.__setattr__(self, "tail_index_right", float(self.a))
-        object.__setattr__(self, "tail_index_left", float(self.a))
-
-    def cdf(self, x):
-        x_arr = np.asarray(x, dtype=float)
-        neg = np.minimum(x_arr, 0.0)
-        pos = np.maximum(x_arr, 0.0)
-        out = np.where(
-            x_arr < 0.0,
-            0.5 * (1.0 - neg) ** (-self.a),
-            1.0 - 0.5 * (1.0 + pos) ** (-self.a),
-        )
-        return _scalarize(x, out)
-
-    def sf(self, x):
-        x_arr = np.asarray(x, dtype=float)
-        neg = np.minimum(x_arr, 0.0)
-        pos = np.maximum(x_arr, 0.0)
-        out = np.where(
-            x_arr < 0.0,
-            1.0 - 0.5 * (1.0 - neg) ** (-self.a),
-            0.5 * (1.0 + pos) ** (-self.a),
-        )
-        return _scalarize(x, out)
-
-    def pdf(self, x):
-        x_arr = np.asarray(x, dtype=float)
-        out = 0.5 * self.a * (1.0 + np.abs(x_arr)) ** (-self.a - 1.0)
-        return _scalarize(x, out)
-
-    def pdf_prime(self, x):
-        x_arr = np.asarray(x, dtype=float)
-        neg = np.minimum(x_arr, 0.0)
-        pos = np.maximum(x_arr, 0.0)
-        c = 0.5 * self.a * (self.a + 1.0)
-        out = np.where(
-            x_arr < 0.0,
-            c * (1.0 - neg) ** (-self.a - 2.0),
-            -c * (1.0 + pos) ** (-self.a - 2.0),
-        )
-        return _scalarize(x, out)
-
-    def _quantile(self, u):
-        lo = np.minimum(u, 0.5)
-        hi = np.maximum(u, 0.5)
-        return np.where(
-            u < 0.5,
-            1.0 - (2.0 * lo) ** (-1.0 / self.a),
-            (2.0 * (1.0 - hi)) ** (-1.0 / self.a) - 1.0,
-        )
-
-    def mean(self):
-        return 0.0 if self.a > 1.0 else math.nan
-
-    def __repr__(self):
-        return f"SymmetricPareto(a={self.a:g})"
-
-
-@dataclass(frozen=True, repr=False)
-class LaplacePareto(PerturbationDistribution):
-    """Exponential left half e^(2x), polynomial right half 1/(x+1)^3.
-
-    Tail indices (right, left) = (2, inf): a glued Gumbel-type/heavy-tail
-    law with mean 1/4.
-    """
-
-    kinks = (0.0,)
-    tail_index_right = 2.0
-    tail_index_left = math.inf
-
-    def cdf(self, x):
-        x_arr = np.asarray(x, dtype=float)
-        neg = np.minimum(x_arr, 0.0)
-        pos = np.maximum(x_arr, 0.0)
-        out = np.where(
-            x_arr < 0.0,
-            0.5 * np.exp(2.0 * neg),
-            1.0 - 0.5 * (1.0 + pos) ** -2.0,
-        )
-        return _scalarize(x, out)
-
-    def sf(self, x):
-        x_arr = np.asarray(x, dtype=float)
-        neg = np.minimum(x_arr, 0.0)
-        pos = np.maximum(x_arr, 0.0)
-        out = np.where(
-            x_arr < 0.0,
-            1.0 - 0.5 * np.exp(2.0 * neg),
-            0.5 * (1.0 + pos) ** -2.0,
-        )
-        return _scalarize(x, out)
-
-    def pdf(self, x):
-        x_arr = np.asarray(x, dtype=float)
-        neg = np.minimum(x_arr, 0.0)
-        pos = np.maximum(x_arr, 0.0)
-        out = np.where(x_arr < 0.0, np.exp(2.0 * neg), (1.0 + pos) ** -3.0)
-        return _scalarize(x, out)
-
-    def pdf_prime(self, x):
-        x_arr = np.asarray(x, dtype=float)
-        neg = np.minimum(x_arr, 0.0)
-        pos = np.maximum(x_arr, 0.0)
-        out = np.where(x_arr < 0.0, 2.0 * np.exp(2.0 * neg), -3.0 * (1.0 + pos) ** -4.0)
-        return _scalarize(x, out)
-
-    def _quantile(self, u):
-        lo = np.minimum(u, 0.5)
-        hi = np.maximum(u, 0.5)
-        return np.where(
-            u < 0.5,
-            0.5 * np.log(2.0 * lo),
-            (2.0 * (1.0 - hi)) ** -0.5 - 1.0,
-        )
-
-    def mean(self):
-        return 0.25
-
-    def __repr__(self):
-        return "LaplacePareto()"
-
-
-@dataclass(frozen=True, repr=False)
-class AsymmetricPareto(PerturbationDistribution):
-    """Lomax right half (index alpha), generalized-Pareto left half (index beta).
-
-    The left scale is beta/alpha so the density is continuous at 0; with
-    (alpha, beta) = (2, 3) this is the classic asymmetric-Pareto example
-    whose f/F ratio increases on the negative axis.
-    """
-
-    alpha: float = 2.0
-    beta: float = 3.0
-    kinks = (0.0,)
-
-    def __post_init__(self):
-        if self.alpha <= 0 or self.beta <= 0:
-            raise DomainError("tail indices must be positive")
-        object.__setattr__(self, "tail_index_right", float(self.alpha))
-        object.__setattr__(self, "tail_index_left", float(self.beta))
-
-    @property
-    def left_scale(self):
-        return self.beta / self.alpha
-
-    def cdf(self, x):
-        x_arr = np.asarray(x, dtype=float)
-        s = self.left_scale
-        neg = np.minimum(x_arr, 0.0)
-        pos = np.maximum(x_arr, 0.0)
-        out = np.where(
-            x_arr < 0.0,
-            0.5 * (s / (s - neg)) ** self.beta,
-            1.0 - 0.5 * (1.0 + pos) ** (-self.alpha),
-        )
-        return _scalarize(x, out)
-
-    def sf(self, x):
-        x_arr = np.asarray(x, dtype=float)
-        s = self.left_scale
-        neg = np.minimum(x_arr, 0.0)
-        pos = np.maximum(x_arr, 0.0)
-        out = np.where(
-            x_arr < 0.0,
-            1.0 - 0.5 * (s / (s - neg)) ** self.beta,
-            0.5 * (1.0 + pos) ** (-self.alpha),
-        )
-        return _scalarize(x, out)
-
-    def pdf(self, x):
-        x_arr = np.asarray(x, dtype=float)
-        s = self.left_scale
-        neg = np.minimum(x_arr, 0.0)
-        pos = np.maximum(x_arr, 0.0)
-        out = np.where(
-            x_arr < 0.0,
-            0.5 * self.beta * s**self.beta * (s - neg) ** (-self.beta - 1.0),
-            0.5 * self.alpha * (1.0 + pos) ** (-self.alpha - 1.0),
-        )
-        return _scalarize(x, out)
-
-    def pdf_prime(self, x):
-        x_arr = np.asarray(x, dtype=float)
-        s = self.left_scale
-        neg = np.minimum(x_arr, 0.0)
-        pos = np.maximum(x_arr, 0.0)
-        out = np.where(
-            x_arr < 0.0,
-            0.5 * self.beta * (self.beta + 1.0) * s**self.beta * (s - neg) ** (-self.beta - 2.0),
-            -0.5 * self.alpha * (self.alpha + 1.0) * (1.0 + pos) ** (-self.alpha - 2.0),
-        )
-        return _scalarize(x, out)
-
-    def _quantile(self, u):
-        s = self.left_scale
-        lo = np.minimum(u, 0.5)
-        hi = np.maximum(u, 0.5)
-        return np.where(
-            u < 0.5,
-            s * (1.0 - (2.0 * lo) ** (-1.0 / self.beta)),
-            (2.0 * (1.0 - hi)) ** (-1.0 / self.alpha) - 1.0,
-        )
-
-    def __repr__(self):
-        return f"AsymmetricPareto({self.alpha:g},{self.beta:g})"
-
-
-@dataclass(frozen=True, repr=False)
-class Frechet(PerturbationDistribution):
-    """Standard Frechet law on (0, inf): F(x) = exp(-x^-alpha)."""
-
-    alpha: float = 2.0
     support = (0.0, math.inf)
     kinks = (0.0,)
-    tail_index_left = math.inf
+    density_at_zero = 0.0
 
-    def __post_init__(self):
-        if self.alpha <= 0:
-            raise DomainError("shape must be positive")
-        object.__setattr__(self, "tail_index_right", float(self.alpha))
+    def _cdf(self, y):
+        return 1.0 - self._sf(y)
+
+    def _on_half_line(self, raw, x, below):
+        if _is_scalar(x):
+            x = np.float64(x)
+            return float(raw(x)) if x > 0.0 else below
+        x = np.asarray(x, dtype=float)
+        pos = x > 0.0
+        return np.where(pos, raw(np.where(pos, x, 1.0)), below)
 
     def cdf(self, x):
-        x_arr = np.asarray(x, dtype=float)
-        pos = np.maximum(x_arr, 1e-12)
-        with np.errstate(over="ignore", under="ignore"):
-            out = np.where(x_arr > 0.0, np.exp(-(pos ** (-self.alpha))), 0.0)
-        return _scalarize(x, out)
+        return self._on_half_line(self._cdf, x, 0.0)
 
     def sf(self, x):
-        x_arr = np.asarray(x, dtype=float)
-        pos = np.maximum(x_arr, 1e-12)
-        with np.errstate(over="ignore", under="ignore"):
-            out = np.where(x_arr > 0.0, -np.expm1(-(pos ** (-self.alpha))), 1.0)
-        return _scalarize(x, out)
+        return self._on_half_line(self._sf, x, 1.0)
 
     def pdf(self, x):
-        x_arr = np.asarray(x, dtype=float)
-        pos = np.maximum(x_arr, 1e-12)
-        a = self.alpha
-        with np.errstate(over="ignore", under="ignore"):
-            out = np.where(
-                x_arr > 0.0, a * pos ** (-a - 1.0) * np.exp(-(pos ** -a)), 0.0
-            )
-        return _scalarize(x, out)
+        return self._on_half_line(self._pdf, x, 0.0)
 
     def pdf_prime(self, x):
-        x_arr = np.asarray(x, dtype=float)
-        pos = np.maximum(x_arr, 1e-12)
+        return self._on_half_line(self._pdf_prime, x, 0.0)
+
+    def _quantile(self, u):
+        return self._isf(1.0 - u)
+
+    def density_jumps(self):
+        return ((0.0, self.density_at_zero),) if self.density_at_zero else ()
+
+
+@dataclass(frozen=True, repr=False)
+class GeneralizedPareto(OneSided):
+    """Generalized Pareto on [0, inf): 1 - F(y) = (scale/(scale+y))^beta.
+
+    Scale 1 is the Lomax (shifted Pareto) law 1 - F(y) = (1+y)^-beta.
+    """
+
+    beta: float = 3.0
+    scale: float = 1.0
+
+    def __post_init__(self):
+        _require_positive(shape=self.beta, scale=self.scale)
+        object.__setattr__(self, "tail_index_right", float(self.beta))
+
+    @property
+    def density_at_zero(self):
+        return self.beta / self.scale
+
+    def _sf(self, y):
+        if self.scale == 1.0:  # Lomax form: the same law, without a division
+            return (1.0 + y) ** -self.beta
+        return (self.scale / (self.scale + y)) ** self.beta
+
+    def _pdf(self, y):
+        b, s = self.beta, self.scale
+        return b * s**b * (s + y) ** (-b - 1.0)
+
+    def _pdf_prime(self, y):
+        b, s = self.beta, self.scale
+        return -b * (b + 1.0) * s**b * (s + y) ** (-b - 2.0)
+
+    def _isf(self, q):
+        t = q ** (-1.0 / self.beta) - 1.0
+        return t if self.scale == 1.0 else self.scale * t
+
+    def mean(self):
+        return self.scale / (self.beta - 1.0) if self.beta > 1.0 else math.nan
+
+    def __repr__(self):
+        if self.scale == 1.0:
+            return f"ParetoLomax({self.beta:g})"
+        return f"GeneralizedPareto({self.beta:g},scale={self.scale:g})"
+
+
+@dataclass(frozen=True, repr=False)
+class Frechet(OneSided):
+    """Standard Frechet law on (0, inf): F(y) = exp(-y^-alpha)."""
+
+    alpha: float = 2.0
+
+    def __post_init__(self):
+        _require_positive(shape=self.alpha)
+        object.__setattr__(self, "tail_index_right", float(self.alpha))
+
+    # y^-alpha overflows near 0, where exp(-y^-alpha) and with it f and f'
+    # are exactly 0
+
+    def _cdf(self, y):
+        with np.errstate(over="ignore"):
+            return np.exp(-(y ** -self.alpha))
+
+    def _sf(self, y):
+        with np.errstate(over="ignore"):
+            return -np.expm1(-(y ** -self.alpha))
+
+    def _pdf(self, y):
         a = self.alpha
-        with np.errstate(over="ignore", under="ignore"):
-            out = np.where(
-                x_arr > 0.0,
-                a * np.exp(-(pos ** -a)) * (a * pos ** (-2 * a - 2.0) - (a + 1.0) * pos ** (-a - 2.0)),
-                0.0,
+        with np.errstate(over="ignore", invalid="ignore"):
+            e = np.exp(-(y ** -a))
+            return np.where(e > 0.0, a * y ** (-a - 1.0) * e, 0.0)
+
+    def _pdf_prime(self, y):
+        a = self.alpha
+        with np.errstate(over="ignore", invalid="ignore"):
+            e = np.exp(-(y ** -a))
+            return np.where(
+                e > 0.0, a * e * (a * y ** (-2 * a - 2.0) - (a + 1.0) * y ** (-a - 2.0)), 0.0
             )
-        return _scalarize(x, out)
+
+    def _isf(self, q):
+        with np.errstate(divide="ignore"):
+            return (-np.log1p(-q)) ** (-1.0 / self.alpha)
 
     def _quantile(self, u):
         return (-np.log(u)) ** (-1.0 / self.alpha)
@@ -408,105 +284,206 @@ class Frechet(PerturbationDistribution):
 
 
 @dataclass(frozen=True, repr=False)
-class ParetoLomax(PerturbationDistribution):
-    """Lomax (shifted Pareto) law on (0, inf): 1 - F(x) = (x+1)^-alpha."""
+class Exponential(OneSided):
+    """Exponential law on [0, inf) with the given rate: 1 - F(y) = e^(-rate y)."""
 
-    alpha: float = 2.0
-    support = (0.0, math.inf)
-    kinks = (0.0,)
-    tail_index_left = math.inf
+    rate: float = 1.0
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise DomainError("shape must be positive")
-        object.__setattr__(self, "tail_index_right", float(self.alpha))
+        _require_positive(rate=self.rate)
 
-    def cdf(self, x):
-        x_arr = np.asarray(x, dtype=float)
-        pos = np.maximum(x_arr, 0.0)
-        out = np.where(x_arr > 0.0, 1.0 - (1.0 + pos) ** (-self.alpha), 0.0)
-        return _scalarize(x, out)
+    @property
+    def density_at_zero(self):
+        return self.rate
 
-    def sf(self, x):
-        x_arr = np.asarray(x, dtype=float)
-        pos = np.maximum(x_arr, 0.0)
-        out = np.where(x_arr > 0.0, (1.0 + pos) ** (-self.alpha), 1.0)
-        return _scalarize(x, out)
+    def _sf(self, y):
+        return np.exp(-self.rate * y)
 
-    def pdf(self, x):
-        x_arr = np.asarray(x, dtype=float)
-        pos = np.maximum(x_arr, 0.0)
-        out = np.where(x_arr > 0.0, self.alpha * (1.0 + pos) ** (-self.alpha - 1.0), 0.0)
-        return _scalarize(x, out)
+    def _pdf(self, y):
+        return self.rate * np.exp(-self.rate * y)
 
-    def pdf_prime(self, x):
-        x_arr = np.asarray(x, dtype=float)
-        pos = np.maximum(x_arr, 0.0)
-        a = self.alpha
-        out = np.where(x_arr > 0.0, -a * (a + 1.0) * (1.0 + pos) ** (-a - 2.0), 0.0)
-        return _scalarize(x, out)
+    def _pdf_prime(self, y):
+        return -self.rate * self.rate * np.exp(-self.rate * y)
 
-    def _quantile(self, u):
-        return (1.0 - u) ** (-1.0 / self.alpha) - 1.0
+    def _isf(self, q):
+        return np.log(q) / -self.rate
 
-    def density_jumps(self):
-        return ((0.0, self.alpha),)
+    def mean(self):
+        return 1.0 / self.rate
 
     def __repr__(self):
-        return f"ParetoLomax({self.alpha:g})"
+        return f"Exponential(rate={self.rate:g})"
 
 
 @dataclass(frozen=True, repr=False)
-class GeneralizedPareto(PerturbationDistribution):
-    """Generalized Pareto on (0, inf): 1 - F(x) = (scale/(scale+x))^beta."""
+class Truncated(OneSided):
+    """Tail-equivalent law conditioned above 1 and shifted back to (0, inf).
 
-    beta: float = 3.0
-    scale: float = 1.0
-    support = (0.0, math.inf)
-    kinks = (0.0,)
-    tail_index_left = math.inf
+    F*(y) = (F(y+1) - F(1)) / (1 - F(1)) for y > 0, which keeps the right
+    tail order while producing a nonnegative law with bounded hazard near
+    the origin.
+    """
+
+    inner: PerturbationDistribution
 
     def __post_init__(self):
-        if self.beta <= 0 or self.scale <= 0:
-            raise DomainError("shape and scale must be positive")
-        object.__setattr__(self, "tail_index_right", float(self.beta))
+        f1 = float(self.inner.cdf(1.0))
+        if not f1 < 1.0:
+            raise DomainError("inner law has no mass above 1")
+        object.__setattr__(self, "_f1", f1)
+        object.__setattr__(self, "tail_index_right", self.inner.tail_index_right)
 
-    def cdf(self, x):
-        x_arr = np.asarray(x, dtype=float)
-        pos = np.maximum(x_arr, 0.0)
-        s = self.scale
-        out = np.where(x_arr > 0.0, 1.0 - (s / (s + pos)) ** self.beta, 0.0)
-        return _scalarize(x, out)
+    @property
+    def density_at_zero(self):
+        return float(self.inner.pdf(1.0)) / (1.0 - self._f1)
 
-    def sf(self, x):
-        x_arr = np.asarray(x, dtype=float)
-        pos = np.maximum(x_arr, 0.0)
-        s = self.scale
-        out = np.where(x_arr > 0.0, (s / (s + pos)) ** self.beta, 1.0)
-        return _scalarize(x, out)
+    def _sf(self, y):
+        return self.inner.sf(y + 1.0) / (1.0 - self._f1)
 
-    def pdf(self, x):
-        x_arr = np.asarray(x, dtype=float)
-        pos = np.maximum(x_arr, 0.0)
-        s, b = self.scale, self.beta
-        out = np.where(x_arr > 0.0, b * s**b * (s + pos) ** (-b - 1.0), 0.0)
-        return _scalarize(x, out)
+    def _pdf(self, y):
+        return self.inner.pdf(y + 1.0) / (1.0 - self._f1)
 
-    def pdf_prime(self, x):
-        x_arr = np.asarray(x, dtype=float)
-        pos = np.maximum(x_arr, 0.0)
-        s, b = self.scale, self.beta
-        out = np.where(x_arr > 0.0, -b * (b + 1.0) * s**b * (s + pos) ** (-b - 2.0), 0.0)
-        return _scalarize(x, out)
+    def _pdf_prime(self, y):
+        return self.inner.pdf_prime(y + 1.0) / (1.0 - self._f1)
+
+    def _isf(self, q):
+        return self.inner._isf(q * (1.0 - self._f1)) - 1.0
 
     def _quantile(self, u):
-        return self.scale * ((1.0 - u) ** (-1.0 / self.beta) - 1.0)
-
-    def density_jumps(self):
-        return ((0.0, self.beta / self.scale),)
+        # the direct inverse from below; _isf serves the far right tail
+        return self.inner._quantile(self._f1 + u * (1.0 - self._f1)) - 1.0
 
     def __repr__(self):
-        return f"GeneralizedPareto({self.beta:g},scale={self.scale:g})"
+        return f"Truncated({self.inner!r})"
+
+
+# ---------------------------------------------------------------------------
+# two-sided laws
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True, repr=False)
+class Hybrid(PerturbationDistribution):
+    """Two one-sided laws glued at 0 with half mass on each side.
+
+    F(x) = 1 - S_right(x)/2 for x >= 0 and S_left(-x)/2 for x < 0, where S
+    is a half's survival function, so F(0) = 1/2 exactly and both tails keep
+    full relative accuracy.  The hybrid's left tail index is the right tail
+    index of the ``left`` half.  ``name`` only changes the repr.
+    """
+
+    right: OneSided
+    left: OneSided
+    name: str = field(default="", compare=False)
+    kinks = (0.0,)
+
+    def __post_init__(self):
+        for side, d in (("right", self.right), ("left", self.left)):
+            if not isinstance(d, OneSided):
+                raise DomainError(f"{side} component must be a one-sided law on [0, inf)")
+        object.__setattr__(self, "tail_index_right", self.right.tail_index_right)
+        object.__setattr__(self, "tail_index_left", self.left.tail_index_right)
+
+    def _glue(self, x, raw, left_map, right_map):
+        """left_map(L(-x)) for x < 0 and right_map(R(x)) for x >= 0, where L
+        and R are the left and right halves' raw formulas named ``raw``."""
+        if _is_scalar(x):
+            x = np.float64(x)
+            if x < 0.0:
+                return float(left_map(getattr(self.left, raw)(-x)))
+            return float(right_map(getattr(self.right, raw)(x)))
+        x = np.asarray(x, dtype=float)
+        y = np.abs(x)
+        left = getattr(self.left, raw)(y)
+        right = left if self.left is self.right else getattr(self.right, raw)(y)
+        return np.where(x < 0.0, left_map(left), right_map(right))
+
+    def cdf(self, x):
+        return self._glue(x, "_sf", _half, _one_minus_half)
+
+    def sf(self, x):
+        return self._glue(x, "_sf", _one_minus_half, _half)
+
+    def pdf(self, x):
+        return self._glue(x, "_pdf", _half, _half)
+
+    def pdf_prime(self, x):
+        return self._glue(x, "_pdf_prime", _minus_half, _half)
+
+    def _quantile(self, u):
+        low = u < 0.5
+        q = 2.0 * np.where(low, u, 1.0 - u)
+        left = self.left._isf(q)
+        right = left if self.left is self.right else self.right._isf(q)
+        return np.where(low, -left, right)
+
+    def _isf(self, q):
+        high = q < 0.5
+        p = 2.0 * np.where(high, q, 1.0 - q)
+        return np.where(high, self.right._isf(p), -self.left._isf(p))
+
+    def density_jumps(self):
+        glue = 0.5 * (self.right.density_at_zero - self.left.density_at_zero)
+        return ((0.0, glue),) if glue else ()
+
+    def mean(self):
+        return 0.5 * (self.right.mean() - self.left.mean())
+
+    def __repr__(self):
+        return self.name or f"Hybrid(right={self.right!r}, left={self.left!r})"
+
+
+def _half(v):
+    return 0.5 * v
+
+
+def _minus_half(v):
+    return -0.5 * v
+
+
+def _one_minus_half(v):
+    return 1.0 - 0.5 * v
+
+
+def SymmetricPareto(a=2.0):
+    """Two-sided polynomial law f(x) = a / (2 (|x|+1)^(a+1)), shape a > 0.
+
+    The canonical heavy-tailed symmetric perturbation; shape 2 is the default
+    used throughout the counterexample scans.
+    """
+    half = GeneralizedPareto(a, 1.0)
+    return Hybrid(half, half, name=f"SymmetricPareto(a={a:g})")
+
+
+def LaplacePareto():
+    """Exponential left half e^(2x), polynomial right half 1/(x+1)^3.
+
+    Tail indices (right, left) = (2, inf): a glued Gumbel-type/heavy-tail
+    law with mean 1/4.
+    """
+    return Hybrid(GeneralizedPareto(2.0, 1.0), Exponential(2.0), name="LaplacePareto()")
+
+
+def AsymmetricPareto(alpha=2.0, beta=3.0):
+    """Lomax right half (index alpha), generalized-Pareto left half (index beta).
+
+    The left scale is beta/alpha so the density is continuous at 0; with
+    (alpha, beta) = (2, 3) this is the classic asymmetric-Pareto example
+    whose f/F ratio increases on the negative axis.
+    """
+    right = GeneralizedPareto(alpha, 1.0)
+    left = GeneralizedPareto(beta, beta / alpha)
+    return Hybrid(right, left, name=f"AsymmetricPareto({alpha:g},{beta:g})")
+
+
+def Laplace(rate=1.0):
+    """Double-exponential law with the given rate."""
+    half = Exponential(rate)
+    return Hybrid(half, half, name=f"Laplace(rate={rate:g})")
+
+
+def ParetoLomax(alpha=2.0):
+    """Lomax (shifted Pareto) law on (0, inf): 1 - F(x) = (x+1)^-alpha."""
+    return GeneralizedPareto(alpha, 1.0)
 
 
 @dataclass(frozen=True, repr=False)
@@ -532,7 +509,9 @@ class Gumbel(PerturbationDistribution):
         return _scalarize(x, out)
 
     def pdf_prime(self, x):
-        x_arr = np.asarray(x, dtype=float)
+        # below -700 f' underflows to 0; the clamp keeps e finite there, so
+        # the product is 0 * e rather than 0 * inf
+        x_arr = np.maximum(x, -700.0)
         with np.errstate(over="ignore", under="ignore"):
             e = np.exp(-x_arr)
             out = np.exp(-x_arr - e) * (e - 1.0)
@@ -545,237 +524,33 @@ class Gumbel(PerturbationDistribution):
         return float(np.euler_gamma)
 
 
-@dataclass(frozen=True, repr=False)
-class Laplace(PerturbationDistribution):
-    """Double-exponential law with the given rate."""
-
-    rate: float = 1.0
-    kinks = (0.0,)
-
-    def __post_init__(self):
-        if self.rate <= 0:
-            raise DomainError("rate must be positive")
-
-    def cdf(self, x):
-        x_arr = np.asarray(x, dtype=float)
-        b = self.rate
-        neg = np.minimum(x_arr, 0.0)
-        pos = np.maximum(x_arr, 0.0)
-        out = np.where(x_arr < 0.0, 0.5 * np.exp(b * neg), 1.0 - 0.5 * np.exp(-b * pos))
-        return _scalarize(x, out)
-
-    def sf(self, x):
-        x_arr = np.asarray(x, dtype=float)
-        b = self.rate
-        neg = np.minimum(x_arr, 0.0)
-        pos = np.maximum(x_arr, 0.0)
-        out = np.where(x_arr < 0.0, 1.0 - 0.5 * np.exp(b * neg), 0.5 * np.exp(-b * pos))
-        return _scalarize(x, out)
-
-    def pdf(self, x):
-        x_arr = np.asarray(x, dtype=float)
-        b = self.rate
-        return _scalarize(x, 0.5 * b * np.exp(-b * np.abs(x_arr)))
-
-    def pdf_prime(self, x):
-        x_arr = np.asarray(x, dtype=float)
-        b = self.rate
-        out = np.where(x_arr < 0.0, 1.0, -1.0) * 0.5 * b * b * np.exp(-b * np.abs(x_arr))
-        return _scalarize(x, out)
-
-    def _quantile(self, u):
-        b = self.rate
-        lo = np.minimum(u, 0.5)
-        hi = np.maximum(u, 0.5)
-        return np.where(u < 0.5, np.log(2.0 * lo) / b, -np.log(2.0 * (1.0 - hi)) / b)
-
-    def mean(self):
-        return 0.0
-
-    def __repr__(self):
-        return f"Laplace(rate={self.rate:g})"
-
-
-@dataclass(frozen=True, repr=False)
-class Hybrid(PerturbationDistribution):
-    """Two nonnegative laws glued at 0 with half mass on each side.
-
-    F(x) = 1/2 + F_right(x)/2 for x >= 0 and 1/2 - F_left(-x)/2 for x < 0,
-    so F(0) = 1/2 exactly.  The hybrid's left tail index is the right tail
-    index of the ``left`` component.
-    """
-
-    right: PerturbationDistribution
-    left: PerturbationDistribution
-
-    def __post_init__(self):
-        for side, d in (("right", self.right), ("left", self.left)):
-            if d.support[0] < 0.0:
-                raise DomainError(f"{side} component must be supported on [0, inf)")
-        object.__setattr__(self, "tail_index_right", self.right.tail_index_right)
-        object.__setattr__(self, "tail_index_left", self.left.tail_index_right)
-        ks = {0.0}
-        ks.update(k for k in self.right.kinks if k > 0.0)
-        ks.update(-k for k in self.left.kinks if k > 0.0)
-        object.__setattr__(self, "kinks", tuple(sorted(ks)))
-
-    def cdf(self, x):
-        x_arr = np.asarray(x, dtype=float)
-        neg = np.minimum(x_arr, 0.0)
-        pos = np.maximum(x_arr, 0.0)
-        out = np.where(
-            x_arr < 0.0,
-            0.5 - 0.5 * np.asarray(self.left.cdf(-neg), dtype=float),
-            0.5 + 0.5 * np.asarray(self.right.cdf(pos), dtype=float),
-        )
-        return _scalarize(x, out)
-
-    def sf(self, x):
-        x_arr = np.asarray(x, dtype=float)
-        neg = np.minimum(x_arr, 0.0)
-        pos = np.maximum(x_arr, 0.0)
-        out = np.where(
-            x_arr < 0.0,
-            0.5 + 0.5 * np.asarray(self.left.cdf(-neg), dtype=float),
-            0.5 * np.asarray(self.right.sf(pos), dtype=float),
-        )
-        return _scalarize(x, out)
-
-    def pdf(self, x):
-        x_arr = np.asarray(x, dtype=float)
-        neg = np.minimum(x_arr, 0.0)
-        pos = np.maximum(x_arr, 0.0)
-        out = np.where(
-            x_arr < 0.0,
-            0.5 * np.asarray(self.left.pdf(-neg), dtype=float),
-            0.5 * np.asarray(self.right.pdf(pos), dtype=float),
-        )
-        return _scalarize(x, out)
-
-    def pdf_prime(self, x):
-        x_arr = np.asarray(x, dtype=float)
-        neg = np.minimum(x_arr, 0.0)
-        pos = np.maximum(x_arr, 0.0)
-        out = np.where(
-            x_arr < 0.0,
-            -0.5 * np.asarray(self.left.pdf_prime(-neg), dtype=float),
-            0.5 * np.asarray(self.right.pdf_prime(pos), dtype=float),
-        )
-        return _scalarize(x, out)
-
-    def _quantile(self, u):
-        lo = np.clip(1.0 - 2.0 * np.minimum(u, 0.5), _TINY_U, 1.0 - _TINY_U)
-        hi = np.clip(2.0 * np.maximum(u, 0.5) - 1.0, _TINY_U, 1.0 - _TINY_U)
-        return np.where(
-            u < 0.5,
-            -np.asarray(self.left._quantile(lo), dtype=float),
-            np.asarray(self.right._quantile(hi), dtype=float),
-        )
-
-    def density_jumps(self):
-        # one-sided limits at the glue point, probed just inside each half
-        right_limit = float(self.right.pdf(1e-9))
-        left_limit = float(self.left.pdf(1e-9))
-        jumps = []
-        glue = 0.5 * (right_limit - left_limit)
-        if abs(glue) > 1e-300:
-            jumps.append((0.0, glue))
-        for loc, j in self.right.density_jumps():
-            if loc > 0.0:
-                jumps.append((loc, 0.5 * j))
-        for loc, j in self.left.density_jumps():
-            if loc > 0.0:
-                jumps.append((-loc, -0.5 * j))
-        return tuple(jumps)
-
-    def __repr__(self):
-        return f"Hybrid(right={self.right!r}, left={self.left!r})"
-
-
-@dataclass(frozen=True, repr=False)
-class Truncated(PerturbationDistribution):
-    """Tail-equivalent law conditioned above 1 and shifted back to (0, inf).
-
-    F*(x) = (F(x+1) - F(1)) / (1 - F(1)) for x > 0 and 0 otherwise, which
-    keeps the right tail order while producing a nonnegative law with
-    bounded hazard near the origin.
-    """
-
-    inner: PerturbationDistribution
-    support = (0.0, math.inf)
-    tail_index_left = math.inf
-
-    def __post_init__(self):
-        object.__setattr__(self, "tail_index_right", self.inner.tail_index_right)
-        f1 = float(self.inner.cdf(1.0))
-        if not f1 < 1.0:
-            raise DomainError("inner law has no mass above 1")
-        object.__setattr__(self, "_f1", f1)
-        ks = {0.0}
-        ks.update(k - 1.0 for k in self.inner.kinks if k > 1.0)
-        object.__setattr__(self, "kinks", tuple(sorted(ks)))
-
-    def cdf(self, x):
-        x_arr = np.asarray(x, dtype=float)
-        pos = np.maximum(x_arr, 0.0)
-        inner_cdf = np.asarray(self.inner.cdf(pos + 1.0), dtype=float)
-        out = np.where(x_arr > 0.0, (inner_cdf - self._f1) / (1.0 - self._f1), 0.0)
-        return _scalarize(x, out)
-
-    def sf(self, x):
-        x_arr = np.asarray(x, dtype=float)
-        pos = np.maximum(x_arr, 0.0)
-        inner_sf = np.asarray(self.inner.sf(pos + 1.0), dtype=float)
-        out = np.where(x_arr > 0.0, inner_sf / (1.0 - self._f1), 1.0)
-        return _scalarize(x, out)
-
-    def pdf(self, x):
-        x_arr = np.asarray(x, dtype=float)
-        pos = np.maximum(x_arr, 0.0)
-        inner_pdf = np.asarray(self.inner.pdf(pos + 1.0), dtype=float)
-        out = np.where(x_arr > 0.0, inner_pdf / (1.0 - self._f1), 0.0)
-        return _scalarize(x, out)
-
-    def pdf_prime(self, x):
-        x_arr = np.asarray(x, dtype=float)
-        pos = np.maximum(x_arr, 0.0)
-        inner_pp = np.asarray(self.inner.pdf_prime(pos + 1.0), dtype=float)
-        out = np.where(x_arr > 0.0, inner_pp / (1.0 - self._f1), 0.0)
-        return _scalarize(x, out)
-
-    def _quantile(self, u):
-        return np.asarray(
-            self.inner._quantile(self._f1 + u * (1.0 - self._f1)), dtype=float
-        ) - 1.0
-
-    def density_jumps(self):
-        scale = 1.0 - self._f1
-        jumps = [(0.0, float(self.inner.pdf(1.0)) / scale)]
-        for loc, j in self.inner.density_jumps():
-            if loc > 1.0:
-                jumps.append((loc - 1.0, j / scale))
-        return tuple(jumps)
-
-    def __repr__(self):
-        return f"Truncated({self.inner!r})"
-
-
 # ---------------------------------------------------------------------------
 # distribution-spec mini-language
 # ---------------------------------------------------------------------------
 
+def _number(text, spec):
+    try:
+        return float(text)
+    except ValueError:
+        raise DomainError(f"bad number {text!r} in distribution spec {spec!r}") from None
+
+
 def parse_dist(spec: str) -> PerturbationDistribution:
     """Parse a distribution spec string.
 
-    Grammar (case-insensitive):
-      ``lp``                      Laplace-Pareto
-      ``splareto[:a=A | :A]``     symmetric Pareto, default shape 2
-      ``asp:A,B``                 asymmetric Pareto with tail indices (A, B)
-      ``frechet:A`` ``pareto:A``  Frechet / Lomax with shape A
+    Grammar (case-insensitive); each law is a primitive or a ``Hybrid`` of
+    two primitives (see the module docstring):
+      ``pareto:A``                Lomax, GeneralizedPareto(A, 1)
       ``gpd:B[,S]``               generalized Pareto, shape B, scale S (default 1)
-      ``gumbel`` ``laplace[:R]``  Gumbel / double exponential with rate R
-      ``hybrid:right=<spec>,left=<spec>``
-      ``trunc(<spec>)``
+      ``frechet:A``               Frechet with shape A
+      ``trunc(<spec>)``           <spec> conditioned above 1, shifted to 0
+      ``hybrid:right=<spec>,left=<spec>``  two one-sided specs glued at 0
+      ``splareto[:a=A | :A]``     symmetric Pareto, default shape 2
+      ``lp``                      Laplace-Pareto
+      ``asp:A,B``                 asymmetric Pareto with tail indices (A, B)
+      ``laplace[:R]``             double exponential with rate R (default 1)
+      ``gumbel``                  standard Gumbel
+    A malformed number raises ``DomainError``.
     """
     s = spec.strip()
     low = s.lower()
@@ -798,24 +573,26 @@ def parse_dist(spec: str) -> PerturbationDistribution:
     if head == "gumbel":
         return Gumbel()
     if head == "laplace":
-        return Laplace(rate=float(rest)) if rest else Laplace()
+        return Laplace(_number(rest, spec)) if rest else Laplace()
     if head == "splareto":
         if not rest:
             return SymmetricPareto()
         if rest.startswith("a="):
             rest = rest[2:]
-        return SymmetricPareto(a=float(rest))
+        return SymmetricPareto(_number(rest, spec))
     if head == "asp":
         a, _, b = rest.partition(",")
-        return AsymmetricPareto(alpha=float(a), beta=float(b))
+        return AsymmetricPareto(_number(a, spec), _number(b, spec))
     if head == "frechet":
-        return Frechet(alpha=float(rest))
+        return Frechet(_number(rest, spec))
     if head == "pareto":
-        return ParetoLomax(alpha=float(rest))
+        return ParetoLomax(_number(rest, spec))
     if head == "gpd":
         b, _, sc = rest.partition(",")
-        return GeneralizedPareto(beta=float(b), scale=float(sc) if sc else 1.0)
+        return GeneralizedPareto(_number(b, spec), _number(sc, spec) if sc else 1.0)
     raise DomainError(f"unknown distribution spec {spec!r}")
+
+
 
 
 # ---------------------------------------------------------------------------

@@ -72,11 +72,9 @@ class TestClosedForms:
 
     def test_kink_flagging(self):
         lp = LaplacePareto()
-        val, at_kink = lp.pdf_prime_flagged(0.0)
-        assert at_kink
-        assert val == pytest.approx(-3.0)  # right-hand branch
-        val, at_kink = lp.pdf_prime_flagged(0.3)
-        assert not at_kink
+        assert lp.kinks == (0.0,)
+        assert lp.pdf_prime(0.0) == pytest.approx(-3.0)  # right-hand branch
+        assert 0.3 not in lp.kinks
 
 
 class TestCalculusConsistency:
@@ -151,6 +149,27 @@ class TestComposition:
         with pytest.raises(DomainError):
             Hybrid(right=SymmetricPareto(2.0), left=ParetoLomax(2.0))
 
+    def test_hybrid_far_left_tail_keeps_relative_accuracy(self):
+        h = parse_dist("hybrid:right=pareto:2,left=pareto:4")
+        for x in (-1e4, -1e5):
+            want = 0.5 * (1.0 + abs(x)) ** -4.0
+            assert abs(h.cdf(x) - want) <= 1e-12 * want
+
+    def test_hybrid_density_jump_is_exact(self):
+        h = parse_dist("hybrid:right=frechet:2,left=pareto:3")
+        assert h.density_jumps() == ((0.0, -1.5),)
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["hybrid:right=pareto:2,left=pareto:4", "hybrid:right=pareto:2,left=frechet:2",
+         "hybrid:right=frechet:2,left=gpd:3,1.5", "lp", "splareto:a=2", "laplace:1"],
+    )
+    def test_hybrid_quantile_round_trip_in_far_left_tail(self, spec):
+        dist = parse_dist(spec)
+        u = np.geomspace(1e-300, 0.499, 400)
+        rel = np.abs(np.asarray(dist.cdf(dist.quantile(u))) - u) / u
+        assert np.max(rel) <= 1e-12
+
     def test_truncated_cdf_at_origin_and_form(self):
         base = Frechet(2.0)
         tr = Truncated(base)
@@ -201,14 +220,13 @@ class TestSampling:
 
     def test_sample_vector_shape(self):
         rng = np.random.default_rng(0)
-        v = Gumbel().sample_vector(5, rng)
-        assert v.shape == (5,)
-        assert isinstance(Gumbel().sample(rng), float)
+        assert Gumbel().sample_array(5, rng).shape == (5,)
+        assert Gumbel().sample_array((2, 3), rng).shape == (2, 3)
 
 
 class TestSpecParser:
     def test_round_trip_specs(self):
-        assert isinstance(parse_dist("lp"), LaplacePareto)
+        assert parse_dist("lp") == LaplacePareto()
         assert parse_dist("splareto:a=2") == SymmetricPareto(2.0)
         assert parse_dist("splareto:3") == SymmetricPareto(3.0)
         assert parse_dist("asp:2,3") == AsymmetricPareto(2.0, 3.0)
@@ -220,6 +238,11 @@ class TestSpecParser:
         assert isinstance(h, Hybrid) and h.right == ParetoLomax(2.0)
         t = parse_dist("trunc(frechet:2)")
         assert isinstance(t, Truncated) and t.inner == Frechet(2.0)
+
+    @pytest.mark.parametrize("bad", ["frechet:abc", "asp:2", "splareto:a=x", "gpd:", "pareto:nan"])
+    def test_malformed_numbers_are_domain_errors(self, bad):
+        with pytest.raises(DomainError):
+            parse_dist(bad)
 
     def test_bad_specs(self):
         for bad in ("nope", "hybrid:left=pareto:2", "splareto:a=-1"):

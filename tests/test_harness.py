@@ -194,6 +194,12 @@ class TestCli:
         assert lines[0].startswith("c,i,sigma_i,phi")
         assert len(lines) == 1 + 3 * 3
 
+    @pytest.mark.parametrize("bad", ["frechet:abc", "asp:2", "splareto:a=x", "gpd:"])
+    def test_bad_dist_spec_is_usage_error(self, capsys, bad):
+        assert cli.main(["check-dist", "--dist", bad]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
     def test_check_dist(self, tmp_path):
         out = tmp_path / "rep.csv"
         assert cli.main(["check-dist", "--dist", "pareto:2", "--out", str(out)]) == 0

@@ -235,7 +235,7 @@ class TestPolicyParsing:
     def test_ftpl_spec(self):
         pol = parse_policy("ftpl:lp:m=0.23")
         assert isinstance(pol, FtplPolicy)
-        assert isinstance(pol.dist, LaplacePareto)
+        assert pol.dist == LaplacePareto()
         assert pol.m == 0.23
 
     def test_ftpl_nested_dist_spec(self):
