@@ -125,22 +125,6 @@ class PerturbationDistribution:
         u = np.where(u == 0.0, _TINY_U, u)
         return self._quantile(u)
 
-    def mean(self):
-        """E[X] by quadrature; concrete classes override when closed-form."""
-        from scipy.integrate import quad
-
-        if min(self.tail_index_left, self.tail_index_right) <= 1.0:
-            return math.nan
-        lo, hi = self.support
-        pts = sorted(set(self.kinks) | {lo, hi} - {-math.inf, math.inf})
-        edges = [lo, *pts, hi]
-        total = 0.0
-        for a, b in zip(edges[:-1], edges[1:]):
-            if a == b:
-                continue
-            total += quad(lambda z: z * self.pdf(z), a, b, limit=200)[0]
-        return total
-
     def __repr__(self):
         return f"{type(self).__name__}()"
 
@@ -206,10 +190,7 @@ class GeneralizedPareto(OneSided):
     def __post_init__(self):
         _require_positive(shape=self.beta, scale=self.scale)
         object.__setattr__(self, "tail_index_right", float(self.beta))
-
-    @property
-    def density_at_zero(self):
-        return self.beta / self.scale
+        object.__setattr__(self, "density_at_zero", self.beta / self.scale)
 
     def _sf(self, y):
         if self.scale == 1.0:  # Lomax form: the same law, without a division
@@ -225,8 +206,7 @@ class GeneralizedPareto(OneSided):
         return -b * (b + 1.0) * s**b * (s + y) ** (-b - 2.0)
 
     def _isf(self, q):
-        t = q ** (-1.0 / self.beta) - 1.0
-        return t if self.scale == 1.0 else self.scale * t
+        return self.scale * (q ** (-1.0 / self.beta) - 1.0)
 
     def mean(self):
         return self.scale / (self.beta - 1.0) if self.beta > 1.0 else math.nan
@@ -247,9 +227,6 @@ class Frechet(OneSided):
         _require_positive(shape=self.alpha)
         object.__setattr__(self, "tail_index_right", float(self.alpha))
 
-    # y^-alpha overflows near 0, where exp(-y^-alpha) and with it f and f'
-    # are exactly 0
-
     def _cdf(self, y):
         with np.errstate(over="ignore"):
             return np.exp(-(y ** -self.alpha))
@@ -261,7 +238,7 @@ class Frechet(OneSided):
     def _pdf(self, y):
         a = self.alpha
         with np.errstate(over="ignore", invalid="ignore"):
-            e = np.exp(-(y ** -a))
+            e = np.exp(-(y ** -a))  # 0 where y^-a overflows; so are f and f'
             return np.where(e > 0.0, a * y ** (-a - 1.0) * e, 0.0)
 
     def _pdf_prime(self, y):
@@ -277,7 +254,10 @@ class Frechet(OneSided):
             return (-np.log1p(-q)) ** (-1.0 / self.alpha)
 
     def _quantile(self, u):
-        return (-np.log(u)) ** (-1.0 / self.alpha)
+        return (-np.log(u)) ** (-1.0 / self.alpha)  # exact for tiny u, unlike _isf(1 - u)
+
+    def mean(self):
+        return math.gamma(1.0 - 1.0 / self.alpha) if self.alpha > 1.0 else math.nan
 
     def __repr__(self):
         return f"Frechet({self.alpha:g})"
@@ -291,10 +271,7 @@ class Exponential(OneSided):
 
     def __post_init__(self):
         _require_positive(rate=self.rate)
-
-    @property
-    def density_at_zero(self):
-        return self.rate
+        object.__setattr__(self, "density_at_zero", self.rate)
 
     def _sf(self, y):
         return np.exp(-self.rate * y)
@@ -332,10 +309,7 @@ class Truncated(OneSided):
             raise DomainError("inner law has no mass above 1")
         object.__setattr__(self, "_f1", f1)
         object.__setattr__(self, "tail_index_right", self.inner.tail_index_right)
-
-    @property
-    def density_at_zero(self):
-        return float(self.inner.pdf(1.0)) / (1.0 - self._f1)
+        object.__setattr__(self, "density_at_zero", float(self.inner.pdf(1.0)) / (1.0 - f1))
 
     def _sf(self, y):
         return self.inner.sf(y + 1.0) / (1.0 - self._f1)
@@ -349,9 +323,13 @@ class Truncated(OneSided):
     def _isf(self, q):
         return self.inner._isf(q * (1.0 - self._f1)) - 1.0
 
-    def _quantile(self, u):
-        # the direct inverse from below; _isf serves the far right tail
-        return self.inner._quantile(self._f1 + u * (1.0 - self._f1)) - 1.0
+    def mean(self):
+        """E[Y], the integral of the survival function over (0, inf)."""
+        if self.tail_index_right <= 1.0:
+            return math.nan
+        from scipy.integrate import quad
+
+        return quad(self.sf, 0.0, math.inf, limit=200)[0]
 
     def __repr__(self):
         return f"Truncated({self.inner!r})"
@@ -383,31 +361,34 @@ class Hybrid(PerturbationDistribution):
         object.__setattr__(self, "tail_index_right", self.right.tail_index_right)
         object.__setattr__(self, "tail_index_left", self.left.tail_index_right)
 
-    def _glue(self, x, raw, left_map, right_map):
-        """left_map(L(-x)) for x < 0 and right_map(R(x)) for x >= 0, where L
-        and R are the left and right halves' raw formulas named ``raw``."""
+    def _glue(self, x, raw):
+        """(x < 0, h): h is half the left half's raw formula ``raw`` at -x
+        where x < 0 and half the right half's at x elsewhere."""
         if _is_scalar(x):
             x = np.float64(x)
-            if x < 0.0:
-                return float(left_map(getattr(self.left, raw)(-x)))
-            return float(right_map(getattr(self.right, raw)(x)))
+            neg = bool(x < 0.0)
+            return neg, 0.5 * float(getattr(self.left if neg else self.right, raw)(abs(x)))
         x = np.asarray(x, dtype=float)
         y = np.abs(x)
         left = getattr(self.left, raw)(y)
         right = left if self.left is self.right else getattr(self.right, raw)(y)
-        return np.where(x < 0.0, left_map(left), right_map(right))
+        neg = x < 0.0
+        return neg, 0.5 * np.where(neg, left, right)
 
     def cdf(self, x):
-        return self._glue(x, "_sf", _half, _one_minus_half)
+        neg, h = self._glue(x, "_sf")
+        return _pick(neg, h, 1.0 - h)
 
     def sf(self, x):
-        return self._glue(x, "_sf", _one_minus_half, _half)
+        neg, h = self._glue(x, "_sf")
+        return _pick(neg, 1.0 - h, h)
 
     def pdf(self, x):
-        return self._glue(x, "_pdf", _half, _half)
+        return self._glue(x, "_pdf")[1]
 
     def pdf_prime(self, x):
-        return self._glue(x, "_pdf_prime", _minus_half, _half)
+        neg, h = self._glue(x, "_pdf_prime")
+        return _pick(neg, -h, h)
 
     def _quantile(self, u):
         low = u < 0.5
@@ -432,16 +413,8 @@ class Hybrid(PerturbationDistribution):
         return self.name or f"Hybrid(right={self.right!r}, left={self.left!r})"
 
 
-def _half(v):
-    return 0.5 * v
-
-
-def _minus_half(v):
-    return -0.5 * v
-
-
-def _one_minus_half(v):
-    return 1.0 - 0.5 * v
+def _pick(cond, a, b):
+    return np.where(cond, a, b) if isinstance(cond, np.ndarray) else (a if cond else b)
 
 
 def SymmetricPareto(a=2.0):
@@ -536,21 +509,21 @@ def _number(text, spec):
 
 
 def parse_dist(spec: str) -> PerturbationDistribution:
-    """Parse a distribution spec string.
+    """Parse a distribution spec string (case-insensitive).
 
-    Grammar (case-insensitive); each law is a primitive or a ``Hybrid`` of
-    two primitives (see the module docstring):
-      ``pareto:A``                Lomax, GeneralizedPareto(A, 1)
-      ``gpd:B[,S]``               generalized Pareto, shape B, scale S (default 1)
-      ``frechet:A``               Frechet with shape A
-      ``trunc(<spec>)``           <spec> conditioned above 1, shifted to 0
-      ``hybrid:right=<spec>,left=<spec>``  two one-sided specs glued at 0
-      ``splareto[:a=A | :A]``     symmetric Pareto, default shape 2
-      ``lp``                      Laplace-Pareto
-      ``asp:A,B``                 asymmetric Pareto with tail indices (A, B)
-      ``laplace[:R]``             double exponential with rate R (default 1)
-      ``gumbel``                  standard Gumbel
-    A malformed number raises ``DomainError``.
+    One-sided primitives on [0, inf):
+      ``pareto:A``               GeneralizedPareto(A, 1), the Lomax law
+      ``gpd:B[,S]``              GeneralizedPareto(B, S), scale S defaults to 1
+      ``frechet:A``              Frechet(A)
+      ``trunc(<spec>)``          Truncated(<spec>): conditioned above 1, shifted to 0
+    Two-sided laws:
+      ``hybrid:right=<spec>,left=<spec>``  Hybrid of two one-sided specs
+      ``splareto[:a=A | :A]``    Hybrid(GPD(A,1), GPD(A,1)), A defaults to 2
+      ``lp``                     Hybrid(GPD(2,1), Exponential(2))
+      ``asp:A,B``                Hybrid(GPD(A,1), GPD(B,B/A))
+      ``laplace[:R]``            Hybrid(Exponential(R), Exponential(R)), R defaults to 1
+      ``gumbel``                 Gumbel()
+    A malformed number or an out-of-domain parameter raises ``DomainError``.
     """
     s = spec.strip()
     low = s.lower()

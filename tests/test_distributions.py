@@ -74,7 +74,6 @@ class TestClosedForms:
         lp = LaplacePareto()
         assert lp.kinks == (0.0,)
         assert lp.pdf_prime(0.0) == pytest.approx(-3.0)  # right-hand branch
-        assert 0.3 not in lp.kinks
 
 
 class TestCalculusConsistency:
@@ -239,13 +238,9 @@ class TestSpecParser:
         t = parse_dist("trunc(frechet:2)")
         assert isinstance(t, Truncated) and t.inner == Frechet(2.0)
 
-    @pytest.mark.parametrize("bad", ["frechet:abc", "asp:2", "splareto:a=x", "gpd:", "pareto:nan"])
-    def test_malformed_numbers_are_domain_errors(self, bad):
-        with pytest.raises(DomainError):
-            parse_dist(bad)
-
     def test_bad_specs(self):
-        for bad in ("nope", "hybrid:left=pareto:2", "splareto:a=-1"):
+        for bad in ("nope", "hybrid:left=pareto:2", "splareto:a=-1",
+                    "frechet:abc", "asp:2", "splareto:a=x", "gpd:", "pareto:nan"):
             with pytest.raises(DomainError):
                 parse_dist(bad)
 
