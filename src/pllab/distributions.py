@@ -229,22 +229,22 @@ class Frechet(OneSided):
         object.__setattr__(self, "tail_index_right", float(self.alpha))
 
     def _cdf(self, y):
-        with np.errstate(over="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
             return np.exp(-(y ** -self.alpha))
 
     def _sf(self, y):
-        with np.errstate(over="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
             return -np.expm1(-(y ** -self.alpha))
 
     def _pdf(self, y):
         a = self.alpha
-        with np.errstate(over="ignore", invalid="ignore"):
-            e = np.exp(-(y ** -a))  # 0 where y^-a overflows; so are f and f'
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            e = np.exp(-(y ** -a))  # 0 where y^-a overflows or y = 0; so are f, f'
             return np.where(e > 0.0, a * y ** (-a - 1.0) * e, 0.0)
 
     def _pdf_prime(self, y):
         a = self.alpha
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             e = np.exp(-(y ** -a))
             return np.where(
                 e > 0.0, a * e * (a * y ** (-2 * a - 2.0) - (a + 1.0) * y ** (-a - 2.0)), 0.0
@@ -299,30 +299,30 @@ class Truncated(OneSided):
 
     F*(y) = (F(y+1) - F(1)) / (1 - F(1)) for y > 0, which keeps the right
     tail order while producing a nonnegative law with bounded hazard near
-    the origin.
+    the origin.  The mass above 1 is taken as S(1), so S*(0) = 1 exactly.
     """
 
     inner: PerturbationDistribution
 
     def __post_init__(self):
-        f1 = float(self.inner.cdf(1.0))
-        if not f1 < 1.0:
+        mass = float(self.inner.sf(1.0))
+        if not mass > 0.0:
             raise DomainError("inner law has no mass above 1")
-        object.__setattr__(self, "_f1", f1)
+        object.__setattr__(self, "_mass", mass)
         object.__setattr__(self, "tail_index_right", self.inner.tail_index_right)
-        object.__setattr__(self, "density_at_zero", float(self.inner.pdf(1.0)) / (1.0 - f1))
+        object.__setattr__(self, "density_at_zero", float(self.inner.pdf(1.0)) / mass)
 
     def _sf(self, y):
-        return self.inner.sf(y + 1.0) / (1.0 - self._f1)
+        return self.inner.sf(y + 1.0) / self._mass
 
     def _pdf(self, y):
-        return self.inner.pdf(y + 1.0) / (1.0 - self._f1)
+        return self.inner.pdf(y + 1.0) / self._mass
 
     def _pdf_prime(self, y):
-        return self.inner.pdf_prime(y + 1.0) / (1.0 - self._f1)
+        return self.inner.pdf_prime(y + 1.0) / self._mass
 
     def _isf(self, q):
-        return self.inner._isf(q * (1.0 - self._f1)) - 1.0
+        return self.inner._isf(q * self._mass) - 1.0
 
     def mean(self):
         """E[Y], the integral of the survival function over (0, inf)."""

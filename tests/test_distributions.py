@@ -132,6 +132,7 @@ class TestComposition:
     def test_hybrid_is_half_half(self):
         h = Hybrid(right=ParetoLomax(2.0), left=ParetoLomax(4.0))
         assert h.cdf(0.0) == 0.5
+        assert Hybrid(right=Truncated(Gumbel()), left=Frechet(1.0)).cdf(0.0) == 0.5
         xs = np.linspace(0.0, 30.0, 200)
         np.testing.assert_allclose(h.cdf(xs), 0.5 + 0.5 * np.asarray(ParetoLomax(2.0).cdf(xs)), atol=1e-15)
         np.testing.assert_allclose(h.cdf(-xs[1:]), 0.5 - 0.5 * np.asarray(ParetoLomax(4.0).cdf(xs[1:])), atol=1e-15)
