@@ -150,13 +150,12 @@ class OneSided(PerturbationDistribution):
     def _cdf(self, y):
         return 1.0 - self._sf(y)
 
-    def _on_half_line(self, raw, x, below):
-        if _is_scalar(x):
-            x = np.float64(x)
-            return float(raw(x)) if x > 0.0 else below
-        x = np.asarray(x, dtype=float)
+    def _on_half_line(self, raw, x0, below):
+        x = np.asarray(x0, dtype=float)
         pos = x > 0.0
-        return np.where(pos, raw(np.where(pos, x, 1.0)), below)
+        # [()] turns 0-d input into a numpy scalar, whose arithmetic (unlike a
+        # 0-d array's) rounds as the laws' scalar evaluators always have
+        return _scalarize(x0, np.where(pos, raw(np.where(pos, x, 1.0)[()]), below))
 
     def cdf(self, x):
         return self._on_half_line(self._cdf, x, 0.0)
@@ -206,15 +205,12 @@ class GeneralizedPareto(OneSided):
         return -b * (b + 1.0) * s**b * (s + y) ** (-b - 2.0)
 
     def _isf(self, q):
-        t = q ** (-1.0 / self.beta) - 1.0
-        return t if self.scale == 1.0 else self.scale * t  # skips one array op per draw
+        return self.scale * (q ** (-1.0 / self.beta) - 1.0)
 
     def mean(self):
         return self.scale / (self.beta - 1.0) if self.beta > 1.0 else math.nan
 
     def __repr__(self):
-        if self.scale == 1.0:
-            return f"ParetoLomax({self.beta:g})"
         return f"GeneralizedPareto({self.beta:g},scale={self.scale:g})"
 
 
@@ -347,12 +343,11 @@ class Hybrid(PerturbationDistribution):
     F(x) = 1 - S_right(x)/2 for x >= 0 and S_left(-x)/2 for x < 0, where S
     is a half's survival function, so F(0) = 1/2 exactly and both tails keep
     full relative accuracy.  The hybrid's left tail index is the right tail
-    index of the ``left`` half.  ``name`` only changes the repr.
+    index of the ``left`` half.
     """
 
     right: OneSided
     left: OneSided
-    name: str = field(default="", compare=False)
     kinks = (0.0,)
 
     def __post_init__(self):
@@ -411,7 +406,7 @@ class Hybrid(PerturbationDistribution):
         return 0.5 * (self.right.mean() - self.left.mean())
 
     def __repr__(self):
-        return self.name or f"Hybrid(right={self.right!r}, left={self.left!r})"
+        return f"Hybrid(right={self.right!r}, left={self.left!r})"
 
 
 def _pick(cond, a, b):
@@ -425,7 +420,7 @@ def SymmetricPareto(a=2.0):
     used throughout the counterexample scans.
     """
     half = GeneralizedPareto(a, 1.0)
-    return Hybrid(half, half, name=f"SymmetricPareto(a={a:g})")
+    return Hybrid(half, half)
 
 
 def LaplacePareto():
@@ -434,7 +429,7 @@ def LaplacePareto():
     Tail indices (right, left) = (2, inf): a glued Gumbel-type/heavy-tail
     law with mean 1/4.
     """
-    return Hybrid(GeneralizedPareto(2.0, 1.0), Exponential(2.0), name="LaplacePareto()")
+    return Hybrid(GeneralizedPareto(2.0, 1.0), Exponential(2.0))
 
 
 def AsymmetricPareto(alpha=2.0, beta=3.0):
@@ -446,13 +441,13 @@ def AsymmetricPareto(alpha=2.0, beta=3.0):
     """
     right = GeneralizedPareto(alpha, 1.0)
     left = GeneralizedPareto(beta, beta / alpha)
-    return Hybrid(right, left, name=f"AsymmetricPareto({alpha:g},{beta:g})")
+    return Hybrid(right, left)
 
 
 def Laplace(rate=1.0):
     """Double-exponential law with the given rate."""
     half = Exponential(rate)
-    return Hybrid(half, half, name=f"Laplace(rate={rate:g})")
+    return Hybrid(half, half)
 
 
 def ParetoLomax(alpha=2.0):
