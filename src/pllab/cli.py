@@ -8,13 +8,14 @@ verdict passed, 1 means some verdict failed, 2 means a usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 
 import numpy as np
 
 from . import duality, harness, selection
-from .distributions import SymmetricPareto, check_assumptions, parse_dist
+from .distributions import SymmetricPareto, _number, check_assumptions, parse_dist
 from .errors import PllabError
 
 __all__ = ["main"]
@@ -22,13 +23,15 @@ __all__ = ["main"]
 
 def _parse_grid(text):
     """start:stop[:step] -> inclusive numpy grid."""
-    parts = [float(v) for v in text.split(":")]
+    parts = [_number(v, text) for v in text.split(":")]
     if len(parts) == 2:
         start, stop, step = parts[0], parts[1], 1.0
     elif len(parts) == 3:
         start, stop, step = parts
     else:
         raise PllabError(f"grid spec {text!r} must read start:stop[:step]")
+    if step == 0.0 or not all(math.isfinite(v) for v in (start, stop, step)):
+        raise PllabError(f"grid spec {text!r} needs finite numbers and a nonzero step")
     n = int(math.floor((stop - start) / step + 1e-9)) + 1
     return start + step * np.arange(max(n, 1))
 
@@ -46,7 +49,7 @@ def _lambda_template(text):
             elif f.endswith("c") and f[:-1].replace(".", "", 1).replace("-", "", 1).isdigit():
                 out.append(float(f[:-1]) * c)
             else:
-                out.append(float(f))
+                out.append(_number(f, text))
         return np.asarray(out)
 
     return build
@@ -69,12 +72,7 @@ def _cmd_simulate(args):
             threads=args.threads,
         )
     if args.out:
-        config = harness.ExperimentConfig(
-            policy=config.policy, env=config.env, horizon=config.horizon,
-            runs=config.runs, seed=config.seed, out=args.out,
-            threads=args.threads or config.threads,
-            checkpoint_ratio=config.checkpoint_ratio,
-        )
+        config = dataclasses.replace(config, out=args.out, threads=args.threads or config.threads)
     table = harness.run_experiment(config)
     print(f"runs={config.runs} T={config.horizon} final mean regret {table.mean[-1]:.4f} "
           f"(stderr {table.stderr[-1]:.4f})")
@@ -175,8 +173,10 @@ def _cmd_duality_ift(args):
 
 def _cmd_duality_regscan(args):
     dist = parse_dist(args.dist)
-    lo, _, hi = args.x.partition(":")
-    grid = np.linspace(float(lo), float(hi), args.points)
+    lo, colon, hi = args.x.partition(":")
+    if not colon:
+        raise PllabError(f"--x {args.x!r} must read lo:hi")
+    grid = np.linspace(_number(lo, args.x), _number(hi, args.x), args.points)
     rows = duality.three_arm_regularizer_scan(grid, dist)
     lines = ["x,c,lower,upper,tsallis_ref"]
     ok = True

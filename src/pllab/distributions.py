@@ -497,11 +497,12 @@ class Gumbel(PerturbationDistribution):
 # distribution-spec mini-language
 # ---------------------------------------------------------------------------
 
-def _number(text, spec):
+def _number(text, spec, kind=float):
+    """``kind(text)``, with a malformed number reported as a ``DomainError``."""
     try:
-        return float(text)
+        return kind(text)
     except ValueError:
-        raise DomainError(f"bad number {text!r} in distribution spec {spec!r}") from None
+        raise DomainError(f"bad number {text!r} in spec {spec!r}") from None
 
 
 def parse_dist(spec: str) -> PerturbationDistribution:
@@ -526,10 +527,16 @@ def parse_dist(spec: str) -> PerturbationDistribution:
     if low.startswith("trunc(") and low.endswith(")"):
         return Truncated(parse_dist(s[6:-1]))
     if low.startswith("hybrid:"):
-        body = s[len("hybrid:"):]
-        if not body.lower().startswith("right="):
+        body, low_body = s[len("hybrid:"):], low[len("hybrid:"):]
+        if not low_body.startswith("right="):
             raise DomainError(f"hybrid spec must read hybrid:right=...,left=... got {spec!r}")
-        marker = body.lower().find(",left=")
+        # the ,left= outside any parentheses: a half may be trunc(hybrid:...)
+        marker, depth = -1, 0
+        for k, ch in enumerate(body):
+            depth += (ch == "(") - (ch == ")")
+            if depth == 0 and low_body.startswith(",left=", k):
+                marker = k
+                break
         if marker < 0:
             raise DomainError(f"hybrid spec missing ,left= in {spec!r}")
         right = parse_dist(body[len("right="):marker])

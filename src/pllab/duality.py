@@ -29,7 +29,6 @@ from .errors import (
     SupportError,
     ToleranceNotMet,
 )
-from .selection import _breakpoints, _piecewise_integral
 
 __all__ = [
     "DualityProbe",
@@ -77,44 +76,15 @@ def potential(nu, dist, tol: float = 1e-9) -> float:
     total = mu  # the constant shift integrates against sum_i phi_i = 1
     err_total = 0.0
     for i in range(K):
-        val, err = _weighted_component(dist, gap, i, tol / (2.0 * K))
+        s = gap[i]
+        (val,), err = selection._component_integrals(
+            dist, gap, i, (lambda z: z * float(dist.pdf(z + s)),), tol / (2.0 * K)
+        )
         total += val
         err_total += err
     if err_total > tol:
         raise ToleranceNotMet(err_total, tol)
     return float(total)
-
-
-def _weighted_component(dist, gap, i, tol):
-    """integral z f(z + gap_i) prod_{j != i} F(z + gap_j) dz for one arm."""
-    lo, hi = dist.support
-    gap_i = gap[i]
-    others = np.delete(np.arange(len(gap)), i)
-    gap_others = gap[others]
-
-    def integrand(z):
-        vals = np.asarray(dist.cdf(z + gap_others), dtype=float)
-        m = vals.min()
-        if m <= 0.0:
-            return 0.0
-        if m < 1e-12:
-            w = math.exp(float(np.sum(np.log(vals))))
-        else:
-            w = float(np.prod(vals))
-        return z * float(dist.pdf(z + gap_i)) * w
-
-    edges = _breakpoints(dist, gap, i)
-    z_lo = lo - gap_i if lo != -math.inf else -math.inf
-    z_hi = hi - gap_i if hi != math.inf else math.inf
-    edges = [e for e in edges if (z_lo == -math.inf or e > z_lo) and (z_hi == math.inf or e < z_hi)]
-    if z_lo != -math.inf:
-        edges = [z_lo, *edges]
-    if z_hi != math.inf:
-        edges = [*edges, z_hi]
-    epsabs = tol / (len(edges) + 1)
-    return _piecewise_integral(
-        integrand, edges, z_lo == -math.inf, z_hi == math.inf, epsabs
-    )
 
 
 @dataclass(frozen=True)
@@ -135,15 +105,15 @@ def duality_probe(nu, dist, h: float = 1e-4, tol: float = 1e-11) -> DualityProbe
     """Check d(potential)/d(nu_i) = phi_i by central finite differences."""
     nu = np.asarray(nu, dtype=float)
     nu = nu - nu[-1]  # location normalization, last coordinate 0
-    probe = selection.phi_quadrature(-nu, dist, tol=1e-9)
+    phi = selection.phi_values(-nu, dist, tol=1e-9)
     base = potential(nu, dist, tol)
     worst = 0.0
     for i in range(len(nu)):
         e = np.zeros_like(nu)
         e[i] = h
         fd = (potential(nu + e, dist, tol) - potential(nu - e, dist, tol)) / (2.0 * h)
-        worst = max(worst, abs(fd - probe.phi[i]))
-    return DualityProbe(nu=nu, phi=probe.phi, potential_value=base, grad_check=worst)
+        worst = max(worst, abs(fd - phi[i]))
+    return DualityProbe(nu=nu, phi=phi, potential_value=base, grad_check=worst)
 
 
 def regularizer_value(p, dist, tol: float = 1e-9, residual_tol: float = 1e-8):

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .distributions import _number
 from .errors import DomainError, ScheduleExhausted
 
 __all__ = [
@@ -180,16 +181,20 @@ def parse_environment(spec: str):
     head, _, rest = s.partition(":")
     head = head.lower()
     if head == "bern":
-        mu = tuple(float(v) for v in rest.split(","))
-        return StochasticBernoulli(mu=mu)
+        return StochasticBernoulli(mu=tuple(_number(v, spec) for v in rest.split(",")))
     if head == "sched":
-        mat = np.loadtxt(rest, delimiter=",", ndmin=2)
+        try:
+            mat = np.loadtxt(rest, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise DomainError(f"schedule {rest!r}: {exc}") from None
         return FixedSchedule(losses=mat)
     if head == "switch":
-        fields = dict(item.split("=", 1) for item in rest.split(","))
+        fields = dict(item.partition("=")[::2] for item in rest.split(","))
+        if not {"phase", "mu1", "mu2"} <= fields.keys():
+            raise DomainError(f"switch spec {spec!r} must set phase=, mu1= and mu2=")
         return SwitchingAdversary(
-            phase=int(fields["phase"]),
-            mu1=tuple(float(v) for v in fields["mu1"].split("|")),
-            mu2=tuple(float(v) for v in fields["mu2"].split("|")),
+            phase=_number(fields["phase"], spec, int),
+            mu1=tuple(_number(v, spec) for v in fields["mu1"].split("|")),
+            mu2=tuple(_number(v, spec) for v in fields["mu2"].split("|")),
         )
     raise DomainError(f"unknown environment spec {spec!r}")

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .environments import checkpoint_grid, next_loss, parse_environment
+from .environments import checkpoint_grid, next_loss, parse_environment, regret
 from .errors import DomainError, MetadataMismatch
 from .policies import parse_policy
 
@@ -107,26 +107,15 @@ def simulate_run(config: ExperimentConfig, run_index: int):
     state = policy.fresh_state(model.k, pol_rng)
     checkpoints = checkpoint_grid(config.horizon, config.checkpoint_ratio)
 
-    stochastic = getattr(model, "stochastic", False)
-    gaps = model.gaps if stochastic else None
-    cum_gap = 0.0
-    cum_played = 0.0
-    cum_arm = np.zeros(model.k)
-    curve = np.empty(len(checkpoints))
-    next_cp = 0
+    arms = np.empty(config.horizon, dtype=int)
+    losses = np.empty((config.horizon, model.k))
     for t in range(1, config.horizon + 1):
         arm = policy.play(state)
         loss_vec = next_loss(model, t, env_rng)
         policy.observe(state, arm, float(loss_vec[arm]))
-        if stochastic:
-            cum_gap += gaps[arm]
-        else:
-            cum_played += loss_vec[arm]
-            cum_arm += loss_vec
-        if t == checkpoints[next_cp]:
-            curve[next_cp] = cum_gap if stochastic else cum_played - cum_arm.min()
-            next_cp += 1
-    return curve
+        arms[t - 1] = arm
+        losses[t - 1] = loss_vec
+    return regret(arms, losses, model, checkpoints)[1]
 
 
 def _worker(args):

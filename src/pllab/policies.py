@@ -265,7 +265,7 @@ def parse_policy(spec: str):
     ``beta``); for FTPL everything between the head and those tokens is a
     distribution spec (which may itself contain colons).
     """
-    from .distributions import parse_dist
+    from .distributions import _number, parse_dist
 
     tokens = spec.strip().split(":")
     head = tokens[0].lower()
@@ -279,12 +279,12 @@ def parse_policy(spec: str):
         body = body[:-1]
     if "m" not in params:
         raise DomainError(f"policy spec {spec!r} must set m=<scale>")
-    m = float(params["m"])
+    m = _number(params["m"], spec)
 
     if head == "ftpl":
         if not body:
             raise DomainError(f"ftpl spec {spec!r} needs a distribution")
-        cap = int(params["cap"]) if "cap" in params else None
+        cap = _number(params["cap"], spec, int) if "cap" in params else None
         dist_spec = ":".join(body)
         return FtplPolicy(dist=parse_dist(dist_spec), m=m, resample_cap=cap)
     if head == "ftrl":
@@ -294,7 +294,7 @@ def parse_policy(spec: str):
         if reg_name == "shannon":
             reg = Shannon()
         elif reg_name == "tsallis":
-            reg = Tsallis(tsallis_beta=float(params.get("beta", 0.5)))
+            reg = Tsallis(tsallis_beta=_number(params.get("beta", "0.5"), spec))
         else:
             raise DomainError(f"unknown regularizer {reg_name!r}")
         return FtrlPolicy(regularizer=reg, m=m)

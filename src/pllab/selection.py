@@ -8,7 +8,9 @@ the probability that arm i attains the perturbed argmin is
 where gap = lambda - min(lambda).  The own-coordinate derivative phi_i' is
 the same integral with f replaced by f'.  Both integrands are only piecewise
 smooth (f has kinks), so the real line is split at every shifted kink before
-handing each piece to QUADPACK.
+handing each piece to QUADPACK.  The potential (``duality.potential``) is
+the same integral once more with f(z + gap_i) replaced by z f(z + gap_i),
+so all three share one kernel.
 """
 
 from __future__ import annotations
@@ -67,84 +69,74 @@ def _ranks(lam):
     return rank
 
 
-def _breakpoints(dist, gap, i):
-    """Sorted split points for the z-integral of component i."""
-    pts = set()
-    for k in dist.kinks:
-        pts.update(k - g for g in gap)
+def _segments(dist, gap, i):
+    """Pieces of the z-line for component i, and the number of finite split points.
+
+    The line is split at every shifted kink and at +-cut, and restricted to
+    where the f factor z -> f(z + gap_i) is supported.
+    """
     lo, hi = dist.support
-    if lo != -math.inf:
-        pts.add(lo - gap[i])  # density support edge of the f factor
+    z_lo, z_hi = lo - gap[i], hi - gap[i]
     cut = max(_TAIL_CUT, 10.0 * float(np.max(gap)))
-    pts.update((-cut, cut))
-    return sorted(pts)
+    pts = {k - g for k in dist.kinks for g in gap} | {-cut, cut}
+    edges = [z_lo, *sorted(p for p in pts if z_lo < p < z_hi), z_hi]
+    return list(zip(edges[:-1], edges[1:])), sum(map(math.isfinite, edges))
 
 
-def _piecewise_integral(fn, edges, left_open, right_open, epsabs):
-    total = 0.0
-    err = 0.0
-    segments = []
-    if left_open:
-        segments.append((-np.inf, edges[0]))
-    segments.extend(zip(edges[:-1], edges[1:]))
-    if right_open:
-        segments.append((edges[-1], np.inf))
+def _weight(dist, gap_others, z):
+    """prod_{j != i} F(z + gap_j), through logs when a factor is tiny."""
+    vals = np.asarray(dist.cdf(z + gap_others), dtype=float)
+    m = vals.min()
+    if m <= 0.0:
+        return 0.0
+    if m < 1e-12:
+        return math.exp(float(np.sum(np.log(vals))))
+    return float(np.prod(vals))
+
+
+def _component_integrals(dist, gap, i, factors, budget):
+    """integral g(z) prod_{j != i} F(z + gap_j) dz for each factor g of z.
+
+    Returns the integrals and the worst of their summed QUADPACK error
+    estimates; each piece of the split line gets an equal share of
+    ``budget`` as its absolute tolerance.
+    """
+    gap_others = np.delete(gap, i)
+    pieces, n_points = _segments(dist, gap, i)
+    epsabs = budget / (n_points + 1)
+    values = []
+    worst = 0.0
     with warnings.catch_warnings():
         # heavy polynomial tails trip QUADPACK's slow-convergence heuristic;
         # the returned error estimate is checked against tol by the callers
         warnings.simplefilter("ignore", IntegrationWarning)
-        for a, b in segments:
-            if a == b:
-                continue
-            val, e = quad(fn, a, b, epsabs=epsabs, epsrel=1e-11, limit=200)
-            total += val
-            err += e
-    return total, err
+        for g in factors:
+
+            def integrand(z):
+                w = _weight(dist, gap_others, z)
+                return g(z) * w if w else 0.0
+
+            total = 0.0
+            err = 0.0
+            for a, b in pieces:
+                val, e = quad(integrand, a, b, epsabs=epsabs, epsrel=1e-11, limit=200)
+                total += val
+                err += e
+            values.append(total)
+            worst = max(worst, err)
+    return values, worst
 
 
-def _component_integrals(dist, gap, i, tol, need_prime=True):
-    """(phi_i, phi'_i, error bound) for one component."""
-    lo, hi = dist.support
-    gap_i = gap[i]
-    others = np.delete(np.arange(len(gap)), i)
-    gap_others = gap[others]
-
-    def weight(z):
-        vals = np.asarray(dist.cdf(z + gap_others), dtype=float)
-        m = vals.min()
-        if m <= 0.0:
-            return 0.0
-        if m < 1e-12:
-            return math.exp(float(np.sum(np.log(vals))))
-        return float(np.prod(vals))
-
-    def f_integrand(z):
-        return float(dist.pdf(z + gap_i)) * weight(z)
-
-    def fp_integrand(z):
-        return float(dist.pdf_prime(z + gap_i)) * weight(z)
-
-    edges = _breakpoints(dist, gap, i)
-    # restrict to where the f factor is supported
-    z_lo = lo - gap_i if lo != -math.inf else -math.inf
-    z_hi = hi - gap_i if hi != math.inf else math.inf
-    edges = [e for e in edges if (z_lo == -math.inf or e > z_lo) and (z_hi == math.inf or e < z_hi)]
-    if z_lo != -math.inf:
-        edges = [z_lo, *edges]
-    if z_hi != math.inf:
-        edges = [*edges, z_hi]
-    left_open = z_lo == -math.inf
-    right_open = z_hi == math.inf
-    epsabs = tol / (4.0 * (len(edges) + 1))
-
-    phi, e1 = _piecewise_integral(f_integrand, edges, left_open, right_open, epsabs)
-    if not need_prime:
-        return phi, math.nan, e1
-    phi_p, e2 = _piecewise_integral(fp_integrand, edges, left_open, right_open, epsabs)
-    # density jumps put point masses into the distributional derivative of f
-    for loc, jump in dist.density_jumps():
-        phi_p += jump * weight(loc - gap_i)
-    return phi, phi_p, max(e1, e2)
+def _loss_vector(lam, tol):
+    """``lam`` as a float array, after the checks every phi evaluation shares."""
+    lam = np.asarray(lam, dtype=float)
+    if lam.ndim != 1 or len(lam) < 2:
+        raise DomainError("need a loss vector of length K >= 2")
+    if not np.all(np.isfinite(lam)):
+        raise DomainError("loss vector must be finite")
+    if not 0.0 < tol <= 1e-4:
+        raise DomainError("tol must lie in (0, 1e-4]")
+    return lam
 
 
 def phi_quadrature(lam, dist: PerturbationDistribution, tol: float = 1e-8) -> SelectionProbe:
@@ -153,21 +145,19 @@ def phi_quadrature(lam, dist: PerturbationDistribution, tol: float = 1e-8) -> Se
     Raises ToleranceNotMet when the accumulated QUADPACK error estimate of
     any component exceeds ``tol``.
     """
-    lam = np.asarray(lam, dtype=float)
-    if lam.ndim != 1 or len(lam) < 2:
-        raise DomainError("need a loss vector of length K >= 2")
-    if not np.all(np.isfinite(lam)):
-        raise DomainError("loss vector must be finite")
-    if not 0.0 < tol <= 1e-4:
-        raise DomainError("tol must lie in (0, 1e-4]")
-
+    lam = _loss_vector(lam, tol)
     gap = lam - lam.min()
     K = len(lam)
     phi = np.empty(K)
     phi_prime = np.empty(K)
     worst = 0.0
     for i in range(K):
-        phi[i], phi_prime[i], err = _component_integrals(dist, gap, i, tol)
+        s = gap[i]
+        factors = (lambda z: float(dist.pdf(z + s)), lambda z: float(dist.pdf_prime(z + s)))
+        (phi[i], phi_prime[i]), err = _component_integrals(dist, gap, i, factors, tol / 4.0)
+        # density jumps put point masses into the distributional derivative of f
+        for loc, jump in dist.density_jumps():
+            phi_prime[i] += jump * _weight(dist, np.delete(gap, i), loc - s)
         worst = max(worst, err)
     if worst > tol:
         raise ToleranceNotMet(worst, tol)
@@ -183,11 +173,12 @@ def phi_quadrature(lam, dist: PerturbationDistribution, tol: float = 1e-8) -> Se
 
 def phi_values(lam, dist, tol: float = 1e-9):
     """Selection probabilities only (no derivatives): the cheap evaluation path."""
-    lam = np.asarray(lam, dtype=float)
+    lam = _loss_vector(lam, tol)
     gap = lam - lam.min()
     out = np.empty(len(lam))
     for i in range(len(lam)):
-        out[i], _, err = _component_integrals(dist, gap, i, tol, need_prime=False)
+        s = gap[i]
+        (out[i],), err = _component_integrals(dist, gap, i, (lambda z: float(dist.pdf(z + s)),), tol / 4.0)
         if err > tol:
             raise ToleranceNotMet(err, tol)
     return out

@@ -246,6 +246,9 @@ class TestSpecParser:
         assert isinstance(h, Hybrid) and h.right == ParetoLomax(2.0)
         t = parse_dist("trunc(frechet:2)")
         assert isinstance(t, Truncated) and t.inner == Frechet(2.0)
+        nested = parse_dist("hybrid:right=trunc(hybrid:right=pareto:2,left=pareto:3),left=pareto:2")
+        inner = Hybrid(right=ParetoLomax(2.0), left=ParetoLomax(3.0))
+        assert nested == Hybrid(right=Truncated(inner), left=ParetoLomax(2.0))
 
     def test_bad_specs(self):
         for bad in ("nope", "hybrid:left=pareto:2", "splareto:a=-1",

@@ -200,6 +200,32 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
 
+    SIM = ["simulate", "--T", "10", "--runs", "1", "--seed", "0"]
+    PHI = ["analyze-phi", "--dist", "splareto:a=2"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            SIM + ["--policy", "ftpl:lp:m=x", "--env", "bern:0.1,0.2"],
+            SIM + ["--policy", "ftpl:lp:m=0.2:cap=q", "--env", "bern:0.1,0.2"],
+            SIM + ["--policy", "ftpl:lp:m=0.2", "--env", "switch:phase=10"],
+            SIM + ["--policy", "ftpl:lp:m=0.2", "--env", "bern:0.1,x"],
+            SIM + ["--policy", "ftpl:lp:m=0.2", "--env", "sched:bad.csv"],
+            PHI + ["--lambda", "0,q", "--c-grid", "1:2"],
+            PHI + ["--lambda", "0,c", "--c-grid", "1:x"],
+            PHI + ["--lambda", "0,c", "--c-grid", "1:2:0"],
+            ["duality", "regscan", "--x", "0.4", "--out", "unused.csv"],
+        ],
+        ids=["policy-m", "policy-cap", "switch-missing-mu", "bern-number", "sched-number", "lambda-number",
+             "grid-number", "grid-zero-step", "regscan-x-no-colon"],
+    )
+    def test_bad_input_is_usage_error(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.csv").write_text("0.1,x\n")
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
     def test_check_dist(self, tmp_path):
         out = tmp_path / "rep.csv"
         assert cli.main(["check-dist", "--dist", "pareto:2", "--out", str(out)]) == 0

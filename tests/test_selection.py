@@ -68,6 +68,12 @@ class TestBasics:
             phi_quadrature([0.0, np.inf], SymmetricPareto(2.0))
         with pytest.raises(DomainError):
             phi_quadrature([0.0, 1.0], SymmetricPareto(2.0), tol=1e-3)
+        with pytest.raises(DomainError):
+            phi_values([1.0], SymmetricPareto(2.0))
+        with pytest.raises(DomainError):
+            phi_values([0.0, np.inf], SymmetricPareto(2.0))
+        with pytest.raises(DomainError):
+            phi_values([0.0, 1.0], SymmetricPareto(2.0), tol=1e-3)
 
     def test_ranks_break_ties_by_index(self):
         probe = phi_quadrature([1.0, 0.0, 1.0], SymmetricPareto(2.0), tol=1e-8)
