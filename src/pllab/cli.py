@@ -83,14 +83,19 @@ def _cmd_simulate(args):
 
 def _cmd_verdict(args):
     table = harness.RegretTable.read_csv(args.csv)
-    meta = table.metadata
-    k = int(meta["K"])
-    m = float(meta["m"])
+
+    def meta(key):
+        if key not in table.metadata:
+            raise PllabError(f"{args.csv}: no '# {key}=' line in the CSV header")
+        return table.metadata[key]
+
+    k = _number(meta("K"), args.csv, int)
+    m = _number(meta("m"), args.csv)
     kind = args.envelope.lower()
     if kind == "advlp":
         env = harness.AdvLP(m=m, k=k)
     elif kind == "stolp":
-        gaps = tuple(float(v) for v in meta["gaps"].split(","))
+        gaps = tuple(_number(v, args.csv) for v in meta("gaps").split(","))
         env = harness.StoLP(m=m, gaps=gaps)
     elif kind == "tsallisref":
         env = harness.TsallisRef(k=k)

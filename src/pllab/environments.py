@@ -14,7 +14,9 @@ __all__ = [
     "StochasticBernoulli",
     "FixedSchedule",
     "SwitchingAdversary",
+    "loss_rows",
     "next_loss",
+    "check_horizon",
     "checkpoint_grid",
     "regret",
     "parse_environment",
@@ -112,19 +114,36 @@ class SwitchingAdversary:
         return False
 
 
-def next_loss(model, t, rng):
-    """Loss vector for round t >= 1."""
-    if t < 1:
+def loss_rows(model, t0, n, rng):
+    """Loss vectors of rounds t0, ..., t0 + n - 1 (t0 >= 1) as an (n, K) array.
+
+    Random models draw one uniform per entry, row after row, from ``rng``.
+    ``Generator.random`` is chunk-consistent, so any split of the rounds
+    into calls yields the same rows.
+    """
+    if t0 < 1:
         raise DomainError("rounds are 1-based")
-    if isinstance(model, StochasticBernoulli):
-        return (rng.random(model.k) < np.asarray(model.mu)).astype(float)
     if isinstance(model, FixedSchedule):
-        if t > model.horizon:
-            raise ScheduleExhausted(f"schedule has {model.horizon} rounds, asked for {t}")
-        return model.losses[t - 1].copy()
-    if isinstance(model, SwitchingAdversary):
-        return (rng.random(model.k) < np.asarray(model.mean_at(t))).astype(float)
-    raise DomainError(f"unknown loss model {model!r}")
+        check_horizon(model, t0 + n - 1)
+        return model.losses[t0 - 1:t0 - 1 + n].copy()
+    if isinstance(model, StochasticBernoulli):
+        mu = np.asarray(model.mu)
+    elif isinstance(model, SwitchingAdversary):
+        mu = np.array([model.mean_at(t) for t in range(t0, t0 + n)])
+    else:
+        raise DomainError(f"unknown loss model {model!r}")
+    return (rng.random((n, model.k)) < mu).astype(float)
+
+
+def next_loss(model, t, rng):
+    """Loss vector for round t >= 1: the one-row case of ``loss_rows``."""
+    return loss_rows(model, t, 1, rng)[0]
+
+
+def check_horizon(model, horizon):
+    """Raise ``ScheduleExhausted`` unless ``model`` can supply rounds 1..horizon."""
+    if isinstance(model, FixedSchedule) and horizon > model.horizon:
+        raise ScheduleExhausted(f"schedule has {model.horizon} rounds, asked for {horizon}")
 
 
 def checkpoint_grid(horizon, ratio=1.25):

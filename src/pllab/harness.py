@@ -4,8 +4,11 @@ Reproducibility contract: the RNG stream of run j under master seed s is
 ``default_rng(SeedSequence((s, j)))`` split once for the environment and once
 for the policy.  Rerunning a config therefore reproduces every CSV byte for
 byte, independently of the parallelism degree (results are merged by run
-index).  Wall-clock time goes to a sidecar file so it cannot break that
-contract.
+index).  A run draws its loss rows in blocks and its perturbations from a
+tape (see ``policies``); both read their stream in the same order as one
+draw per round, so the blocking leaves every number unchanged.  Wall-clock
+time and the sampling counters go to a sidecar file so they cannot break
+that contract.
 """
 
 from __future__ import annotations
@@ -19,7 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .environments import checkpoint_grid, next_loss, parse_environment, regret
+from .distributions import _number
+from .environments import check_horizon, checkpoint_grid, loss_rows, parse_environment, regret
+from .environments import next_loss  # noqa: F401  (bench/tests checks the tracer patches this alias)
 from .errors import DomainError, MetadataMismatch
 from .policies import parse_policy
 
@@ -99,28 +104,55 @@ def run_streams(master_seed, run_index):
     return np.random.default_rng(env_ss), np.random.default_rng(pol_ss)
 
 
+LOSS_BLOCK = 4096  # loss rows drawn per environment call
+
+# per-run counters of the policy state, totalled in the .meta sidecar
+COUNTERS = ("vectors_drawn", "resample_trials", "cap_hits")
+
+
 def simulate_run(config: ExperimentConfig, run_index: int):
-    """One bandit run; returns the regret curve on the checkpoint grid."""
+    """One bandit run: (regret curve on the checkpoint grid, run counters).
+
+    The counters are the run's wall time ``wall_s`` and the policy state's
+    ``vectors_drawn``, ``resample_trials`` and ``cap_hits`` (0 for FTRL).
+    """
+    start = time.perf_counter()
     policy = parse_policy(config.policy)
     model = parse_environment(config.env)
     env_rng, pol_rng = run_streams(config.seed, run_index)
     state = policy.fresh_state(model.k, pol_rng)
     checkpoints = checkpoint_grid(config.horizon, config.checkpoint_ratio)
 
-    arms = np.empty(config.horizon, dtype=int)
-    losses = np.empty((config.horizon, model.k))
-    for t in range(1, config.horizon + 1):
+    horizon = config.horizon
+    losses = np.empty((horizon, model.k))
+    for t0 in range(0, horizon, LOSS_BLOCK):
+        losses[t0:t0 + LOSS_BLOCK] = loss_rows(model, t0 + 1, min(LOSS_BLOCK, horizon - t0), env_rng)
+    arms = np.empty(horizon, dtype=int)
+    for t in range(horizon):
         arm = policy.play(state)
-        loss_vec = next_loss(model, t, env_rng)
-        policy.observe(state, arm, float(loss_vec[arm]))
-        arms[t - 1] = arm
-        losses[t - 1] = loss_vec
-    return regret(arms, losses, model, checkpoints)[1]
+        policy.observe(state, arm, float(losses[t, arm]))
+        arms[t] = arm
+    curve = regret(arms, losses, model, checkpoints)[1]
+    counters = {key: getattr(state, key) for key in COUNTERS}
+    counters["wall_s"] = time.perf_counter() - start
+    return curve, counters
 
 
 def _worker(args):
     config, run_index = args
     return simulate_run(config, run_index)
+
+
+def _meta_lines(wall, degree, runs, horizon):
+    """The .meta sidecar: wall time, then per-run and total counters."""
+    lines = [f"wall_time_s={wall:.3f}", f"parallel_degree={degree}"]
+    for key in COUNTERS:
+        per_run = [c[key] for c in runs]
+        lines += [f"{key}={sum(per_run)}", f"run_{key}=" + ",".join(map(str, per_run))]
+    cap_hits = sum(c["cap_hits"] for c in runs)
+    lines.append(f"cap_hit_rate={cap_hits / (len(runs) * horizon):.6g}")
+    lines.append("run_wall_s=" + ",".join(f"{c['wall_s']:.3f}" for c in runs))
+    return lines
 
 
 @dataclass
@@ -175,7 +207,9 @@ class RegretTable:
                     header = line.split(",")
                     continue
                 if line:
-                    rows.append([float(v) for v in line.split(",")])
+                    rows.append([_number(v, path) for v in line.split(",")])
+        if not rows:
+            raise DomainError(f"{path}: no regret rows below the header")
         arr = np.asarray(rows)
         checkpoints = arr[:, 0].astype(int)
         curves = arr[:, 3:].T.copy()
@@ -192,8 +226,10 @@ def _parallel_degree(config: ExperimentConfig):
 
 def run_experiment(config: ExperimentConfig) -> RegretTable:
     """Execute all runs (parallel over runs), assemble metadata, write CSV."""
-    policy = parse_policy(config.policy)  # fail fast on spec errors
+    # fail fast, before any worker starts, on bad specs and short schedules
+    policy = parse_policy(config.policy)
     model = parse_environment(config.env)
+    check_horizon(model, config.horizon)
     checkpoints = checkpoint_grid(config.horizon, config.checkpoint_ratio)
     t0 = time.perf_counter()
     degree = _parallel_degree(config)
@@ -202,12 +238,12 @@ def run_experiment(config: ExperimentConfig) -> RegretTable:
         import multiprocessing as mp
 
         with mp.get_context("fork").Pool(degree) as pool:
-            curves = pool.map(_worker, jobs)
+            results = pool.map(_worker, jobs)
     else:
-        curves = [_worker(job) for job in jobs]
+        results = [_worker(job) for job in jobs]
     wall = time.perf_counter() - t0
 
-    curves = np.vstack(curves)
+    curves = np.vstack([curve for curve, _ in results])
     metadata = {
         "config_hash": config.semantic_hash(),
         "policy": config.policy,
@@ -226,7 +262,7 @@ def run_experiment(config: ExperimentConfig) -> RegretTable:
     if config.out:
         table.write_csv(config.out)
         with open(config.out + ".meta", "w") as fh:
-            fh.write(f"wall_time_s={wall:.3f}\nparallel_degree={degree}\n")
+            fh.write("\n".join(_meta_lines(wall, degree, [c for _, c in results], config.horizon)) + "\n")
     return table
 
 

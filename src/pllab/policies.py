@@ -6,6 +6,13 @@ argmin; its importance weight 1/w is estimated by geometric resampling
 regularized simplex problem exactly each round and can reuse the solved
 probabilities for the importance-weighted update.
 
+FTPL reads every perturbation from the run's *tape*: a buffer in
+``PolicyState`` that ``dist.sample_array`` refills from the state's rng in
+chunks of ``TAPE_CHUNK`` draws, handing out K values per selection and b*K
+per resampling block.  ``Generator.random`` is chunk-consistent and the
+quantile transform acts element by element, so the tape yields the same
+bits, in the same order, as drawing each vector afresh.
+
 Learning-rate schedule is m / sqrt(t) throughout.  The Tsallis parameter
 ``tsallis_beta`` and a distribution's left tail index are unrelated
 quantities; the names keep them apart.
@@ -39,6 +46,9 @@ __all__ = [
 ]
 
 
+TAPE_CHUNK = 4096  # perturbations drawn per tape refill
+
+
 @dataclass
 class PolicyState:
     """Mutable per-run learner state.
@@ -46,6 +56,11 @@ class PolicyState:
     ``resample_cap`` of None means the dynamic cap ceil(2 K sqrt(t)), which
     bounds per-round work; the cap bias of the resampling estimator is
     (1-w)^M / w and is negligible for arms with w >~ 1/sqrt(t).
+
+    ``tape[tape_pos:]`` holds FTPL perturbations drawn ahead from ``rng`` for
+    the law ``tape_law``.  The counters total the perturbation vectors read
+    from the tape, the resampling trials and the resampling calls that
+    reached the cap without a win.
     """
 
     m: float
@@ -54,6 +69,12 @@ class PolicyState:
     t: int = 1
     resample_cap: int | None = None
     last_w: np.ndarray | None = None
+    tape: np.ndarray = field(default_factory=lambda: np.empty(0), repr=False)
+    tape_pos: int = 0
+    tape_law: object = None
+    vectors_drawn: int = 0
+    resample_trials: int = 0
+    cap_hits: int = 0
 
     @property
     def k(self):
@@ -79,33 +100,56 @@ class PolicyState:
 # FTPL
 # ---------------------------------------------------------------------------
 
+def _perturbations(state: PolicyState, dist, rows: int) -> np.ndarray:
+    """The next ``rows`` perturbation vectors of the run's tape, shape (rows, K)."""
+    if dist is not state.tape_law:
+        if state.tape_law is not None and dist != state.tape_law:
+            raise DomainError(f"this run's perturbation tape holds {state.tape_law!r}, not {dist!r}")
+        state.tape_law = dist
+    k = state.k
+    n = rows * k
+    pos, tape = state.tape_pos, state.tape
+    if pos + n > len(tape):
+        left = tape[pos:]
+        tape = np.concatenate((left, dist.sample_array(max(TAPE_CHUNK, n - len(left)), state.rng)))
+        state.tape, pos = tape, 0
+    state.tape_pos = pos + n
+    state.vectors_drawn += rows
+    return tape[pos:pos + n].reshape(rows, k)
+
+
 def ftpl_select(state: PolicyState, dist) -> int:
     """Play argmin_i lhat_i - r_i / eta_t with fresh perturbations r ~ dist^K."""
-    r = dist.sample_array(state.k, state.rng)
-    return int(np.argmin(state.lhat - r / state.eta))
+    r = _perturbations(state, dist, 1)[0]
+    return int((state.lhat - r / state.eta).argmin())
 
 
 def geometric_resample(state: PolicyState, dist, chosen: int) -> int:
     """Redraw perturbation vectors until ``chosen`` wins again; return the count.
 
-    The count includes the successful trial and is capped at M = state.cap().
+    The count includes the successful trial and is capped at M = state.cap();
+    a call in which none of the M trials wins counts as a cap hit.
     Conditionally on (t, lhat) the uncapped count is geometric with mean
     1/w_chosen.
     """
     cap = max(1, state.cap())
-    lhat, eta, k = state.lhat, state.eta, state.k
+    lhat, eta = state.lhat, state.eta
     drawn = 0
     block = 16
     while drawn < cap:
         b = min(block, cap - drawn)
-        r = dist.sample_array((b, k), state.rng)
-        wins = np.argmin(lhat[None, :] - r / eta, axis=1) == chosen
-        hit = int(np.argmax(wins)) if wins.any() else -1
-        if hit >= 0:
-            return drawn + hit + 1
+        r = _perturbations(state, dist, b)
+        wins = (lhat - r / eta).argmin(axis=1) == chosen
+        if wins.any():
+            trials = drawn + int(wins.argmax()) + 1
+            break
         drawn += b
         block = min(block * 4, 4096)
-    return cap
+    else:
+        trials = cap
+        state.cap_hits += 1
+    state.resample_trials += trials
+    return trials
 
 
 def ftpl_update(state: PolicyState, arm: int, loss: float, west: int) -> PolicyState:

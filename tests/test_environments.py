@@ -7,7 +7,9 @@ from pllab.environments import (
     FixedSchedule,
     StochasticBernoulli,
     SwitchingAdversary,
+    check_horizon,
     checkpoint_grid,
+    loss_rows,
     next_loss,
     parse_environment,
     regret,
@@ -50,6 +52,37 @@ class TestLossGeneration:
         assert model.mean_at(7) == (0.0, 1.0)
         rng = np.random.default_rng(0)
         assert next_loss(model, 1, rng).tolist() == [0.0, 1.0]  # deterministic means
+
+    @pytest.mark.parametrize("spec", ["bern:0.1,0.3,0.3,0.5", "switch:phase=7,mu1=0.2|0.5|0.5|0.9,mu2=0.9|0.5|0.5|0.2"])
+    def test_loss_rows_equal_stacked_next_loss(self, spec):
+        model = parse_environment(spec)
+        T = 300
+        one_block = loss_rows(model, 1, T, np.random.default_rng(5))
+        rng = np.random.default_rng(5)
+        per_round = np.vstack([next_loss(model, t, rng) for t in range(1, T + 1)])
+        rng = np.random.default_rng(5)
+        split = np.vstack([loss_rows(model, t0, n, rng) for t0, n in ((1, 13), (14, 100), (114, 187))])
+        assert one_block.tobytes() == per_round.tobytes() == split.tobytes()
+        # the per-round draw that next_loss made before loss_rows existed
+        mean_at = getattr(model, "mean_at", lambda t: model.mu)
+        rng = np.random.default_rng(5)
+        reference = np.vstack([(rng.random(model.k) < np.asarray(mean_at(t))).astype(float) for t in range(1, T + 1)])
+        assert one_block.tobytes() == reference.tobytes()
+
+    def test_loss_rows_of_a_schedule(self):
+        model = FixedSchedule(losses=np.array([[0.3, 0.7], [0.1, 0.2], [0.5, 0.5]]))
+        np.testing.assert_array_equal(loss_rows(model, 2, 2, None), [[0.1, 0.2], [0.5, 0.5]])
+        with pytest.raises(ScheduleExhausted):
+            loss_rows(model, 2, 3, None)  # raises before handing out any row
+        with pytest.raises(DomainError):
+            loss_rows(model, 0, 1, None)
+
+    def test_check_horizon(self):
+        model = FixedSchedule(losses=np.zeros((4, 2)))
+        check_horizon(model, 4)
+        with pytest.raises(ScheduleExhausted, match="4 rounds, asked for 5"):
+            check_horizon(model, 5)
+        check_horizon(StochasticBernoulli(mu=(0.1, 0.2)), 10**9)
 
     def test_gap_metadata(self):
         model = StochasticBernoulli(mu=(0.3, 0.1, 0.5))

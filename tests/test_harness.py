@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from pllab import cli, harness
-from pllab.errors import DomainError, MetadataMismatch
+from pllab.distributions import PerturbationDistribution
+from pllab.errors import DomainError, MetadataMismatch, ScheduleExhausted
 
 
 def small_config(tmp_path, name="out.csv", **kw):
@@ -58,6 +59,47 @@ class TestDeterminism:
         np.testing.assert_allclose(back.curves, table.curves, rtol=0, atol=0)
         assert back.metadata["policy"] == cfg.policy
         assert back.metadata["config_hash"] == cfg.semantic_hash()
+
+
+def read_meta(path):
+    return dict(line.split("=", 1) for line in open(path).read().splitlines())
+
+
+class TestRunMetadata:
+    def test_meta_totals_do_not_depend_on_threads(self, tmp_path):
+        serial = small_config(tmp_path, "s.csv", runs=4, threads=1)
+        parallel = small_config(tmp_path, "p.csv", runs=4, threads=2)
+        harness.run_experiment(serial)
+        harness.run_experiment(parallel)
+        timing = {"wall_time_s", "parallel_degree", "run_wall_s"}
+        s, p = read_meta(serial.out + ".meta"), read_meta(parallel.out + ".meta")
+        assert (s["parallel_degree"], p["parallel_degree"]) == ("1", "2")
+        assert len(p["run_wall_s"].split(",")) == 4
+        counts = {k: v for k, v in s.items() if k not in timing}
+        assert counts == {k: v for k, v in p.items() if k not in timing}
+        for key in harness.COUNTERS:
+            per_run = [int(v) for v in counts["run_" + key].split(",")]
+            assert len(per_run) == 4 and sum(per_run) == int(counts[key])
+        assert int(counts["vectors_drawn"]) >= int(counts["resample_trials"]) >= 4 * 200
+        assert float(counts["cap_hit_rate"]) == int(counts["cap_hits"]) / (4 * 200)
+
+    def test_ftpl_run_reads_perturbations_in_chunks(self, monkeypatch):
+        calls = []
+        sample = PerturbationDistribution.sample_array
+        monkeypatch.setattr(PerturbationDistribution, "sample_array",
+                            lambda self, shape, rng: calls.append(shape) or sample(self, shape, rng))
+        # the regret-ftpl benchmark config, one run
+        cfg = harness.ExperimentConfig(policy="ftpl:lp:m=0.23", env="bern:0.1" + ",0.3" * 7,
+                                       horizon=3000, runs=1, seed=1)
+        harness.simulate_run(cfg, 0)
+        assert 0 < len(calls) < cfg.horizon / 10
+
+    def test_short_schedule_fails_before_any_run(self, tmp_path, monkeypatch):
+        (tmp_path / "two.csv").write_text("0.1,0.2\n0.3,0.4\n")
+        monkeypatch.setattr(harness, "_worker", lambda job: pytest.fail("a run started"))
+        cfg = small_config(tmp_path, env=f"sched:{tmp_path / 'two.csv'}", horizon=5, runs=2, threads=2)
+        with pytest.raises(ScheduleExhausted):
+            harness.run_experiment(cfg)
 
 
 class TestConfigFile:
@@ -211,17 +253,28 @@ class TestCli:
             SIM + ["--policy", "ftpl:lp:m=0.2", "--env", "switch:phase=10"],
             SIM + ["--policy", "ftpl:lp:m=0.2", "--env", "bern:0.1,x"],
             SIM + ["--policy", "ftpl:lp:m=0.2", "--env", "sched:bad.csv"],
+            SIM + ["--policy", "ftpl:lp:m=0.2", "--env", "sched:two.csv", "--T", "5", "--runs", "2",
+                   "--threads", "2"],
+            ["verdict", "--csv", "plain.csv", "--envelope", "advlp"],
+            ["verdict", "--csv", "no_gaps.csv", "--envelope", "stolp"],
+            ["verdict", "--csv", "bad.csv", "--envelope", "advlp"],
+            ["verdict", "--csv", "bad_cell.csv", "--envelope", "advlp"],
             PHI + ["--lambda", "0,q", "--c-grid", "1:2"],
             PHI + ["--lambda", "0,c", "--c-grid", "1:x"],
             PHI + ["--lambda", "0,c", "--c-grid", "1:2:0"],
             ["duality", "regscan", "--x", "0.4", "--out", "unused.csv"],
         ],
-        ids=["policy-m", "policy-cap", "switch-missing-mu", "bern-number", "sched-number", "lambda-number",
+        ids=["policy-m", "policy-cap", "switch-missing-mu", "bern-number", "sched-number", "sched-short",
+             "verdict-no-K", "verdict-no-gaps", "verdict-no-rows", "verdict-bad-cell", "lambda-number",
              "grid-number", "grid-zero-step", "regscan-x-no-colon"],
     )
     def test_bad_input_is_usage_error(self, capsys, tmp_path, monkeypatch, argv):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "bad.csv").write_text("0.1,x\n")
+        (tmp_path / "two.csv").write_text("0.1,0.2\n0.3,0.4\n")
+        (tmp_path / "plain.csv").write_text("t,mean,stderr,run0\n1,0.5,0,0.5\n")
+        (tmp_path / "no_gaps.csv").write_text("# K=2\n# m=0.2\nt,mean,stderr,run0\n1,0.5,0,0.5\n")
+        (tmp_path / "bad_cell.csv").write_text("# K=2\n# m=0.2\nt,mean,stderr,run0\n1,0.5,0,x\n")
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from pllab.distributions import Gumbel, LaplacePareto, SymmetricPareto
+from pllab.distributions import Gumbel, LaplacePareto, PerturbationDistribution, SymmetricPareto, parse_dist
 from pllab.errors import DomainError
 from pllab.policies import (
+    TAPE_CHUNK,
     FtplPolicy,
     FtrlPolicy,
     PolicyState,
@@ -18,6 +19,7 @@ from pllab.policies import (
     ftrl_select,
     ftrl_update,
     geometric_resample,
+    _perturbations,
     kkt_residual,
     parse_policy,
     shannon_weights,
@@ -67,6 +69,47 @@ class TestFtplSelect:
         np.testing.assert_array_equal(state.lhat, before)
 
 
+# the nine FTPL laws of tests/test_golden.py
+GOLDEN_LAWS = ["lp", "splareto:a=2", "asp:2,3", "laplace:1", "pareto:2", "gpd:3,1.5", "frechet:2", "gumbel",
+               "trunc(splareto:2)"]
+
+
+class TestTape:
+    @pytest.mark.parametrize("spec", GOLDEN_LAWS)
+    def test_reads_equal_one_bulk_draw(self, spec):
+        dist, k = parse_dist(spec), 8
+        state = PolicyState.fresh(k, 1.0, np.random.default_rng(31))
+        # selections, resampling blocks and a read longer than one chunk
+        rows = [1, 16, 1, 64, 256, 1, 16, 1024, 1, 4096, 3, 16]
+        reads = np.concatenate([_perturbations(state, dist, b).ravel() for b in rows])
+        bulk = dist.sample_array(sum(rows) * k, np.random.default_rng(31))
+        # one draw per read, as ftpl_select and geometric_resample drew before the tape
+        rng = np.random.default_rng(31)
+        per_read = np.concatenate([dist.sample_array((b, k), rng).ravel() for b in rows])
+        assert reads.tobytes() == bulk.tobytes() == per_read.tobytes()
+        assert state.vectors_drawn == sum(rows)
+
+    def test_refills_in_chunks(self, monkeypatch):
+        sizes = []
+        sample = PerturbationDistribution.sample_array
+        monkeypatch.setattr(PerturbationDistribution, "sample_array",
+                            lambda self, shape, rng: sizes.append(shape) or sample(self, shape, rng))
+        state = PolicyState.fresh(4, 1.0, np.random.default_rng(0))
+        dist = LaplacePareto()
+        for _ in range(3000):
+            ftpl_select(state, dist)
+        assert sizes == [TAPE_CHUNK] * 3
+        _perturbations(state, dist, 2 * TAPE_CHUNK)
+        assert sizes[-1] == 2 * TAPE_CHUNK * 4 - (3 * TAPE_CHUNK - 3000 * 4)
+
+    def test_one_law_per_tape(self):
+        state = PolicyState.fresh(3, 1.0, np.random.default_rng(0))
+        ftpl_select(state, LaplacePareto())
+        ftpl_select(state, LaplacePareto())  # an equal law reads on
+        with pytest.raises(DomainError):
+            ftpl_select(state, Gumbel())
+
+
 class TestGeometricResample:
     def test_half_weight_mean(self):
         state = PolicyState.fresh(2, 1.0, np.random.default_rng(17), resample_cap=10**6)
@@ -82,6 +125,15 @@ class TestGeometricResample:
         state = PolicyState.fresh(2, 1.0, np.random.default_rng(5), resample_cap=7)
         state.lhat = np.array([0.0, 1e9])  # arm 1 essentially never wins
         assert geometric_resample(state, Gumbel(), 1) == 7
+        assert (state.cap_hits, state.resample_trials, state.vectors_drawn) == (1, 7, 7)
+
+    def test_counters(self):
+        state = PolicyState.fresh(2, 1.0, np.random.default_rng(5), resample_cap=10**6)
+        vals = [geometric_resample(state, SymmetricPareto(2.0), 0) for _ in range(200)]
+        assert state.resample_trials == sum(vals)
+        assert state.cap_hits == 0
+        # whole blocks are read, so at least one vector per trial
+        assert state.vectors_drawn >= sum(vals)
 
     def test_dynamic_cap_formula(self):
         state = PolicyState.fresh(3, 1.0, np.random.default_rng(0))
