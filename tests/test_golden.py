@@ -51,6 +51,7 @@ def test_regret_csv_hash(tmp_path, policy):
 PHI_GOLDEN = {
     ("splareto:a=2", "0,c"): "8b6fada20d9e3b58f496baf5a5d35b259450b8d9c752cc1905a1783ccfca263d",
     ("splareto:a=2", "0,c,c"): "f0caf1bfcb2624b3fba917cb68aa08e9e46a48f3b6c6669415b5502ba3d9e131",
+    ("splareto:a=2", "0,0.5c,2c"): "ba3d172da985fb55b1f7d60e5de2a6b7bf067aba85bb99c9b05173951b252963",
     ("lp", "0,c"): "f58de3a6cef18c7190a12d0eb20a7cec8dfe644b09d2ac35a4505a0dec74be54",
     ("lp", "0,c,c"): "921db0ab6cee14478bf3c8589a3933ee59124d006de4eaed7ab4e4eacde6b08c",
     ("gumbel", "0,c"): "96a63f8690e900b1e57bc21b8fd0fadb570c0aad51b1a706cbe97e8a1b266f7d",
