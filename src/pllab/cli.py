@@ -18,7 +18,7 @@ from . import duality, harness, selection
 from .distributions import SymmetricPareto, _number, check_assumptions, parse_dist
 from .errors import PllabError
 
-__all__ = ["main"]
+__all__ = ["build_parser", "main"]
 
 
 def _parse_grid(text):
@@ -46,8 +46,8 @@ def _lambda_template(text):
             f = f.strip()
             if f == "c":
                 out.append(c)
-            elif f.endswith("c") and f[:-1].replace(".", "", 1).replace("-", "", 1).isdigit():
-                out.append(float(f[:-1]) * c)
+            elif f.endswith("c"):
+                out.append(_number(f[:-1], text) * c)
             else:
                 out.append(_number(f, text))
         return np.asarray(out)
@@ -68,11 +68,9 @@ def _cmd_simulate(args):
             horizon=args.T,
             runs=args.runs,
             seed=args.seed,
-            out=args.out,
-            threads=args.threads,
         )
-    if args.out:
-        config = dataclasses.replace(config, out=args.out, threads=args.threads or config.threads)
+    given = {k: getattr(args, k) for k in ("out", "threads") if getattr(args, k) is not None}
+    config = dataclasses.replace(config, **given)
     table = harness.run_experiment(config)
     print(f"runs={config.runs} T={config.horizon} final mean regret {table.mean[-1]:.4f} "
           f"(stderr {table.stderr[-1]:.4f})")
@@ -114,17 +112,14 @@ def _cmd_verdict(args):
 
 def _cmd_analyze_phi(args):
     dist = parse_dist(args.dist)
-    lam_of_c = _lambda_template(args.lam)
     grid = _parse_grid(args.c_grid)
+    rows = selection.phi_scan(dist, _lambda_template(args.lam), grid, tol=args.tol)
     lines = ["c,i,sigma_i,phi,phi_prime,ratio_1,ratio_32,quad_error"]
-    for c in grid:
-        probe = selection.phi_quadrature(lam_of_c(c), dist, tol=args.tol)
-        for i in range(len(probe.phi)):
-            lines.append(
-                f"{c:.17g},{i+1},{probe.rank[i]},{probe.phi[i]:.17g},"
-                f"{probe.phi_prime[i]:.17g},{probe.ratio_1[i]:.17g},"
-                f"{probe.ratio_32[i]:.17g},{probe.quad_error:.3g}"
-            )
+    lines += [
+        "{c:.17g},{i},{sigma_i},{phi:.17g},{phi_prime:.17g},{ratio_1:.17g},{ratio_32:.17g},"
+        "{quad_error:.3g}".format(**row)
+        for row in rows
+    ]
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w") as fh:

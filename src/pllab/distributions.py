@@ -207,6 +207,9 @@ class GeneralizedPareto(OneSided):
     def _isf(self, q):
         return self.scale * (q ** (-1.0 / self.beta) - 1.0)
 
+    def _quantile(self, u):
+        return self.scale * np.expm1(-np.log1p(-u) / self.beta)  # exact for tiny u, unlike _isf(1 - u)
+
     def mean(self):
         return self.scale / (self.beta - 1.0) if self.beta > 1.0 else math.nan
 
@@ -296,6 +299,8 @@ class Truncated(OneSided):
     F*(y) = (F(y+1) - F(1)) / (1 - F(1)) for y > 0, which keeps the right
     tail order while producing a nonnegative law with bounded hazard near
     the origin.  The mass above 1 is taken as S(1), so S*(0) = 1 exactly.
+    Quantiles are the inner law's minus 1, so near 0 their error is
+    absolute (about 1e-16), not relative.
     """
 
     inner: PerturbationDistribution

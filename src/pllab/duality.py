@@ -11,7 +11,9 @@ behind the 1/2-Tsallis regularizer.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -62,26 +64,22 @@ def potential(nu, dist, tol: float = 1e-9) -> float:
     """Expected perturbed maximum  E[max_i (nu_i + r_i)]  by quadrature.
 
     Computed as sum_i integral z f(z - nu_i) prod_{j != i} F(z - nu_j) dz
-    after shifting by max(nu) for conditioning.  Requires both tail indices
-    above 1 so the mean exists.
+    after shifting by max(nu) for conditioning.  Takes the checks of
+    ``selection.phi_quadrature`` (K >= 2 finite entries, tol in (0, 1e-4])
+    and requires both tail indices above 1 so the mean exists.
     """
-    nu = np.asarray(nu, dtype=float)
-    if not np.all(np.isfinite(nu)):
-        raise DomainError("reward vector must be finite")
+    nu = selection._loss_vector(nu, tol)
     if min(dist.tail_index_left, dist.tail_index_right) <= 1.0:
         raise NonIntegrable("potential needs tail indices > 1 (finite mean)")
     mu = float(nu.max())
     gap = mu - nu  # loss-form gaps, min entry 0
-    K = len(nu)
-    total = mu  # the constant shift integrates against sum_i phi_i = 1
-    err_total = 0.0
-    for i in range(K):
-        s = gap[i]
-        (val,), err = selection._component_integrals(
-            dist, gap, i, (lambda z: z * float(dist.pdf(z + s)),), tol / (2.0 * K)
-        )
-        total += val
-        err_total += err
+    values, errs = selection._component_integrals(
+        dist, gap, (lambda z, s: z * float(dist.pdf(z + s)),), tol / (2.0 * len(nu))
+    )
+    # the constant shift integrates against sum_i phi_i = 1; the arm integrals
+    # are added one after another (np.sum pairs them and moves the last bits)
+    total = functools.reduce(operator.add, values[:, 0], mu)
+    err_total = float(errs.sum())
     if err_total > tol:
         raise ToleranceNotMet(err_total, tol)
     return float(total)
@@ -415,7 +413,7 @@ def normal_ift_pipeline(x_min=-20.0, x_max=20.0, n=2048, eps=1e-9) -> IftResult:
 # three-arm regularizer scan
 # ---------------------------------------------------------------------------
 
-def three_arm_regularizer_scan(x_grid, dist, tol=1e-9):
+def three_arm_regularizer_scan(x_grid, dist):
     """Regularizer derivative c(x) at p = (x, (1-x)/2, (1-x)/2) for K = 3.
 
     For each x the reward offset c solves phi_1 of the loss gaps (0, c, c)

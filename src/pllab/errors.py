@@ -1,5 +1,18 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "PllabError",
+    "DomainError",
+    "SupportError",
+    "NonIntegrable",
+    "ToleranceNotMet",
+    "RootFindFailed",
+    "SolverDiverged",
+    "ScheduleExhausted",
+    "GridError",
+    "MetadataMismatch",
+]
+
 
 class PllabError(Exception):
     """Base class for package-specific failures."""

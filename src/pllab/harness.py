@@ -220,7 +220,7 @@ def _parallel_degree(config: ExperimentConfig):
     degree = config.threads if config.threads else (os.cpu_count() or 1)
     env_cap = os.environ.get("PLL_THREADS")
     if env_cap:
-        degree = min(degree, max(1, int(env_cap)))
+        degree = min(degree, max(1, _number(env_cap, "PLL_THREADS", int)))
     return max(1, min(degree, config.runs))
 
 

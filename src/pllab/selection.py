@@ -10,7 +10,12 @@ the same integral with f replaced by f'.  Both integrands are only piecewise
 smooth (f has kinks), so the real line is split at every shifted kink before
 handing each piece to QUADPACK.  The potential (``duality.potential``) is
 the same integral once more with f(z + gap_i) replaced by z f(z + gap_i),
-so all three share one kernel.
+so all three share one kernel, ``_component_integrals``, which integrates
+every arm of a loss vector against each factor g(z, gap_i).
+
+``phi_scan`` evaluates a loss family lambda(c) over a grid of c, one row per
+(c, arm); ``counterexample_scan``, ``stability_envelope_scan`` and the
+``analyze-phi`` command are built on it.
 """
 
 from __future__ import annotations
@@ -28,6 +33,8 @@ from .errors import DomainError, ToleranceNotMet
 __all__ = [
     "SelectionProbe",
     "phi_quadrature",
+    "phi_values",
+    "phi_scan",
     "phi_monte_carlo",
     "stability_envelope_scan",
     "counterexample_scan",
@@ -69,20 +76,6 @@ def _ranks(lam):
     return rank
 
 
-def _segments(dist, gap, i):
-    """Pieces of the z-line for component i, and the number of finite split points.
-
-    The line is split at every shifted kink and at +-cut, and restricted to
-    where the f factor z -> f(z + gap_i) is supported.
-    """
-    lo, hi = dist.support
-    z_lo, z_hi = lo - gap[i], hi - gap[i]
-    cut = max(_TAIL_CUT, 10.0 * float(np.max(gap)))
-    pts = {k - g for k in dist.kinks for g in gap} | {-cut, cut}
-    edges = [z_lo, *sorted(p for p in pts if z_lo < p < z_hi), z_hi]
-    return list(zip(edges[:-1], edges[1:])), sum(map(math.isfinite, edges))
-
-
 def _weight(dist, gap_others, z):
     """prod_{j != i} F(z + gap_j), through logs when a factor is tiny."""
     vals = np.asarray(dist.cdf(z + gap_others), dtype=float)
@@ -94,36 +87,48 @@ def _weight(dist, gap_others, z):
     return float(np.prod(vals))
 
 
-def _component_integrals(dist, gap, i, factors, budget):
-    """integral g(z) prod_{j != i} F(z + gap_j) dz for each factor g of z.
+def _weights(dist, gap, z):
+    """``_weight`` of every arm i at its own point z[i]."""
+    return np.array([_weight(dist, np.delete(gap, i), z[i]) for i in range(len(gap))])
 
-    Returns the integrals and the worst of their summed QUADPACK error
-    estimates; each piece of the split line gets an equal share of
-    ``budget`` as its absolute tolerance.
+
+def _component_integrals(dist, gap, factors, budget):
+    """integral g(z, gap_i) prod_{j != i} F(z + gap_j) dz for every arm i and factor g.
+
+    Returns a (K, len(factors)) array of integrals and each arm's worst
+    summed QUADPACK error estimate.  The z-line is split at every shifted
+    kink and at +-cut, restricted to where z -> f(z + gap_i) is supported,
+    and each piece gets an equal share of ``budget`` as its absolute
+    tolerance.
     """
-    gap_others = np.delete(gap, i)
-    pieces, n_points = _segments(dist, gap, i)
-    epsabs = budget / (n_points + 1)
-    values = []
-    worst = 0.0
+    lo, hi = dist.support
+    cut = max(_TAIL_CUT, 10.0 * float(np.max(gap)))
+    points = sorted({k - g for k in dist.kinks for g in gap} | {-cut, cut})
+    values = np.empty((len(gap), len(factors)))
+    worst = np.zeros(len(gap))
     with warnings.catch_warnings():
         # heavy polynomial tails trip QUADPACK's slow-convergence heuristic;
         # the returned error estimate is checked against tol by the callers
         warnings.simplefilter("ignore", IntegrationWarning)
-        for g in factors:
+        for i, s in enumerate(gap):
+            others = np.delete(gap, i)
+            z_lo, z_hi = lo - s, hi - s
+            edges = [z_lo, *(p for p in points if z_lo < p < z_hi), z_hi]
+            epsabs = budget / (sum(map(math.isfinite, edges)) + 1)
+            for k, g in enumerate(factors):
 
-            def integrand(z):
-                w = _weight(dist, gap_others, z)
-                return g(z) * w if w else 0.0
+                def integrand(z):
+                    w = _weight(dist, others, z)
+                    return g(z, s) * w if w else 0.0
 
-            total = 0.0
-            err = 0.0
-            for a, b in pieces:
-                val, e = quad(integrand, a, b, epsabs=epsabs, epsrel=1e-11, limit=200)
-                total += val
-                err += e
-            values.append(total)
-            worst = max(worst, err)
+                total = 0.0
+                err = 0.0
+                for a, b in zip(edges[:-1], edges[1:]):
+                    val, e = quad(integrand, a, b, epsabs=epsabs, epsrel=1e-11, limit=200)
+                    total += val
+                    err += e
+                values[i, k] = total
+                worst[i] = max(worst[i], err)
     return values, worst
 
 
@@ -147,18 +152,13 @@ def phi_quadrature(lam, dist: PerturbationDistribution, tol: float = 1e-8) -> Se
     """
     lam = _loss_vector(lam, tol)
     gap = lam - lam.min()
-    K = len(lam)
-    phi = np.empty(K)
-    phi_prime = np.empty(K)
-    worst = 0.0
-    for i in range(K):
-        s = gap[i]
-        factors = (lambda z: float(dist.pdf(z + s)), lambda z: float(dist.pdf_prime(z + s)))
-        (phi[i], phi_prime[i]), err = _component_integrals(dist, gap, i, factors, tol / 4.0)
-        # density jumps put point masses into the distributional derivative of f
-        for loc, jump in dist.density_jumps():
-            phi_prime[i] += jump * _weight(dist, np.delete(gap, i), loc - s)
-        worst = max(worst, err)
+    factors = (lambda z, s: float(dist.pdf(z + s)), lambda z, s: float(dist.pdf_prime(z + s)))
+    values, errs = _component_integrals(dist, gap, factors, tol / 4.0)
+    phi, phi_prime = values.T.copy()
+    # density jumps put point masses into the distributional derivative of f
+    for loc, jump in dist.density_jumps():
+        phi_prime += jump * _weights(dist, gap, loc - gap)
+    worst = float(errs.max())
     if worst > tol:
         raise ToleranceNotMet(worst, tol)
     return SelectionProbe(
@@ -172,16 +172,17 @@ def phi_quadrature(lam, dist: PerturbationDistribution, tol: float = 1e-8) -> Se
 
 
 def phi_values(lam, dist, tol: float = 1e-9):
-    """Selection probabilities only (no derivatives): the cheap evaluation path."""
+    """Selection probabilities only (no derivatives): the cheap evaluation path.
+
+    Raises ToleranceNotMet, with the worst arm's error, when it exceeds ``tol``.
+    """
     lam = _loss_vector(lam, tol)
     gap = lam - lam.min()
-    out = np.empty(len(lam))
-    for i in range(len(lam)):
-        s = gap[i]
-        (out[i],), err = _component_integrals(dist, gap, i, (lambda z: float(dist.pdf(z + s)),), tol / 4.0)
-        if err > tol:
-            raise ToleranceNotMet(err, tol)
-    return out
+    values, errs = _component_integrals(dist, gap, (lambda z, s: float(dist.pdf(z + s)),), tol / 4.0)
+    worst = float(errs.max())
+    if worst > tol:
+        raise ToleranceNotMet(worst, tol)
+    return values[:, 0].copy()
 
 
 def phi_monte_carlo(lam, dist, n, rng, chunk=200_000):
@@ -207,13 +208,41 @@ def phi_monte_carlo(lam, dist, n, rng, chunk=200_000):
     return phat, ci
 
 
+def phi_scan(dist, lambda_of_c, c_grid, tol=1e-8):
+    """``phi_quadrature`` at lambda_of_c(c) for each c of a grid.
+
+    Returns one row per (c, arm) with the keys c, i (1-based), sigma_i (the
+    rank), lambda_gap, phi, phi_prime, ratio_1, ratio_32 and quad_error.
+    """
+    rows = []
+    for c in c_grid:
+        probe = phi_quadrature(lambda_of_c(c), dist, tol)
+        ratio_1, ratio_32 = probe.ratio_1, probe.ratio_32
+        for i in range(len(probe.phi)):
+            rows.append(
+                {
+                    "c": float(c),
+                    "i": i + 1,
+                    "sigma_i": int(probe.rank[i]),
+                    "lambda_gap": float(probe.lambda_gap[i]),
+                    "phi": float(probe.phi[i]),
+                    "phi_prime": float(probe.phi_prime[i]),
+                    "ratio_1": float(ratio_1[i]),
+                    "ratio_32": float(ratio_32[i]),
+                    "quad_error": probe.quad_error,
+                }
+            )
+    return rows
+
+
 def stability_envelope_scan(dist, K, lambda_of_c, c_grid, tol=1e-8):
     """Stability-ratio scan against the rank and gap bound branches.
 
     Requires an unbounded hybrid-type law whose left tail is at least two
     orders lighter than the right (tail_left >= tail_right + 2 > 3); the scan
     reports -phi'/phi next to rank^(-1/alpha) and 1/gap so the implied
-    constant can be read off empirically.
+    constant can be read off empirically.  Rows are those of ``phi_scan``
+    plus bound_rank, bound_gap and empirical_constant.
     """
     alpha = dist.tail_index_right
     beta = dist.tail_index_left
@@ -225,38 +254,25 @@ def stability_envelope_scan(dist, K, lambda_of_c, c_grid, tol=1e-8):
         raise DomainError(
             f"left tail index {beta} violates the requirement beta >= alpha + 2 = {alpha + 2}"
         )
-    rows = []
-    running_max = 0.0
-    for c in c_grid:
+
+    def lam_of(c):
         lam = np.asarray(lambda_of_c(c), dtype=float)
         if len(lam) != K:
             raise DomainError("lambda family must produce vectors of length K")
-        probe = phi_quadrature(lam, dist, tol)
-        for i in range(K):
-            gap_i = probe.lambda_gap[i]
-            bound_rank = probe.rank[i] ** (-1.0 / alpha) if math.isfinite(alpha) else 1.0
-            bound_gap = 1.0 / gap_i if gap_i > 0.0 else math.inf
-            ratio = float(probe.ratio_1[i])
-            envelope = min(bound_rank, bound_gap)
-            running_max = max(running_max, ratio / envelope)
-            rows.append(
-                {
-                    "c": float(c),
-                    "i": i + 1,
-                    "sigma_i": int(probe.rank[i]),
-                    "lambda_gap": float(gap_i),
-                    "ratio_1": ratio,
-                    "bound_rank": float(bound_rank),
-                    "bound_gap": float(bound_gap),
-                    "empirical_constant": running_max,
-                    "quad_error": probe.quad_error,
-                }
-            )
+        return lam
+
+    rows = phi_scan(dist, lam_of, c_grid, tol)
+    running_max = 0.0
+    for row in rows:
+        bound_rank = row["sigma_i"] ** (-1.0 / alpha) if math.isfinite(alpha) else 1.0
+        bound_gap = 1.0 / row["lambda_gap"] if row["lambda_gap"] > 0.0 else math.inf
+        running_max = max(running_max, row["ratio_1"] / min(bound_rank, bound_gap))
+        row.update(bound_rank=float(bound_rank), bound_gap=float(bound_gap), empirical_constant=running_max)
     return rows
 
 
 def counterexample_scan(dist, K, c_grid, tol=1e-8):
-    """Stability ratios at lambda = (0, c, ..., c) over a grid of c.
+    """Stability ratios at lambda = (0, c, ..., c) over a grid of c (rows of ``phi_scan``).
 
     For K >= 3 the grid must start at 2*sqrt(K) (the regime where the
     linear-growth lower bound applies); K = 2 may scan from 0.
@@ -266,21 +282,4 @@ def counterexample_scan(dist, K, c_grid, tol=1e-8):
     c_grid = np.asarray(list(c_grid), dtype=float)
     if K >= 3 and c_grid.min() < 2.0 * math.sqrt(K) - 1e-12:
         raise DomainError(f"for K >= 3 the grid must start at 2 sqrt(K) = {2*math.sqrt(K):.4f}")
-    rows = []
-    for c in c_grid:
-        lam = np.concatenate([[0.0], np.full(K - 1, c)])
-        probe = phi_quadrature(lam, dist, tol)
-        for i in range(K):
-            rows.append(
-                {
-                    "c": float(c),
-                    "i": i + 1,
-                    "sigma_i": int(probe.rank[i]),
-                    "phi": float(probe.phi[i]),
-                    "phi_prime": float(probe.phi_prime[i]),
-                    "ratio_1": float(probe.ratio_1[i]),
-                    "ratio_32": float(probe.ratio_32[i]),
-                    "quad_error": probe.quad_error,
-                }
-            )
-    return rows
+    return phi_scan(dist, lambda c: np.concatenate([[0.0], np.full(K - 1, c)]), c_grid, tol)

@@ -71,6 +71,11 @@ class TestClosedForms:
         assert LaplacePareto().quantile(0.875) == pytest.approx(1.0, abs=1e-12)
         assert Gumbel().quantile(math.exp(-1.0)) == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("spec,u,scale,beta", [("pareto:2", 1e-20, 1.0, 2.0), ("gpd:3,1.5", 1e-18, 1.5, 3.0)])
+    def test_quantile_near_zero_is_relatively_exact(self, spec, u, scale, beta):
+        # Q(u) = scale u / beta + O(u^2): the level 1 - u would round to 1
+        assert parse_dist(spec).quantile(u) == pytest.approx(scale * u / beta, rel=1e-12, abs=0.0)
+
     def test_quantile_domain(self):
         with pytest.raises(DomainError):
             SymmetricPareto(2.0).quantile(0.0)

@@ -48,6 +48,11 @@ class TestPotential:
         with pytest.raises(NonIntegrable):
             duality.potential([0.0, 0.0], SymmetricPareto(0.8))
 
+    def test_preconditions(self):
+        for nu, tol in (([0.5], 1e-9), ([0.0, np.inf], 1e-9), ([0.0, 1.0], 1e-3)):
+            with pytest.raises(DomainError):
+                duality.potential(nu, SymmetricPareto(2.0), tol)
+
     def test_gradient_identity(self):
         rng = np.random.default_rng(4)
         for _ in range(6):

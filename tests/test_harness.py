@@ -218,6 +218,36 @@ class TestCli:
     def test_simulate_usage_error(self):
         assert cli.main(["simulate", "--policy", "ftpl:lp:m=0.23"]) == 2
 
+    @pytest.mark.parametrize(
+        "extra",
+        [[], ["--threads", "1"], ["--out", "flag.csv"], ["--out", "flag.csv", "--threads", "1"]],
+        ids=["config", "threads", "out", "out-threads"],
+    )
+    def test_simulate_flags_override_config(self, tmp_path, monkeypatch, extra):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "x.ini").write_text(
+            "[experiment]\npolicy = ftpl:lp:m=0.1\nenv = bern:0.1,0.2\nT = 10\nruns = 1\nseed = 0\n"
+            "out = ini.csv\nthreads = 2\n"
+        )
+        seen = []
+
+        def fake_run(config):
+            seen.append(config)
+            return harness.RegretTable(checkpoints=np.array([1]), curves=np.zeros((1, 1)), metadata={})
+
+        monkeypatch.setattr(harness, "run_experiment", fake_run)
+        assert cli.main(["simulate", "--config", "x.ini", *extra]) == 0
+        assert seen[0].threads == (1 if "--threads" in extra else 2)
+        assert seen[0].out == ("flag.csv" if "--out" in extra else "ini.csv")
+
+    def test_bad_thread_cap_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("PLL_THREADS", "abc")
+        argv = ["simulate", "--policy", "ftpl:lp:m=0.2", "--env", "bern:0.1,0.2", "--T", "10", "--runs", "1",
+                "--seed", "0"]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "PLL_THREADS" in err
+
     def test_bad_policy_spec_is_usage_error(self, tmp_path):
         rc = cli.main(
             ["simulate", "--policy", "ftpl:nope:m=1", "--env", "bern:0.1,0.2",
@@ -260,13 +290,14 @@ class TestCli:
             ["verdict", "--csv", "bad.csv", "--envelope", "advlp"],
             ["verdict", "--csv", "bad_cell.csv", "--envelope", "advlp"],
             PHI + ["--lambda", "0,q", "--c-grid", "1:2"],
+            PHI + ["--lambda", "0,2-c", "--c-grid", "1:2"],
             PHI + ["--lambda", "0,c", "--c-grid", "1:x"],
             PHI + ["--lambda", "0,c", "--c-grid", "1:2:0"],
             ["duality", "regscan", "--x", "0.4", "--out", "unused.csv"],
         ],
         ids=["policy-m", "policy-cap", "switch-missing-mu", "bern-number", "sched-number", "sched-short",
              "verdict-no-K", "verdict-no-gaps", "verdict-no-rows", "verdict-bad-cell", "lambda-number",
-             "grid-number", "grid-zero-step", "regscan-x-no-colon"],
+             "lambda-scaled-number", "grid-number", "grid-zero-step", "regscan-x-no-colon"],
     )
     def test_bad_input_is_usage_error(self, capsys, tmp_path, monkeypatch, argv):
         monkeypatch.chdir(tmp_path)

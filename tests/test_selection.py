@@ -20,6 +20,7 @@ from pllab.selection import (
     counterexample_scan,
     phi_monte_carlo,
     phi_quadrature,
+    phi_scan,
     phi_values,
     stability_envelope_scan,
 )
@@ -188,6 +189,27 @@ class TestMonteCarlo:
 
 
 class TestScans:
+    def test_phi_scan_rows_are_probe_components(self):
+        dist = LaplacePareto()
+        rows = phi_scan(dist, lambda c: [c, 0.0, 2.0 * c], [0.0, 1.5], tol=1e-8)
+        assert [(r["c"], r["i"]) for r in rows] == [(0.0, 1), (0.0, 2), (0.0, 3), (1.5, 1), (1.5, 2), (1.5, 3)]
+        probe = phi_quadrature([1.5, 0.0, 3.0], dist, tol=1e-8)
+        for i, r in enumerate(rows[3:]):
+            assert r["sigma_i"] == probe.rank[i] and r["lambda_gap"] == probe.lambda_gap[i]
+            assert (r["phi"], r["phi_prime"]) == (probe.phi[i], probe.phi_prime[i])
+            assert (r["ratio_1"], r["ratio_32"]) == (probe.ratio_1[i], probe.ratio_32[i])
+            assert r["quad_error"] == probe.quad_error
+
+    def test_scans_extend_phi_scan_rows(self):
+        dist, grid = LaplacePareto(), [2.0 * math.sqrt(3.0), 5.0]
+        base = phi_scan(dist, lambda c: [0.0, c, c], grid)
+        assert counterexample_scan(dist, 3, grid) == base
+        env = stability_envelope_scan(dist, 3, lambda c: [0.0, c, c], grid)
+        assert [{k: r[k] for k in base[0]} for r in env] == base
+        assert all({"bound_rank", "bound_gap", "empirical_constant"} <= r.keys() for r in env)
+        with pytest.raises(DomainError):
+            stability_envelope_scan(dist, 4, lambda c: [0.0, c, c], grid)
+
     def test_envelope_scan_requires_light_left_tail(self):
         with pytest.raises(DomainError):
             stability_envelope_scan(AsymmetricPareto(2.0, 3.0), 4, lambda c: [0.0, c, c, c], [1.0])
