@@ -6,7 +6,9 @@ hashes pin the sampling path of every perturbation law end to end: a change
 that moves any draw by enough to change an arm choice changes the bytes.
 The ``analyze-phi`` hashes and the exact ``phi_values`` / ``potential``
 values pin the selection quadrature to the last bit, ``trunc(...)``
-included for its finite-support edges.  To regenerate after an intended
+included for its finite-support edges; the exact ``two_arm_quantile`` and
+``three_arm_regularizer_scan`` roots pin the phi inversions on top of it.
+To regenerate after an intended
 change, print ``_digest(tmp_path, policy)``, ``_phi_digest(tmp_path, spec,
 lam)`` and the values for each entry below.
 """
@@ -95,3 +97,16 @@ def test_phi_values_and_potential_exact(spec):
     for v, (phi, pot) in zip(VECTORS, VALUES_GOLDEN[spec]):
         assert selection.phi_values(v, dist).tolist() == phi
         assert duality.potential(v, dist) == pot
+
+
+# the two phi_1 inversions, splareto:a=2 (regscan's x are the benchmark's)
+TWO_ARM_GOLDEN = {0.3: -0.5955594105028883, 0.9: 2.1544447398782784}
+REGSCAN_GOLDEN = {0.4: 0.16238701406622177, 0.95: 4.743193192895732}
+
+
+def test_phi_inversions_exact():
+    dist = parse_dist("splareto:a=2")
+    for x, c in TWO_ARM_GOLDEN.items():
+        assert duality.two_arm_quantile(x, dist) == c
+    rows = duality.three_arm_regularizer_scan(sorted(REGSCAN_GOLDEN), dist)
+    assert [r["c"] for r in rows] == [REGSCAN_GOLDEN[x] for x in sorted(REGSCAN_GOLDEN)]
