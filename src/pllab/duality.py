@@ -114,7 +114,7 @@ def duality_probe(nu, dist, h: float = 1e-4, tol: float = 1e-11) -> DualityProbe
     return DualityProbe(nu=nu, phi=phi, potential_value=base, grad_check=worst)
 
 
-def regularizer_value(p, dist, tol: float = 1e-9, residual_tol: float = 1e-8):
+def regularizer_value(p, dist, tol: float = 1e-9):
     """Legendre-transform regularizer V(p) = <p, nu> - potential(nu).
 
     Solves phi(nu) = p for the unique reward vector with nu_K = 0 (the
@@ -142,37 +142,51 @@ def regularizer_value(p, dist, tol: float = 1e-9, residual_tol: float = 1e-8):
         res = float(np.max(np.abs(phi_of(sol.x) - p)))
         if res < best_res:
             best_y, best_res = sol.x, res
-        if res <= residual_tol:
+        if res <= 1e-8:
             break
-    if best_res > residual_tol:
+    if best_res > 1e-8:
         raise RootFindFailed(best_res, "phi(nu) = p root-finding")
     nu = np.concatenate([best_y, [0.0]])
     value = float(np.dot(p, nu)) - potential(nu, dist, tol)
     return value, nu
 
 
-def two_arm_quantile(x, dist, prob_tol: float = 1e-9) -> float:
+def _phi_1_root(lam_of_c, x, dist, lo):
+    """The c with phi_1(lam_of_c(c)) = x, for a loss family along which phi_1 increases.
+
+    Integrates arm 1 only.  The bracket [lo, 4] doubles until g = phi_1 - x
+    changes sign on it (lo = 0 stays fixed), unless an end already has
+    |g| <= 1e-9; a final |g| above 1e-9 raises RootFindFailed.
+    """
+
+    @functools.lru_cache(maxsize=None)
+    def g(c):
+        values = selection._phi(lam_of_c(c), dist, 1e-10, with_prime=False, arms=(0,))[2]
+        return float(values[0, 0]) - x
+
+    hi = 4.0
+    while g(lo) > 0.0 or g(hi) < 0.0:
+        end = lo if g(lo) > 0.0 else hi
+        if abs(g(end)) <= 1e-9:
+            return float(end)
+        lo, hi = 2.0 * lo, 2.0 * hi
+        if hi > 1e9:
+            raise RootFindFailed(hi, "phi_1 inversion bracket expansion")
+    c = brentq(g, lo, hi, xtol=1e-12, rtol=8.9e-16, maxiter=200)
+    if abs(g(c)) > 1e-9:
+        raise RootFindFailed(abs(g(c)), "phi_1 inversion")
+    return float(c)
+
+
+def two_arm_quantile(x, dist) -> float:
     """The reward offset c with Pr[c + r1 >= r2] = x for i.i.d. perturbations.
 
     This is the quantile of r2 - r1 at level x, i.e. the derivative of the
-    two-arm restriction of the induced regularizer.
+    two-arm restriction of the induced regularizer: phi_1 of (-c, 0) inverted.
     """
     if not 0.0 < x < 1.0:
         raise DomainError("x must lie in (0, 1)")
-
-    def g(c):
-        return selection.phi_values([-c, 0.0], dist, tol=1e-10)[0] - x
-
-    b = 4.0
-    while g(-b) > 0.0 or g(b) < 0.0:
-        b *= 2.0
-        if b > 1e9:
-            raise RootFindFailed(b, "two-arm quantile bracket expansion")
-    c = brentq(g, -b, b, xtol=1e-12, rtol=8.9e-16, maxiter=200)
-    resid = abs(g(c))
-    if resid > prob_tol:
-        raise RootFindFailed(resid, "two-arm quantile")
-    return float(c)
+    return _phi_1_root(lambda c: [-c, 0.0], x, dist, -4.0)
 
 
 # ---------------------------------------------------------------------------
@@ -266,15 +280,15 @@ def _invert_monotone(fn, targets, lo, hi, iters=90):
     return 0.5 * (a + b)
 
 
-def char_fn_grid(ts, quantile, eps: float = 1e-4, phase_budget: float = 6.0, order: int = 24):
+def char_fn_grid(ts, quantile, eps: float = 1e-4):
     """gbar on a whole frequency grid via composite Gauss-Legendre panels.
 
-    Panels are uniform in c-space (so oscillations of exp(i t c) are equally
-    resolved everywhere: at most ``phase_budget`` radians per panel at the
-    largest requested |t|), which makes them adaptively thin where the
-    quantile is steep.  For an arithmetic grid the phase factors advance by a
-    constant complex multiplier per frequency, reducing the whole evaluation
-    to one vector recursion.
+    Panels of 24 nodes are uniform in c-space (so oscillations of
+    exp(i t c) are equally resolved everywhere: at most 6 radians per panel
+    at the largest requested |t|), which makes them adaptively thin where
+    the quantile is steep.  For an arithmetic grid the phase factors advance
+    by a constant complex multiplier per frequency, reducing the whole
+    evaluation to one vector recursion.
     """
     if not 0.0 < eps <= 1e-3:
         raise DomainError("eps must lie in (0, 1e-3]")
@@ -282,13 +296,13 @@ def char_fn_grid(ts, quantile, eps: float = 1e-4, phase_budget: float = 6.0, ord
     t_max = float(np.max(np.abs(ts))) if len(ts) else 0.0
     c_lo = float(quantile(np.asarray(eps)))
     c_hi = float(quantile(np.asarray(1.0 - eps)))
-    n_panels = int(min(300_000, max(48, math.ceil(t_max * (c_hi - c_lo) / phase_budget))))
+    n_panels = int(min(300_000, max(48, math.ceil(t_max * (c_hi - c_lo) / 6.0))))
 
     c_edges = np.linspace(c_lo, c_hi, n_panels + 1)
     p_edges = _invert_monotone(quantile, c_edges, eps, 1.0 - eps)
     p_edges[0], p_edges[-1] = eps, 1.0 - eps
 
-    x_gl, w_gl = np.polynomial.legendre.leggauss(order)
+    x_gl, w_gl = np.polynomial.legendre.leggauss(24)
     half = 0.5 * (p_edges[1:] - p_edges[:-1])
     mid = 0.5 * (p_edges[1:] + p_edges[:-1])
     nodes = (mid[:, None] + half[:, None] * x_gl[None, :]).ravel()
@@ -416,9 +430,9 @@ def normal_ift_pipeline(x_min=-20.0, x_max=20.0, n=2048, eps=1e-9) -> IftResult:
 def three_arm_regularizer_scan(x_grid, dist):
     """Regularizer derivative c(x) at p = (x, (1-x)/2, (1-x)/2) for K = 3.
 
-    For each x the reward offset c solves phi_1 of the loss gaps (0, c, c)
-    equal to x.  Rows carry the square-root envelopes and the 1/2-Tsallis
-    reference derivative for comparison.
+    For each x the reward offset c >= 0 solves phi_1 of the loss gaps
+    (0, c, c) equal to x (c = 0 at x = 1/3).  Rows carry the square-root
+    envelopes and the 1/2-Tsallis reference derivative for comparison.
     """
     if dist.support != _FULL_LINE:
         raise SupportError("scan requires a law fully supported on the reals")
@@ -426,16 +440,7 @@ def three_arm_regularizer_scan(x_grid, dist):
     for x in np.asarray(x_grid, dtype=float):
         if not (1.0 / 3.0 <= x < 1.0 - 1e-4):
             raise DomainError("x grid must lie in [1/3, 1 - 1e-4)")
-
-        def g(c):
-            return selection.phi_values([0.0, c, c], dist, tol=1e-10)[0] - x
-
-        hi = 4.0
-        while g(hi) < 0.0:
-            hi *= 2.0
-            if hi > 1e9:
-                raise RootFindFailed(hi, "three-arm scan bracket")
-        c = brentq(g, 0.0, hi, xtol=1e-11, rtol=8.9e-16, maxiter=200)
+        c = _phi_1_root(lambda c: [0.0, c, c], x, dist, 0.0)
         rows.append(
             {
                 "x": float(x),

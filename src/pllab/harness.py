@@ -4,9 +4,9 @@ Reproducibility contract: the RNG stream of run j under master seed s is
 ``default_rng(SeedSequence((s, j)))`` split once for the environment and once
 for the policy.  Rerunning a config therefore reproduces every CSV byte for
 byte, independently of the parallelism degree (results are merged by run
-index).  A run draws its loss rows in blocks and its perturbations from a
-tape (see ``policies``); both read their stream in the same order as one
-draw per round, so the blocking leaves every number unchanged.  Wall-clock
+index).  A run draws all its loss rows with one ``loss_rows`` call and its
+perturbations from a tape (see ``policies``); both read their stream in the
+same order as one draw per round, so neither changes a number.  Wall-clock
 time and the sampling counters go to a sidecar file so they cannot break
 that contract.
 """
@@ -104,8 +104,6 @@ def run_streams(master_seed, run_index):
     return np.random.default_rng(env_ss), np.random.default_rng(pol_ss)
 
 
-LOSS_BLOCK = 4096  # loss rows drawn per environment call
-
 # per-run counters of the policy state, totalled in the .meta sidecar
 COUNTERS = ("vectors_drawn", "resample_trials", "cap_hits")
 
@@ -123,12 +121,9 @@ def simulate_run(config: ExperimentConfig, run_index: int):
     state = policy.fresh_state(model.k, pol_rng)
     checkpoints = checkpoint_grid(config.horizon, config.checkpoint_ratio)
 
-    horizon = config.horizon
-    losses = np.empty((horizon, model.k))
-    for t0 in range(0, horizon, LOSS_BLOCK):
-        losses[t0:t0 + LOSS_BLOCK] = loss_rows(model, t0 + 1, min(LOSS_BLOCK, horizon - t0), env_rng)
-    arms = np.empty(horizon, dtype=int)
-    for t in range(horizon):
+    losses = loss_rows(model, 1, config.horizon, env_rng)
+    arms = np.empty(config.horizon, dtype=int)
+    for t in range(config.horizon):
         arm = policy.play(state)
         policy.observe(state, arm, float(losses[t, arm]))
         arms[t] = arm
@@ -136,11 +131,6 @@ def simulate_run(config: ExperimentConfig, run_index: int):
     counters = {key: getattr(state, key) for key in COUNTERS}
     counters["wall_s"] = time.perf_counter() - start
     return curve, counters
-
-
-def _worker(args):
-    config, run_index = args
-    return simulate_run(config, run_index)
 
 
 def _meta_lines(wall, degree, runs, horizon):
@@ -238,9 +228,9 @@ def run_experiment(config: ExperimentConfig) -> RegretTable:
         import multiprocessing as mp
 
         with mp.get_context("fork").Pool(degree) as pool:
-            results = pool.map(_worker, jobs)
+            results = pool.starmap(simulate_run, jobs)
     else:
-        results = [_worker(job) for job in jobs]
+        results = [simulate_run(*job) for job in jobs]
     wall = time.perf_counter() - t0
 
     curves = np.vstack([curve for curve, _ in results])

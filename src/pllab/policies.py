@@ -189,7 +189,7 @@ def shannon_weights(q):
     return w / w.sum()
 
 
-def tsallis_weights(q, beta, residual_tol=1e-10, max_expand=200):
+def tsallis_weights(q, beta):
     """Exact minimizer of <q, p> - (1/(1-beta)) sum p^beta on the simplex.
 
     Stationarity gives p_i = [((1-beta)/beta) (q_i - c)]^(-1/(1-beta)) for a
@@ -215,11 +215,11 @@ def tsallis_weights(q, beta, residual_tol=1e-10, max_expand=200):
     while defect(lo) >= 0.0:
         lo = q_min - 2.0 * (q_min - lo)
         expand += 1
-        if expand > max_expand:
+        if expand > 200:
             raise SolverDiverged("bracket expansion exceeded budget")
     c = brentq(defect, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
     p = weights(c)
-    if abs(p.sum() - 1.0) > residual_tol:
+    if abs(p.sum() - 1.0) > 1e-10:
         raise SolverDiverged(f"normalization residual {abs(p.sum()-1.0):.2e}")
     return p / p.sum(), float(c)
 

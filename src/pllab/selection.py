@@ -11,7 +11,9 @@ smooth (f has kinks), so the real line is split at every shifted kink before
 handing each piece to QUADPACK.  The potential (``duality.potential``) is
 the same integral once more with f(z + gap_i) replaced by z f(z + gap_i),
 so all three share one kernel, ``_component_integrals``, which integrates
-every arm of a loss vector against each factor g(z, gap_i).
+each distinct gap of a loss vector once against each factor g(z, gap_i),
+for just the arms a caller reads (the phi_1 inversions in ``duality``
+read arm 1 alone).
 
 ``phi_scan`` evaluates a loss family lambda(c) over a grid of c, one row per
 (c, arm); ``counterexample_scan``, ``stability_envelope_scan`` and the
@@ -77,40 +79,37 @@ def _ranks(lam):
 
 
 def _weight(dist, gap_others, z):
-    """prod_{j != i} F(z + gap_j), through logs when a factor is tiny."""
-    vals = np.asarray(dist.cdf(z + gap_others), dtype=float)
-    m = vals.min()
-    if m <= 0.0:
-        return 0.0
-    if m < 1e-12:
-        return math.exp(float(np.sum(np.log(vals))))
-    return float(np.prod(vals))
+    """prod_{j != i} F(z + gap_j); every factor lies in [0, 1], so it cannot overflow."""
+    return float(np.prod(dist.cdf(z + gap_others)))
 
 
-def _weights(dist, gap, z):
-    """``_weight`` of every arm i at its own point z[i]."""
-    return np.array([_weight(dist, np.delete(gap, i), z[i]) for i in range(len(gap))])
+def _component_integrals(dist, gap, factors, budget, arms=None):
+    """integral g(z, gap_i) prod_{j != i} F(z + gap_j) dz for each arm i and factor g.
 
-
-def _component_integrals(dist, gap, factors, budget):
-    """integral g(z, gap_i) prod_{j != i} F(z + gap_j) dz for every arm i and factor g.
-
-    Returns a (K, len(factors)) array of integrals and each arm's worst
-    summed QUADPACK error estimate.  The z-line is split at every shifted
-    kink and at +-cut, restricted to where z -> f(z + gap_i) is supported,
-    and each piece gets an equal share of ``budget`` as its absolute
-    tolerance.
+    Returns a (len(arms), len(factors)) array of integrals (``arms``
+    defaults to all) and each arm's worst summed QUADPACK error estimate.
+    Each distinct gap is integrated once, so (0, c, ..., c) costs two arm
+    integrals at any K.  The z-line is split at every shifted kink and at
+    +-cut, restricted to where z -> f(z + gap_i) is supported, and each
+    piece gets an equal share of ``budget`` as its absolute tolerance.
     """
     lo, hi = dist.support
     cut = max(_TAIL_CUT, 10.0 * float(np.max(gap)))
     points = sorted({k - g for k in dist.kinks for g in gap} | {-cut, cut})
-    values = np.empty((len(gap), len(factors)))
-    worst = np.zeros(len(gap))
+    arms = range(len(gap)) if arms is None else arms
+    values = np.empty((len(arms), len(factors)))
+    worst = np.zeros(len(arms))
+    done = {}  # gap -> the row that holds its integrals
     with warnings.catch_warnings():
         # heavy polynomial tails trip QUADPACK's slow-convergence heuristic;
         # the returned error estimate is checked against tol by the callers
         warnings.simplefilter("ignore", IntegrationWarning)
-        for i, s in enumerate(gap):
+        for row, i in enumerate(arms):
+            s = gap[i]
+            first = done.setdefault(s, row)
+            if first != row:
+                values[row], worst[row] = values[first], worst[first]
+                continue
             others = np.delete(gap, i)
             z_lo, z_hi = lo - s, hi - s
             edges = [z_lo, *(p for p in points if z_lo < p < z_hi), z_hi]
@@ -127,8 +126,8 @@ def _component_integrals(dist, gap, factors, budget):
                     val, e = quad(integrand, a, b, epsabs=epsabs, epsrel=1e-11, limit=200)
                     total += val
                     err += e
-                values[i, k] = total
-                worst[i] = max(worst[i], err)
+                values[row, k] = total
+                worst[row] = max(worst[row], err)
     return values, worst
 
 
@@ -144,23 +143,34 @@ def _loss_vector(lam, tol):
     return lam
 
 
+def _phi(lam, dist, tol, with_prime, arms=None):
+    """(lam, gap, integrals, worst error): columns phi and, if asked, phi' sans jumps.
+
+    The one phi path; raises ToleranceNotMet with the worst arm's error.
+    """
+    lam = _loss_vector(lam, tol)
+    gap = lam - lam.min()
+    factors = [lambda z, s: float(dist.pdf(z + s))]
+    if with_prime:
+        factors.append(lambda z, s: float(dist.pdf_prime(z + s)))
+    values, errs = _component_integrals(dist, gap, factors, tol / 4.0, arms)
+    worst = float(errs.max())
+    if worst > tol:
+        raise ToleranceNotMet(worst, tol)
+    return lam, gap, values, worst
+
+
 def phi_quadrature(lam, dist: PerturbationDistribution, tol: float = 1e-8) -> SelectionProbe:
     """Selection probabilities and own-loss derivatives for every arm.
 
     Raises ToleranceNotMet when the accumulated QUADPACK error estimate of
     any component exceeds ``tol``.
     """
-    lam = _loss_vector(lam, tol)
-    gap = lam - lam.min()
-    factors = (lambda z, s: float(dist.pdf(z + s)), lambda z, s: float(dist.pdf_prime(z + s)))
-    values, errs = _component_integrals(dist, gap, factors, tol / 4.0)
+    lam, gap, values, worst = _phi(lam, dist, tol, with_prime=True)
     phi, phi_prime = values.T.copy()
     # density jumps put point masses into the distributional derivative of f
     for loc, jump in dist.density_jumps():
-        phi_prime += jump * _weights(dist, gap, loc - gap)
-    worst = float(errs.max())
-    if worst > tol:
-        raise ToleranceNotMet(worst, tol)
+        phi_prime += jump * np.array([_weight(dist, np.delete(gap, i), loc - s) for i, s in enumerate(gap)])
     return SelectionProbe(
         lam=lam,
         lambda_gap=gap,
@@ -176,20 +186,14 @@ def phi_values(lam, dist, tol: float = 1e-9):
 
     Raises ToleranceNotMet, with the worst arm's error, when it exceeds ``tol``.
     """
-    lam = _loss_vector(lam, tol)
-    gap = lam - lam.min()
-    values, errs = _component_integrals(dist, gap, (lambda z, s: float(dist.pdf(z + s)),), tol / 4.0)
-    worst = float(errs.max())
-    if worst > tol:
-        raise ToleranceNotMet(worst, tol)
-    return values[:, 0].copy()
+    return _phi(lam, dist, tol, with_prime=False)[2][:, 0].copy()
 
 
-def phi_monte_carlo(lam, dist, n, rng, chunk=200_000):
+def phi_monte_carlo(lam, dist, n, rng):
     """Empirical argmin frequencies over n i.i.d. perturbation vectors.
 
     Returns (phi_hat, ci_halfwidth) with 95% normal-approximation intervals;
-    argmin ties go to the lowest index.
+    argmin ties go to the lowest index.  Draws at most 200,000 vectors at once.
     """
     lam = np.asarray(lam, dtype=float)
     if n < 10_000:
@@ -198,7 +202,7 @@ def phi_monte_carlo(lam, dist, n, rng, chunk=200_000):
     counts = np.zeros(K, dtype=np.int64)
     remaining = int(n)
     while remaining > 0:
-        m = min(chunk, remaining)
+        m = min(200_000, remaining)
         r = dist.sample_array((m, K), rng)
         wins = np.argmin(lam[None, :] - r, axis=1)
         counts += np.bincount(wins, minlength=K)

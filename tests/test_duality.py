@@ -14,6 +14,7 @@ from pllab.distributions import (
     LaplacePareto,
     ParetoLomax,
     SymmetricPareto,
+    parse_dist,
 )
 from pllab.errors import DomainError, GridError, NonIntegrable, SupportError
 
@@ -238,8 +239,11 @@ class TestIft:
 
 class TestThreeArmScan:
     def test_iid_point(self):
-        rows = duality.three_arm_regularizer_scan([1.0 / 3.0], SymmetricPareto(2.0))
-        assert abs(rows[0]["c"]) <= 1e-9
+        # phi_1(0, 0, 0) rounds to 1/3 + 5.6e-17 for lp, asp:2,3 and laplace,
+        # so there the bracket's fixed end c = 0 is already the root
+        for spec in ("splareto:a=2", "lp", "asp:2,3", "laplace"):
+            rows = duality.three_arm_regularizer_scan([1.0 / 3.0], parse_dist(spec))
+            assert abs(rows[0]["c"]) <= 1e-9, spec
 
     def test_envelope_examples(self):
         rows = duality.three_arm_regularizer_scan([0.99], SymmetricPareto(2.0))

@@ -96,7 +96,7 @@ class TestRunMetadata:
 
     def test_short_schedule_fails_before_any_run(self, tmp_path, monkeypatch):
         (tmp_path / "two.csv").write_text("0.1,0.2\n0.3,0.4\n")
-        monkeypatch.setattr(harness, "_worker", lambda job: pytest.fail("a run started"))
+        monkeypatch.setattr(harness, "simulate_run", lambda *job: pytest.fail("a run started"))
         cfg = small_config(tmp_path, env=f"sched:{tmp_path / 'two.csv'}", horizon=5, runs=2, threads=2)
         with pytest.raises(ScheduleExhausted):
             harness.run_experiment(cfg)
@@ -324,4 +324,9 @@ class TestCli:
         reg_out = tmp_path / "reg.csv"
         assert cli.main(
             ["duality", "regscan", "--x", "0.4:0.9", "--points", "6", "--out", str(reg_out)]
+        ) == 0
+        # x = 1/3 is the grid's lower end; lp's phi_1(0, 0, 0) rounds above it
+        assert cli.main(
+            ["duality", "regscan", "--dist", "lp", "--x", "0.3333333333333333:0.5", "--points", "3",
+             "--out", str(reg_out)]
         ) == 0

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from pllab import selection
 from pllab.distributions import (
     AsymmetricPareto,
     Frechet,
@@ -14,6 +15,7 @@ from pllab.distributions import (
     ParetoLomax,
     SymmetricPareto,
     Truncated,
+    parse_dist,
 )
 from pllab.errors import DomainError
 from pllab.selection import (
@@ -252,3 +254,28 @@ class TestScans:
         sub = np.array([r["ratio_32"] for r in rows if r["i"] == 2])
         slope = np.polyfit(grid, sub, 1)[0]
         assert abs(slope) < 0.01  # bounded, in contrast with the symmetric case
+
+
+class TestWork:
+    """QUADPACK calls per evaluation: each distinct gap once, only the arms read."""
+
+    @staticmethod
+    def count_quad(monkeypatch):
+        calls = []
+        quad = selection.quad
+        monkeypatch.setattr(selection, "quad", lambda *a, **kw: calls.append(a[1:3]) or quad(*a, **kw))
+        return calls
+
+    def test_equal_gaps_integrated_once(self, monkeypatch):
+        calls = self.count_quad(monkeypatch)
+        phi = phi_values([0.0, 2.0, 2.0], parse_dist("splareto:a=2"), tol=1e-10)
+        assert len(calls) == 10  # five pieces for arm 1 and five for arm 2; arm 3 shares arm 2's gap
+        assert phi[1] == phi[2]
+
+    def test_inversion_step_integrates_arm_1_only(self, monkeypatch):
+        dist = parse_dist("splareto:a=2")
+        full = phi_values([0.0, 2.0, 2.0], dist, tol=1e-10)
+        calls = self.count_quad(monkeypatch)
+        values = selection._phi([0.0, 2.0, 2.0], dist, 1e-10, with_prime=False, arms=(0,))[2]
+        assert len(calls) == 5
+        assert values[0, 0] == full[0]
