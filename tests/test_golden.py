@@ -4,18 +4,21 @@ quadrature values.
 A regret CSV is a pure function of its config (see ``harness``), so these
 hashes pin the sampling path of every perturbation law end to end: a change
 that moves any draw by enough to change an arm choice changes the bytes.
-The ``analyze-phi`` hashes and the exact ``phi_values`` / ``potential``
-values pin the selection quadrature to the last bit, ``trunc(...)``
-included for its finite-support edges; the exact ``two_arm_quantile`` and
-``three_arm_regularizer_scan`` roots pin the phi inversions on top of it.
-To regenerate after an intended
-change, print ``_digest(tmp_path, policy)``, ``_phi_digest(tmp_path, spec,
-lam)`` and the values for each entry below.
+The ``analyze-phi`` hashes pin the selection kernel to the last bit,
+``trunc(...)`` included for its finite-support edges; the exact
+``two_arm_quantile`` and ``three_arm_regularizer_scan`` roots pin the phi
+inversions on top of it.  The exact ``phi_values`` / ``potential`` values
+pin the QUADPACK oracle in ``quadpack_oracle``, which the kernel must match
+to tolerance.  To regenerate after an intended change, print
+``_digest(tmp_path, policy)``, ``_phi_digest(tmp_path, spec, lam)`` and the
+values for each entry below.
 """
 
 import hashlib
 
+import numpy as np
 import pytest
+import quadpack_oracle
 
 from pllab import cli, duality, harness, selection
 from pllab.distributions import parse_dist
@@ -66,7 +69,7 @@ PHI_GOLDEN = {
 
 VECTORS = ((0.0, 0.7), (0.3, -0.5, 1.3))
 
-# (phi_values, potential) at each of VECTORS, default tolerances
+# (phi_values, potential) of the QUADPACK oracle at each of VECTORS, default tolerances
 VALUES_GOLDEN = {
     "splareto:a=2": [
         ([0.7251104257765519, 0.27488957422344795], 1.2698086323876332),
@@ -95,8 +98,11 @@ def test_analyze_phi_csv_hash(tmp_path, spec, lam):
 def test_phi_values_and_potential_exact(spec):
     dist = parse_dist(spec)
     for v, (phi, pot) in zip(VECTORS, VALUES_GOLDEN[spec]):
-        assert selection.phi_values(v, dist).tolist() == phi
-        assert duality.potential(v, dist) == pot
+        assert quadpack_oracle.phi_values(v, dist)[0].tolist() == phi
+        assert quadpack_oracle.potential(v, dist)[0] == pot
+        # the kernel, at the same default tolerances (1e-9 for both)
+        assert np.max(np.abs(selection.phi_values(v, dist) - phi)) <= 1e-9
+        assert abs(duality.potential(v, dist) - pot) <= 1e-9
 
 
 # the two phi_1 inversions, splareto:a=2 (regscan's x are the benchmark's)
