@@ -6,14 +6,14 @@ the probability that arm i attains the perturbed argmin is
     phi_i = integral  f(z + gap_i) * prod_{j != i} F(z + gap_j)  dz,
 
 where gap = lambda - min(lambda).  The own-coordinate derivative phi_i' is
-the same integral with f replaced by f'.  Both integrands are only piecewise
-smooth (f has kinks), so the real line is split at every shifted kink before
-handing each piece to QUADPACK.  The potential (``duality.potential``) is
-the same integral once more with f(z + gap_i) replaced by z f(z + gap_i),
-so all three share one kernel, ``_component_integrals``, which integrates
-each distinct gap of a loss vector once against each factor g(z, gap_i),
-for just the arms a caller reads (the phi_1 inversions in ``duality``
-read arm 1 alone).
+the same integral with f replaced by f', and the potential
+(``duality.potential``) the same with z f(z + gap_i).  All three share one
+kernel, ``_component_integrals``: an adaptive Gauss-Kronrod (G7-K15) rule on
+panels split at every shifted kink and support edge, the tails mapped onto
+(0, 1], which evaluates F and each factor once per refinement pass on an
+array of every panel, node and distinct gap, for just the arms a caller
+reads (the phi_1 inversions in ``duality`` read arm 1 alone).  The tests
+hold it to the scalar QUADPACK loop it replaced.
 
 ``phi_scan`` evaluates a loss family lambda(c) over a grid of c, one row per
 (c, arm); ``counterexample_scan``, ``stability_envelope_scan`` and the
@@ -23,11 +23,12 @@ read arm 1 alone).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
+
+# not called here: bench/tracing.py wraps ``selection.quad`` by name
+from scipy.integrate import quad  # noqa: F401
 
 from .distributions import PerturbationDistribution
 from .errors import DomainError, ToleranceNotMet
@@ -43,6 +44,20 @@ __all__ = [
 ]
 
 _TAIL_CUT = 50.0
+_MAX_DEPTH = 40  # bisections of one starting panel before ToleranceNotMet
+_MAX_WORK = 100_000  # panels x distinct gaps in one pass before ToleranceNotMet
+
+# QUADPACK's 15-point Kronrod rule on [-1, 1], nodes ascending; its 7-point
+# Gauss rule uses every other node
+_XK = (0.991455371120812639, 0.949107912342758525, 0.864864423359769073, 0.741531185599394440,
+       0.586087235467691130, 0.405845151377397167, 0.207784955007898468)
+_WK = (0.022935322010529225, 0.063092092629978553, 0.104790010322250184, 0.140653259715525919,
+       0.169004726639267903, 0.190350578064785410, 0.204432940075298892, 0.209482141084727828)
+_WG = (0.129484966168869693, 0.279705391489276668, 0.381830050505118945, 0.417959183673469388)
+_KRONROD_NODES = np.r_[np.negative(_XK), 0.0, _XK[::-1]]
+_KRONROD_WEIGHTS = np.r_[_WK, _WK[-2::-1]]
+_GAUSS_WEIGHTS = np.zeros(15)
+_GAUSS_WEIGHTS[1::2] = np.r_[_WG, _WG[-2::-1]]
 
 
 @dataclass(frozen=True)
@@ -52,7 +67,9 @@ class SelectionProbe:
     ``rank[i]`` is the 1-based rank of lambda_i in nondecreasing order (ties
     broken by index), ``ratio_1 = -phi'/phi`` and ``ratio_32 = -phi'/phi^1.5``
     are the stability ratios, and ``quad_error`` bounds the absolute
-    quadrature error of any single component.
+    quadrature error of any single component.  ``n_evals`` counts integrand
+    evaluations (one per node and distinct gap) and ``n_panels`` the
+    Gauss-Kronrod panels evaluated, over every refinement pass.
     """
 
     lam: np.ndarray
@@ -61,6 +78,8 @@ class SelectionProbe:
     phi: np.ndarray
     phi_prime: np.ndarray
     quad_error: float
+    n_evals: int
+    n_panels: int
 
     @property
     def ratio_1(self):
@@ -71,64 +90,71 @@ class SelectionProbe:
         return -self.phi_prime / self.phi**1.5
 
 
-def _ranks(lam):
-    order = np.argsort(lam, kind="stable")
-    rank = np.empty(len(lam), dtype=int)
-    rank[order] = np.arange(1, len(lam) + 1)
-    return rank
+def _others_product(F, mult):
+    """prod_{j != i} F(z + gap_j) for one arm i of each distinct gap, along the last axis.
 
-
-def _weight(dist, gap_others, z):
-    """prod_{j != i} F(z + gap_j); every factor lies in [0, 1], so it cannot overflow."""
-    return float(np.prod(dist.cdf(z + gap_others)))
+    ``F`` holds the CDF at the distinct gaps, ``mult`` their multiplicities;
+    prefix and suffix products need no division, and underflow to 0 is exact.
+    """
+    Q = np.pad(F**mult, [(0, 0)] * (F.ndim - 1) + [(1, 1)], constant_values=1.0)  # 1, F^m, ..., 1
+    below = np.cumprod(Q[..., :-2], axis=-1)  # the product over the gaps below each one
+    above = np.cumprod(Q[..., :1:-1], axis=-1)[..., ::-1]  # and over those above it
+    return below * above * F ** (mult - 1)
 
 
 def _component_integrals(dist, gap, factors, budget, arms=None):
     """integral g(z, gap_i) prod_{j != i} F(z + gap_j) dz for each arm i and factor g.
 
-    Returns a (len(arms), len(factors)) array of integrals (``arms``
-    defaults to all) and each arm's worst summed QUADPACK error estimate.
-    Each distinct gap is integrated once, so (0, c, ..., c) costs two arm
-    integrals at any K.  The z-line is split at every shifted kink and at
-    +-cut, restricted to where z -> f(z + gap_i) is supported, and each
-    piece gets an equal share of ``budget`` as its absolute tolerance.
+    Returns a (len(arms), len(factors)) array of integrals (``arms`` defaults
+    to all), each arm's worst summed error estimate, and the integrand
+    evaluations and panels evaluated.  Each distinct gap is integrated once;
+    g(z, s) takes arrays.  A panel whose |K15 - G7| exceeds its share of
+    ``budget`` for any arm is bisected, each half taking half the share, so
+    each arm's estimate stays within ``budget``; past a depth or work cap this
+    raises ToleranceNotMet.  The tails z = +-cut/u run over u in (0, 1].
     """
-    lo, hi = dist.support
-    cut = max(_TAIL_CUT, 10.0 * float(np.max(gap)))
-    points = sorted({k - g for k in dist.kinks for g in gap} | {-cut, cut})
-    arms = range(len(gap)) if arms is None else arms
-    values = np.empty((len(arms), len(factors)))
-    worst = np.zeros(len(arms))
-    done = {}  # gap -> the row that holds its integrals
-    with warnings.catch_warnings():
-        # heavy polynomial tails trip QUADPACK's slow-convergence heuristic;
-        # the returned error estimate is checked against tol by the callers
-        warnings.simplefilter("ignore", IntegrationWarning)
-        for row, i in enumerate(arms):
-            s = gap[i]
-            first = done.setdefault(s, row)
-            if first != row:
-                values[row], worst[row] = values[first], worst[first]
-                continue
-            others = np.delete(gap, i)
-            z_lo, z_hi = lo - s, hi - s
-            edges = [z_lo, *(p for p in points if z_lo < p < z_hi), z_hi]
-            epsabs = budget / (sum(map(math.isfinite, edges)) + 1)
-            for k, g in enumerate(factors):
-
-                def integrand(z):
-                    w = _weight(dist, others, z)
-                    return g(z, s) * w if w else 0.0
-
-                total = 0.0
-                err = 0.0
-                for a, b in zip(edges[:-1], edges[1:]):
-                    val, e = quad(integrand, a, b, epsabs=epsabs, epsrel=1e-11, limit=200)
-                    total += val
-                    err += e
-                values[row, k] = total
-                worst[row] = max(worst[row], err)
-    return values, worst
+    gaps, inverse, mult = np.unique(gap, return_inverse=True, return_counts=True)
+    cols, rows = np.unique(inverse[list(range(len(gap)) if arms is None else arms)], return_inverse=True)
+    cut = max(_TAIL_CUT, 10.0 * float(gaps[-1]))
+    # each arm's mass sits at its shifted kinks, support edges and location;
+    # starting panels widen geometrically away from these centers up to the
+    # next one, so none is much wider than its distance to a center and no
+    # bump of mass hides between its nodes
+    centers = np.unique(np.clip([k - s for k in (0.0, *dist.kinks, *dist.support) if math.isfinite(k)
+                                 for s in gaps], -cut, cut))
+    below, above = np.diff(centers, prepend=-cut)[:, None], np.diff(centers, append=cut)[:, None]
+    steps = 2.0 ** np.arange(math.ceil(math.log2(cut)) + 1)
+    edges = np.unique(np.concatenate([[-cut, cut], centers, (centers[:, None] - steps)[steps < below],
+                                      (centers[:, None] + steps)[steps < above]]))
+    # a panel is [a, b] on the z-line (side 0) or in u on a tail (side -1 or +1)
+    a = np.concatenate([edges[:-1], [0.0, 0.0]])
+    b = np.concatenate([edges[1:], [1.0, 1.0]])
+    side = np.concatenate([np.zeros(len(edges) - 1), [-1.0, 1.0]])
+    share = np.full(len(a), budget / len(a))
+    values, errs = np.zeros((2, len(cols), len(factors)))
+    n_panels = 0
+    for _ in range(_MAX_DEPTH):
+        half = 0.5 * (b - a)[:, None]
+        t = 0.5 * (a + b)[:, None] + half * _KRONROD_NODES
+        tail = side[:, None] != 0.0
+        z = np.where(tail, side[:, None] * cut / np.where(tail, t, 1.0), t)
+        jac = half * np.where(tail, z * z / cut, 1.0)  # dz = cut/u^2 du on a tail
+        weight = (_others_product(dist.cdf(z[..., None] + gaps), mult)[..., cols] * jac[..., None])[..., None]
+        g = np.stack([f(z[..., None], gaps[cols]) for f in factors], axis=-1) * weight
+        kronrod = np.einsum("n,pndf->pdf", _KRONROD_WEIGHTS, g)
+        err = np.abs(kronrod - np.einsum("n,pndf->pdf", _GAUSS_WEIGHTS, g))
+        n_panels += len(a)
+        bad = np.any(err > share[:, None, None], axis=(1, 2))
+        values += kronrod[~bad].sum(axis=0)
+        errs += err[~bad].sum(axis=0)
+        if not bad.any():
+            return values[rows], errs.max(axis=1)[rows], n_panels * len(_KRONROD_NODES) * len(cols), n_panels
+        a, b, side, share = a[bad], b[bad], side[bad], share[bad] / 2.0
+        mid = 0.5 * (a + b)
+        a, b, side, share = np.r_[a, mid], np.r_[mid, b], np.r_[side, side], np.r_[share, share]
+        if len(a) * len(gaps) > _MAX_WORK:
+            break
+    raise ToleranceNotMet(float((errs + err[bad].sum(axis=0)).max()), budget)
 
 
 def _loss_vector(lam, tol):
@@ -144,47 +170,39 @@ def _loss_vector(lam, tol):
 
 
 def _phi(lam, dist, tol, with_prime, arms=None):
-    """(lam, gap, integrals, worst error): columns phi and, if asked, phi' sans jumps.
+    """(lam, gap, integrals, errors, evaluations, panels) at a budget of tol/4.
 
-    The one phi path; raises ToleranceNotMet with the worst arm's error.
+    The one phi path: the integral columns are phi and, if asked, phi'
+    without the density-jump terms.
     """
     lam = _loss_vector(lam, tol)
     gap = lam - lam.min()
-    factors = [lambda z, s: float(dist.pdf(z + s))]
+    factors = [lambda z, s: dist.pdf(z + s)]
     if with_prime:
-        factors.append(lambda z, s: float(dist.pdf_prime(z + s)))
-    values, errs = _component_integrals(dist, gap, factors, tol / 4.0, arms)
-    worst = float(errs.max())
-    if worst > tol:
-        raise ToleranceNotMet(worst, tol)
-    return lam, gap, values, worst
+        factors.append(lambda z, s: dist.pdf_prime(z + s))
+    return (lam, gap, *_component_integrals(dist, gap, factors, tol / 4.0, arms))
 
 
 def phi_quadrature(lam, dist: PerturbationDistribution, tol: float = 1e-8) -> SelectionProbe:
     """Selection probabilities and own-loss derivatives for every arm.
 
-    Raises ToleranceNotMet when the accumulated QUADPACK error estimate of
-    any component exceeds ``tol``.
+    Raises ToleranceNotMet when the kernel cannot bring the error estimate
+    of every component within ``tol``.
     """
-    lam, gap, values, worst = _phi(lam, dist, tol, with_prime=True)
+    lam, gap, values, errs, n_evals, n_panels = _phi(lam, dist, tol, with_prime=True)
     phi, phi_prime = values.T.copy()
     # density jumps put point masses into the distributional derivative of f
+    gaps, inverse, mult = np.unique(gap, return_inverse=True, return_counts=True)
     for loc, jump in dist.density_jumps():
-        phi_prime += jump * np.array([_weight(dist, np.delete(gap, i), loc - s) for i, s in enumerate(gap)])
-    return SelectionProbe(
-        lam=lam,
-        lambda_gap=gap,
-        rank=_ranks(lam),
-        phi=phi,
-        phi_prime=phi_prime,
-        quad_error=worst,
-    )
+        phi_prime += jump * np.diagonal(_others_product(dist.cdf(loc - gaps[:, None] + gaps), mult))[inverse]
+    rank = np.argsort(np.argsort(lam, kind="stable")) + 1  # ties broken by index
+    return SelectionProbe(lam, gap, rank, phi, phi_prime, float(errs.max()), n_evals, n_panels)
 
 
 def phi_values(lam, dist, tol: float = 1e-9):
     """Selection probabilities only (no derivatives): the cheap evaluation path.
 
-    Raises ToleranceNotMet, with the worst arm's error, when it exceeds ``tol``.
+    Raises ToleranceNotMet when the kernel cannot meet ``tol``.
     """
     return _phi(lam, dist, tol, with_prime=False)[2][:, 0].copy()
 
@@ -216,26 +234,17 @@ def phi_scan(dist, lambda_of_c, c_grid, tol=1e-8):
     """``phi_quadrature`` at lambda_of_c(c) for each c of a grid.
 
     Returns one row per (c, arm) with the keys c, i (1-based), sigma_i (the
-    rank), lambda_gap, phi, phi_prime, ratio_1, ratio_32 and quad_error.
+    rank), lambda_gap, phi, phi_prime, ratio_1, ratio_32, and the probe's
+    quad_error, n_evals and n_panels.
     """
     rows = []
     for c in c_grid:
-        probe = phi_quadrature(lambda_of_c(c), dist, tol)
-        ratio_1, ratio_32 = probe.ratio_1, probe.ratio_32
-        for i in range(len(probe.phi)):
-            rows.append(
-                {
-                    "c": float(c),
-                    "i": i + 1,
-                    "sigma_i": int(probe.rank[i]),
-                    "lambda_gap": float(probe.lambda_gap[i]),
-                    "phi": float(probe.phi[i]),
-                    "phi_prime": float(probe.phi_prime[i]),
-                    "ratio_1": float(ratio_1[i]),
-                    "ratio_32": float(ratio_32[i]),
-                    "quad_error": probe.quad_error,
-                }
-            )
+        p = phi_quadrature(lambda_of_c(c), dist, tol)
+        columns = dict(sigma_i=p.rank, lambda_gap=p.lambda_gap, phi=p.phi, phi_prime=p.phi_prime,
+                       ratio_1=p.ratio_1, ratio_32=p.ratio_32)
+        for i in range(len(p.phi)):
+            rows.append({"c": float(c), "i": i + 1, **{k: v[i].item() for k, v in columns.items()},
+                         "quad_error": p.quad_error, "n_evals": p.n_evals, "n_panels": p.n_panels})
     return rows
 
 

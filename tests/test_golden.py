@@ -54,17 +54,17 @@ def test_regret_csv_hash(tmp_path, policy):
 
 
 PHI_GOLDEN = {
-    ("splareto:a=2", "0,c"): "8b6fada20d9e3b58f496baf5a5d35b259450b8d9c752cc1905a1783ccfca263d",
-    ("splareto:a=2", "0,c,c"): "f0caf1bfcb2624b3fba917cb68aa08e9e46a48f3b6c6669415b5502ba3d9e131",
-    ("splareto:a=2", "0,0.5c,2c"): "ba3d172da985fb55b1f7d60e5de2a6b7bf067aba85bb99c9b05173951b252963",
-    ("lp", "0,c"): "f58de3a6cef18c7190a12d0eb20a7cec8dfe644b09d2ac35a4505a0dec74be54",
-    ("lp", "0,c,c"): "921db0ab6cee14478bf3c8589a3933ee59124d006de4eaed7ab4e4eacde6b08c",
-    ("gumbel", "0,c"): "96a63f8690e900b1e57bc21b8fd0fadb570c0aad51b1a706cbe97e8a1b266f7d",
-    ("gumbel", "0,c,c"): "dcfabee162728b017ee576c41419e8a51593a016f2919ebb1ae2ea6e5067f6e3",
-    ("asp:2,3", "0,c"): "aeb012ec06a9132818079529e0d71d8e871d9ea8c2b1e64504cfe701c5c71f34",
-    ("asp:2,3", "0,c,c"): "337a5c88aa8068b8cd1620605749b7a303307fb3291c5dd966df73d486d860c7",
-    ("trunc(splareto:2)", "0,c"): "3f5d88c8f2026c0d0d7d81340a11c35351a91be48d557d5ba3abd1dfdcafc27d",
-    ("trunc(splareto:2)", "0,c,c"): "38fc042ac7de81b59fbb3f58676879d5a65a0a40e635367bd0274582f24873f4",
+    ("splareto:a=2", "0,c"): "77b93a050395cd7a69e1e2ada2c8bdf4e0d549b5cf175e1b7d3fb6b2a628eca6",
+    ("splareto:a=2", "0,c,c"): "6851230f91764137d217b3c382048499f3d9d2285c1bc073fb36f440929786e5",
+    ("splareto:a=2", "0,0.5c,2c"): "38f4ac21aec72e89ab35204227b7a33ff3f8396e4a5d59013f080c51233a3781",
+    ("lp", "0,c"): "c00959f4dabce1fa96452a73124c9a8abcc530fe3d8212e34f0e89dd9b0bef06",
+    ("lp", "0,c,c"): "20c0851b518cf207645896cdb03ebba1a219f677975538121f78e68c627453a9",
+    ("gumbel", "0,c"): "721cbff5cf984a2300491461da83bc82a4698e5d6696a0be52b4361fe2a9f7b3",
+    ("gumbel", "0,c,c"): "54060efec1cbe0b0778360a9f80c9a67c58b587d8d9b0f70d47b108cd686c0f1",
+    ("asp:2,3", "0,c"): "11a26422e641ed2bbf86ad4cb9a0ce80bb566e1c587749c1b7b7868492e0f01f",
+    ("asp:2,3", "0,c,c"): "9d7c5fee8c4405337635fc230a0364b3345636bdc844677e91e9eb2dd0d1e06a",
+    ("trunc(splareto:2)", "0,c"): "a6cd7f19ac7eddfb55d0e2c4e26f9b5b2f897aa04ae12c43f2ef6ab06c1ca2b7",
+    ("trunc(splareto:2)", "0,c,c"): "8dc1a9533ff49c03c4d25fe0c3abc356e6543ba9bca04b807608ffecbda6c761",
 }
 
 VECTORS = ((0.0, 0.7), (0.3, -0.5, 1.3))
@@ -106,8 +106,8 @@ def test_phi_values_and_potential_exact(spec):
 
 
 # the two phi_1 inversions, splareto:a=2 (regscan's x are the benchmark's)
-TWO_ARM_GOLDEN = {0.3: -0.5955594105028883, 0.9: 2.1544447398782784}
-REGSCAN_GOLDEN = {0.4: 0.16238701406622177, 0.95: 4.743193192895732}
+TWO_ARM_GOLDEN = {0.3: -0.5955594105028886, 0.9: 2.154444739878279}
+REGSCAN_GOLDEN = {0.4: 0.16238701406622053, 0.95: 4.7431931928956885}
 
 
 def test_phi_inversions_exact():
