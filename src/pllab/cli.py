@@ -127,6 +127,11 @@ def _cmd_analyze_phi(args):
         print(f"wrote {args.out} ({len(grid)} grid points)")
     else:
         print(text, end="")
+    if args.stats:
+        for row in rows:
+            if row["i"] == 1:
+                print("stats: c={c:.17g} evals={n_evals} panels={n_panels} quad_error={quad_error:.3g}".format(**row),
+                      file=sys.stderr)
     return 0
 
 
@@ -176,6 +181,8 @@ def _cmd_duality_regscan(args):
     lo, colon, hi = args.x.partition(":")
     if not colon:
         raise PllabError(f"--x {args.x!r} must read lo:hi")
+    if args.points < 1:
+        raise PllabError(f"--points must be at least 1, got {args.points}")
     grid = np.linspace(_number(lo, args.x), _number(hi, args.x), args.points)
     rows = duality.three_arm_regularizer_scan(grid, dist)
     lines = ["x,c,lower,upper,tsallis_ref"]
@@ -227,6 +234,8 @@ def build_parser():
     phi.add_argument("--c-grid", required=True, help="start:stop[:step]")
     phi.add_argument("--tol", type=float, default=1e-8)
     phi.add_argument("--out")
+    phi.add_argument("--stats", action="store_true",
+                     help="print each probe's evaluations, panels and error estimate to stderr")
     phi.set_defaults(fn=_cmd_analyze_phi)
 
     chk = sub.add_parser("check-dist", help="regularity diagnostics for a distribution")

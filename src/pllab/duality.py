@@ -343,6 +343,13 @@ def ift_frequencies(x_min: float, x_max: float, n: int):
     return (0.5 - n / 2 + k) * (2.0 * math.pi / (x_max - x_min))
 
 
+def _check_grid(x_min, x_max, n):
+    if n <= 0 or n & (n - 1) != 0:
+        raise GridError(f"n must be a power of two, got {n}")
+    if not x_max > x_min:
+        raise GridError("x_max must exceed x_min")
+
+
 def ift_density(char_samples, x_min: float = -20.0, x_max: float = 20.0, n: int = 2048) -> IftResult:
     """Discrete inverse Fourier transform on the half-integer frequency grid.
 
@@ -352,12 +359,9 @@ def ift_density(char_samples, x_min: float = -20.0, x_max: float = 20.0, n: int 
     density at x_min + k dx.
     """
     cf = np.asarray(char_samples, dtype=complex)
-    if n & (n - 1) != 0 or n <= 0:
-        raise GridError(f"n must be a power of two, got {n}")
+    _check_grid(x_min, x_max, n)
     if len(cf) != n:
         raise GridError(f"expected {n} samples, got {len(cf)}")
-    if not x_max > x_min:
-        raise GridError("x_max must exceed x_min")
     k = np.arange(n)
     dx = (x_max - x_min) / n
     pre = np.exp(1j * math.pi * (-2.0 * (x_min / (x_max - x_min))) * k)
@@ -379,8 +383,9 @@ def ift_pipeline(quantile, x_min=-20.0, x_max=20.0, n=2048, eps=1e-4) -> IftResu
 
     The square root takes the principal branch; a warning is emitted if the
     real part of gbar ever goes negative (possible phase wrap for laws whose
-    difference is not symmetric).
+    difference is not symmetric).  The grid is checked before any quadrature.
     """
+    _check_grid(x_min, x_max, n)
     w = ift_frequencies(x_min, x_max, n)
     upper = w[n // 2:]
     gbar_upper = char_fn_grid(upper, quantile, eps=eps)

@@ -217,6 +217,12 @@ class TestIft:
         with pytest.raises(GridError):
             duality.ift_density(np.zeros(64), n=128)
 
+    @pytest.mark.parametrize("n,x_max", [(0, 20.0), (-4, 20.0), (3000, 20.0), (2048, -20.0)])
+    def test_pipeline_checks_grid_before_quadrature(self, monkeypatch, n, x_max):
+        monkeypatch.setattr(duality, "char_fn_grid", lambda *a, **kw: pytest.fail("quadrature ran"))
+        with pytest.raises(GridError):
+            duality.tsallis_ift_pipeline(n=n, x_max=x_max)
+
     def test_normal_sanity(self):
         res = duality.normal_ift_pipeline()
         ref = np.exp(-res.x_grid**2) / math.sqrt(math.pi)

@@ -266,6 +266,16 @@ class TestCli:
         assert lines[0].startswith("c,i,sigma_i,phi")
         assert len(lines) == 1 + 3 * 3
 
+    def test_analyze_phi_stats_go_to_stderr(self, tmp_path, capsys):
+        argv = ["analyze-phi", "--dist", "lp", "--lambda", "0,c,c", "--c-grid", "1:3:2"]
+        assert cli.main(argv + ["--out", str(tmp_path / "plain.csv")]) == 0
+        capsys.readouterr()
+        assert cli.main(argv + ["--out", str(tmp_path / "stats.csv"), "--stats"]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert (tmp_path / "stats.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+        assert [line.split()[1] for line in err] == ["c=1", "c=3"]
+        assert all(line.startswith("stats: ") and "evals=" in line and "panels=" in line for line in err)
+
     @pytest.mark.parametrize("bad", ["frechet:abc", "asp:2", "splareto:a=x", "gpd:"])
     def test_bad_dist_spec_is_usage_error(self, capsys, bad):
         assert cli.main(["check-dist", "--dist", bad]) == 2
@@ -294,10 +304,20 @@ class TestCli:
             PHI + ["--lambda", "0,c", "--c-grid", "1:x"],
             PHI + ["--lambda", "0,c", "--c-grid", "1:2:0"],
             ["duality", "regscan", "--x", "0.4", "--out", "unused.csv"],
+            ["duality", "regscan", "--x", "0.4:0.5", "--points", "-1", "--out", "unused.csv"],
+            ["duality", "regscan", "--x", "0.4:0.5", "--points", "0", "--out", "unused.csv"],
+            ["duality", "ift", "--n", "0", "--out", "unused.csv"],
+            ["duality", "ift", "--n", "-4", "--out", "unused.csv"],
+            ["duality", "ift", "--n", "3000", "--out", "unused.csv"],
+            ["duality", "ift", "--xmin", "5", "--xmax", "5", "--out", "unused.csv"],
+            ["duality", "sanity-normal", "--n", "0"],
+            ["duality", "sanity-normal", "--n", "3000"],
         ],
         ids=["policy-m", "policy-cap", "switch-missing-mu", "bern-number", "sched-number", "sched-short",
              "verdict-no-K", "verdict-no-gaps", "verdict-no-rows", "verdict-bad-cell", "lambda-number",
-             "lambda-scaled-number", "grid-number", "grid-zero-step", "regscan-x-no-colon"],
+             "lambda-scaled-number", "grid-number", "grid-zero-step", "regscan-x-no-colon",
+             "regscan-points-negative", "regscan-points-zero", "ift-n-zero", "ift-n-negative",
+             "ift-n-not-power-of-two", "ift-empty-x-range", "sanity-n-zero", "sanity-n-not-power-of-two"],
     )
     def test_bad_input_is_usage_error(self, capsys, tmp_path, monkeypatch, argv):
         monkeypatch.chdir(tmp_path)
@@ -309,6 +329,7 @@ class TestCli:
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "unused.csv").exists()
 
     def test_check_dist(self, tmp_path):
         out = tmp_path / "rep.csv"
