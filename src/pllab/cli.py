@@ -113,7 +113,13 @@ def _cmd_verdict(args):
 def _cmd_analyze_phi(args):
     dist = parse_dist(args.dist)
     grid = _parse_grid(args.c_grid)
-    rows = selection.phi_scan(dist, _lambda_template(args.lam), grid, tol=args.tol)
+
+    def stats(c, probe):
+        print(f"stats: c={c:.17g} evals={probe.n_evals} panels={probe.n_panels} quad_error={probe.quad_error:.3g}",
+              file=sys.stderr)
+
+    rows = selection.phi_scan(dist, _lambda_template(args.lam), grid, tol=args.tol,
+                              on_probe=stats if args.stats else None)
     lines = ["c,i,sigma_i,phi,phi_prime,ratio_1,ratio_32,quad_error"]
     lines += [
         "{c:.17g},{i},{sigma_i},{phi:.17g},{phi_prime:.17g},{ratio_1:.17g},{ratio_32:.17g},"
@@ -127,11 +133,6 @@ def _cmd_analyze_phi(args):
         print(f"wrote {args.out} ({len(grid)} grid points)")
     else:
         print(text, end="")
-    if args.stats:
-        for row in rows:
-            if row["i"] == 1:
-                print("stats: c={c:.17g} evals={n_evals} panels={n_panels} quad_error={quad_error:.3g}".format(**row),
-                      file=sys.stderr)
     return 0
 
 

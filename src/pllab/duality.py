@@ -73,7 +73,9 @@ def potential(nu, dist, tol: float = 1e-9) -> float:
     mu = float(nu.max())
     gap = mu - nu  # loss-form gaps, min entry 0
     # each arm's error stays within tol/(2K), so their sum within tol
-    values = selection._component_integrals(dist, gap, (lambda z, s: z * dist.pdf(z + s),), tol / (2.0 * len(nu)))[0]
+    values = selection._component_integrals(
+        dist, gap, (lambda z, s: z * dist.pdf(z + s),), tol / (2.0 * len(nu)), moment=1
+    )[0]
     # the constant shift integrates against sum_i phi_i = 1
     return mu + float(values[:, 0].sum())
 
@@ -122,7 +124,8 @@ def regularizer_value(p, dist, tol: float = 1e-9):
     K = len(p)
 
     def phi_of(y):
-        return selection.phi_values(-np.append(y, 0.0), dist, tol=1e-10)
+        nu = np.concatenate([y, [0.0]])
+        return selection.phi_values(-nu, dist, tol=1e-10)
 
     def residual_fn(y):
         return phi_of(y)[: K - 1] - p[: K - 1]
@@ -153,7 +156,8 @@ def _phi_1_root(lam_of_c, x, dist, lo):
 
     @functools.lru_cache(maxsize=None)
     def g(c):
-        return float(selection._phi(lam_of_c(c), dist, 1e-10, with_prime=False, arms=(0,))[2][0, 0]) - x
+        values = selection._phi(lam_of_c(c), dist, 1e-10, with_prime=False, arms=(0,))[2]
+        return float(values[0, 0]) - x
 
     hi = 4.0
     while g(lo) > 0.0 or g(hi) < 0.0:
@@ -437,7 +441,13 @@ def three_arm_regularizer_scan(x_grid, dist):
         if not (1.0 / 3.0 <= x < 1.0 - 1e-4):
             raise DomainError("x grid must lie in [1/3, 1 - 1e-4)")
         c = _phi_1_root(lambda c: [0.0, c, c], x, dist, 0.0)
-        root = math.sqrt(1.0 - x)
-        rows.append(dict(x=float(x), c=c, lower=0.5 / root - 1.0, upper=2.0 * math.sqrt(2.0) / root - 1.0,
-                         tsallis_ref=math.sqrt(2.0) / root - 1.0 / math.sqrt(x)))
+        rows.append(
+            {
+                "x": float(x),
+                "c": float(c),
+                "lower": 0.5 / math.sqrt(1.0 - x) - 1.0,
+                "upper": 2.0 * math.sqrt(2.0) / math.sqrt(1.0 - x) - 1.0,
+                "tsallis_ref": math.sqrt(2.0) / math.sqrt(1.0 - x) - 1.0 / math.sqrt(x),
+            }
+        )
     return rows

@@ -102,16 +102,18 @@ def _others_product(F, mult):
     return below * above * F ** (mult - 1)
 
 
-def _component_integrals(dist, gap, factors, budget, arms=None):
+def _component_integrals(dist, gap, factors, budget, arms=None, moment=0):
     """integral g(z, gap_i) prod_{j != i} F(z + gap_j) dz for each arm i and factor g.
 
     Returns a (len(arms), len(factors)) array of integrals (``arms`` defaults
     to all), each arm's worst summed error estimate, and the integrand
     evaluations and panels evaluated.  Each distinct gap is integrated once;
-    g(z, s) takes arrays.  A panel whose |K15 - G7| exceeds its share of
-    ``budget`` for any arm is bisected, each half taking half the share, so
-    each arm's estimate stays within ``budget``; past a depth or work cap this
-    raises ToleranceNotMet.  The tails z = +-cut/u run over u in (0, 1].
+    g(z, s) takes arrays and grows at most like |z|^moment times the density.
+    Refinement stops once every arm's summed |K15 - G7| is within ``budget``;
+    until then a panel whose estimate exceeds its share of ``budget`` for any
+    arm is bisected, each half taking half the share.  The tails
+    z = +-cut u^-p run over u in (0, 1].  Past a depth or work cap, or for a
+    tail index below moment + 1/9, this raises ToleranceNotMet.
     """
     gaps, inverse, mult = np.unique(gap, return_inverse=True, return_counts=True)
     cols, rows = np.unique(inverse[list(range(len(gap)) if arms is None else arms)], return_inverse=True)
@@ -126,32 +128,43 @@ def _component_integrals(dist, gap, factors, budget, arms=None):
     steps = 2.0 ** np.arange(math.ceil(math.log2(cut)) + 1)
     edges = np.unique(np.concatenate([[-cut, cut], centers, (centers[:, None] - steps)[steps < below],
                                       (centers[:, None] + steps)[steps < above]]))
-    # a panel is [a, b] on the z-line (side 0) or in u on a tail (side -1 or +1)
+    # a panel is [a, b] on the z-line (power 0) or in u on a tail (power -p or
+    # +p).  A tail of index alpha leaves an integrand ~ u^(p (alpha - moment) - 1)
+    # in u; p >= 2 / (alpha - moment) makes it vanish at u = 0, so that the
+    # error of the panel next to 0 falls faster than its share.  Past p = 18,
+    # cut u^-p overflows at the depth cap and much of the tail's mass lies
+    # where the density underflows: no estimate bounds the error there
+    p_left, p_right = (max(1.0, 2.0 / (index - moment))
+                       for index in (dist.tail_index_left, dist.tail_index_right))
+    if max(p_left, p_right) > 18.0:
+        raise ToleranceNotMet(math.inf, budget)
     a = np.concatenate([edges[:-1], [0.0, 0.0]])
     b = np.concatenate([edges[1:], [1.0, 1.0]])
-    side = np.concatenate([np.zeros(len(edges) - 1), [-1.0, 1.0]])
+    power = np.concatenate([np.zeros(len(edges) - 1), [-p_left, p_right]])
     share = np.full(len(a), budget / len(a))
     values, errs = np.zeros((2, len(cols), len(factors)))
     n_panels = 0
     for _ in range(_MAX_DEPTH):
         half = 0.5 * (b - a)[:, None]
         t = 0.5 * (a + b)[:, None] + half * _KRONROD_NODES
-        tail = side[:, None] != 0.0
-        z = np.where(tail, side[:, None] * cut / np.where(tail, t, 1.0), t)
-        jac = half * np.where(tail, z * z / cut, 1.0)  # dz = cut/u^2 du on a tail
+        p = np.abs(power)[:, None]
+        tail = p != 0.0
+        u = np.where(tail, t, 1.0)
+        z = np.where(tail, np.sign(power)[:, None] * cut * u**-p, t)
+        jac = half * np.where(tail, p * np.abs(z) / u, 1.0)  # |dz| = p cut u^(-p-1) du on a tail
         weight = (_others_product(dist.cdf(z[..., None] + gaps), mult)[..., cols] * jac[..., None])[..., None]
         g = np.stack([f(z[..., None], gaps[cols]) for f in factors], axis=-1) * weight
         kronrod = np.einsum("n,pndf->pdf", _KRONROD_WEIGHTS, g)
         err = np.abs(kronrod - np.einsum("n,pndf->pdf", _GAUSS_WEIGHTS, g))
         n_panels += len(a)
-        bad = np.any(err > share[:, None, None], axis=(1, 2))
+        bad = np.any(err > share[:, None, None], axis=(1, 2)) & np.any(errs + err.sum(axis=0) > budget)
         values += kronrod[~bad].sum(axis=0)
         errs += err[~bad].sum(axis=0)
         if not bad.any():
             return values[rows], errs.max(axis=1)[rows], n_panels * len(_KRONROD_NODES) * len(cols), n_panels
-        a, b, side, share = a[bad], b[bad], side[bad], share[bad] / 2.0
+        a, b, power, share = a[bad], b[bad], power[bad], share[bad] / 2.0
         mid = 0.5 * (a + b)
-        a, b, side, share = np.r_[a, mid], np.r_[mid, b], np.r_[side, side], np.r_[share, share]
+        a, b, power, share = np.r_[a, mid], np.r_[mid, b], np.r_[power, power], np.r_[share, share]
         if len(a) * len(gaps) > _MAX_WORK:
             break
     raise ToleranceNotMet(float((errs + err[bad].sum(axis=0)).max()), budget)
@@ -195,8 +208,16 @@ def phi_quadrature(lam, dist: PerturbationDistribution, tol: float = 1e-8) -> Se
     gaps, inverse, mult = np.unique(gap, return_inverse=True, return_counts=True)
     for loc, jump in dist.density_jumps():
         phi_prime += jump * np.diagonal(_others_product(dist.cdf(loc - gaps[:, None] + gaps), mult))[inverse]
-    rank = np.argsort(np.argsort(lam, kind="stable")) + 1  # ties broken by index
-    return SelectionProbe(lam, gap, rank, phi, phi_prime, float(errs.max()), n_evals, n_panels)
+    return SelectionProbe(
+        lam=lam,
+        lambda_gap=gap,
+        rank=np.argsort(np.argsort(lam, kind="stable")) + 1,  # ties broken by index
+        phi=phi,
+        phi_prime=phi_prime,
+        quad_error=float(errs.max()),
+        n_evals=n_evals,
+        n_panels=n_panels,
+    )
 
 
 def phi_values(lam, dist, tol: float = 1e-9):
@@ -230,21 +251,33 @@ def phi_monte_carlo(lam, dist, n, rng):
     return phat, ci
 
 
-def phi_scan(dist, lambda_of_c, c_grid, tol=1e-8):
+def phi_scan(dist, lambda_of_c, c_grid, tol=1e-8, on_probe=None):
     """``phi_quadrature`` at lambda_of_c(c) for each c of a grid.
 
     Returns one row per (c, arm) with the keys c, i (1-based), sigma_i (the
-    rank), lambda_gap, phi, phi_prime, ratio_1, ratio_32, and the probe's
-    quad_error, n_evals and n_panels.
+    rank), lambda_gap, phi, phi_prime, ratio_1, ratio_32 and quad_error.
+    ``on_probe(c, probe)``, if given, is called with each probe.
     """
     rows = []
     for c in c_grid:
-        p = phi_quadrature(lambda_of_c(c), dist, tol)
-        columns = dict(sigma_i=p.rank, lambda_gap=p.lambda_gap, phi=p.phi, phi_prime=p.phi_prime,
-                       ratio_1=p.ratio_1, ratio_32=p.ratio_32)
-        for i in range(len(p.phi)):
-            rows.append({"c": float(c), "i": i + 1, **{k: v[i].item() for k, v in columns.items()},
-                         "quad_error": p.quad_error, "n_evals": p.n_evals, "n_panels": p.n_panels})
+        probe = phi_quadrature(lambda_of_c(c), dist, tol)
+        if on_probe is not None:
+            on_probe(c, probe)
+        ratio_1, ratio_32 = probe.ratio_1, probe.ratio_32
+        for i in range(len(probe.phi)):
+            rows.append(
+                {
+                    "c": float(c),
+                    "i": i + 1,
+                    "sigma_i": int(probe.rank[i]),
+                    "lambda_gap": float(probe.lambda_gap[i]),
+                    "phi": float(probe.phi[i]),
+                    "phi_prime": float(probe.phi_prime[i]),
+                    "ratio_1": float(ratio_1[i]),
+                    "ratio_32": float(ratio_32[i]),
+                    "quad_error": probe.quad_error,
+                }
+            )
     return rows
 
 

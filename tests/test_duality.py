@@ -16,7 +16,7 @@ from pllab.distributions import (
     SymmetricPareto,
     parse_dist,
 )
-from pllab.errors import DomainError, GridError, NonIntegrable, SupportError
+from pllab.errors import DomainError, GridError, NonIntegrable, SupportError, ToleranceNotMet
 
 FULL_SUPPORT = [
     SymmetricPareto(2.0),
@@ -48,6 +48,17 @@ class TestPotential:
     def test_rejects_heavy_tail(self):
         with pytest.raises(NonIntegrable):
             duality.potential([0.0, 0.0], SymmetricPareto(0.8))
+
+    @pytest.mark.parametrize("alpha", [1.12, 1.5, 2.0, 3.0])
+    def test_frechet_pair_is_its_expected_maximum(self, alpha):
+        # the larger of two Frechet(alpha) draws is Frechet with scale 2^(1/alpha)
+        exact = 2.0 ** (1.0 / alpha) * math.gamma(1.0 - 1.0 / alpha)
+        assert abs(duality.potential([0.0, 0.0], Frechet(alpha)) - exact) <= 1e-9
+
+    def test_tail_too_heavy_for_the_kernel(self):
+        # below index 1 + 1/9 much of z f(z)'s mass lies where f underflows
+        with pytest.raises(ToleranceNotMet):
+            duality.potential([0.0, 0.0], Frechet(1.1))
 
     def test_preconditions(self):
         for nu, tol in (([0.5], 1e-9), ([0.0, np.inf], 1e-9), ([0.0, 1.0], 1e-3)):

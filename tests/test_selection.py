@@ -281,10 +281,12 @@ class TestWork:
 
     def test_inversion_step_integrates_arm_1_only(self):
         dist = parse_dist("splareto:a=2")
-        full = phi_values([0.0, 2.0, 2.0], dist, tol=1e-10)
-        _, _, values, _, n_evals, n_panels = selection._phi([0.0, 2.0, 2.0], dist, 1e-10, with_prime=False, arms=(0,))
+        full = selection._phi([0.0, 2.0, 2.0], dist, 1e-10, with_prime=False)
+        _, _, values, errs, n_evals, n_panels = selection._phi([0.0, 2.0, 2.0], dist, 1e-10, with_prime=False,
+                                                               arms=(0,))
         assert n_evals == 15 * n_panels
-        assert values.shape == (1, 1) and abs(values[0, 0] - full[0]) <= 1e-15  # same panels, other sum order
+        # arm 1 alone refines on its own error estimate, so its panels may differ from the all-arms run's
+        assert values.shape == (1, 1) and abs(values[0, 0] - full[2][0, 0]) <= errs[0] + full[3][0]
 
     def test_probe_reports_its_work(self):
         probe = phi_quadrature([0.0, 1.0, 1.0, 3.0], SymmetricPareto(2.0), tol=1e-8)
