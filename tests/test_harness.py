@@ -266,6 +266,19 @@ class TestCli:
         assert lines[0].startswith("c,i,sigma_i,phi")
         assert len(lines) == 1 + 3 * 3
 
+    def test_out_file_is_replaced_whole(self, tmp_path):
+        argv = ["analyze-phi", "--dist", "lp", "--lambda", "0,c", "--c-grid", "1:1"]
+        assert cli.main(argv + ["--out", str(tmp_path / "fresh.csv")]) == 0
+        out = tmp_path / "reused.csv"
+        out.write_text("stale\n" * 1000)
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        assert out.read_bytes() == (tmp_path / "fresh.csv").read_bytes()
+        reg = ["duality", "regscan", "--x", "0.4:0.5", "--points", "2", "--out", str(out)]
+        assert cli.main(reg) == 0
+        assert out.read_text().splitlines()[0] == "x,c,lower,upper,tsallis_ref"
+        assert len(out.read_text().splitlines()) == 3
+        assert cli.main(argv + ["--out", os.devnull]) == 0
+
     def test_analyze_phi_stats_go_to_stderr(self, tmp_path, capsys):
         argv = ["analyze-phi", "--dist", "lp", "--lambda", "0,c,c", "--c-grid", "1:3:2"]
         assert cli.main(argv + ["--out", str(tmp_path / "plain.csv")]) == 0
