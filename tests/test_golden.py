@@ -4,13 +4,15 @@ quadrature values.
 A regret CSV is a pure function of its config (see ``harness``), so these
 hashes pin the sampling path of every perturbation law end to end: a change
 that moves any draw by enough to change an arm choice changes the bytes.
+The Tsallis FTRL hashes, at beta 0.3, 0.5 and 0.7 and on a switching
+environment, pin the exact simplex solver the same way.
 The ``analyze-phi`` hashes pin the selection kernel to the last bit,
 ``trunc(...)`` included for its finite-support edges; the exact
 ``two_arm_quantile`` and ``three_arm_regularizer_scan`` roots pin the phi
 inversions on top of it.  The exact ``phi_values`` / ``potential`` values
 pin the QUADPACK oracle in ``quadpack_oracle``, which the kernel must match
 to tolerance.  To regenerate after an intended change, print
-``_digest(tmp_path, policy)``, ``_phi_digest(tmp_path, spec, lam)`` and the
+``_digest(tmp_path, policy, env)``, ``_phi_digest(tmp_path, spec, lam)`` and the
 values for each entry below.
 """
 
@@ -38,11 +40,19 @@ GOLDEN = {
     "ftrl:tsallis:beta=0.5:m=0.23": "7e7314278d28213ae90a456b2f410a34ac3091a13243f3211cc390621037d2ec",
 }
 
+# Tsallis FTRL away from beta = 1/2, and on an adversarial (switching) environment
+SWITCH = "switch:phase=100,mu1=0.2|0.5|0.5,mu2=0.5|0.5|0.2"
+FTRL_GOLDEN = {
+    ("ftrl:tsallis:beta=0.3:m=0.23", ENV): "7174a2d6e2a02b8edb823607d21f1b07bb79cb855fc0a3cec7d40bb915735431",
+    ("ftrl:tsallis:beta=0.7:m=0.23", ENV): "b169371293f1b6bc6afe221536c2c7c67dd27830aafd2d25e3ccc64f61433718",
+    ("ftrl:tsallis:beta=0.5:m=0.23", SWITCH): "9f5bbbc486e1140047eb4fac49b962abfaff69aef13b5b4d7446f80ca8bea824",
+}
 
-def _digest(tmp_path, policy):
+
+def _digest(tmp_path, policy, env=ENV):
     out = tmp_path / "golden.csv"
     cfg = harness.ExperimentConfig(
-        policy=policy, env=ENV, horizon=300, runs=2, seed=7, out=str(out), threads=1
+        policy=policy, env=env, horizon=300, runs=2, seed=7, out=str(out), threads=1
     )
     harness.run_experiment(cfg)
     return hashlib.sha256(out.read_bytes()).hexdigest()
@@ -51,6 +61,11 @@ def _digest(tmp_path, policy):
 @pytest.mark.parametrize("policy", sorted(GOLDEN))
 def test_regret_csv_hash(tmp_path, policy):
     assert _digest(tmp_path, policy) == GOLDEN[policy]
+
+
+@pytest.mark.parametrize("policy,env", sorted(FTRL_GOLDEN))
+def test_ftrl_regret_csv_hash(tmp_path, policy, env):
+    assert _digest(tmp_path, policy, env) == FTRL_GOLDEN[policy, env]
 
 
 PHI_GOLDEN = {
