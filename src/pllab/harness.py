@@ -105,14 +105,15 @@ def run_streams(master_seed, run_index):
 
 
 # per-run counters of the policy state, totalled in the .meta sidecar
-COUNTERS = ("vectors_drawn", "resample_trials", "cap_hits")
+COUNTERS = ("vectors_drawn", "resample_trials", "cap_hits", "root_evals")
 
 
 def simulate_run(config: ExperimentConfig, run_index: int):
     """One bandit run: (regret curve on the checkpoint grid, run counters).
 
     The counters are the run's wall time ``wall_s`` and the policy state's
-    ``vectors_drawn``, ``resample_trials`` and ``cap_hits`` (0 for FTRL).
+    ``vectors_drawn``, ``resample_trials`` and ``cap_hits`` (0 for FTRL) and
+    ``root_evals`` (0 for FTPL and Shannon FTRL).
     """
     start = time.perf_counter()
     policy = parse_policy(config.policy)

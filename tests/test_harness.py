@@ -67,21 +67,28 @@ def read_meta(path):
 
 class TestRunMetadata:
     def test_meta_totals_do_not_depend_on_threads(self, tmp_path):
-        serial = small_config(tmp_path, "s.csv", runs=4, threads=1)
-        parallel = small_config(tmp_path, "p.csv", runs=4, threads=2)
-        harness.run_experiment(serial)
-        harness.run_experiment(parallel)
-        timing = {"wall_time_s", "parallel_degree", "run_wall_s"}
-        s, p = read_meta(serial.out + ".meta"), read_meta(parallel.out + ".meta")
-        assert (s["parallel_degree"], p["parallel_degree"]) == ("1", "2")
-        assert len(p["run_wall_s"].split(",")) == 4
-        counts = {k: v for k, v in s.items() if k not in timing}
-        assert counts == {k: v for k, v in p.items() if k not in timing}
-        for key in harness.COUNTERS:
-            per_run = [int(v) for v in counts["run_" + key].split(",")]
-            assert len(per_run) == 4 and sum(per_run) == int(counts[key])
-        assert int(counts["vectors_drawn"]) >= int(counts["resample_trials"]) >= 4 * 200
-        assert float(counts["cap_hit_rate"]) == int(counts["cap_hits"]) / (4 * 200)
+        totals = {}
+        for policy in ("ftpl:lp:m=0.23", "ftrl:tsallis:beta=0.5:m=0.23"):
+            serial = small_config(tmp_path, "s.csv", policy=policy, runs=4, threads=1)
+            parallel = small_config(tmp_path, "p.csv", policy=policy, runs=4, threads=2)
+            harness.run_experiment(serial)
+            harness.run_experiment(parallel)
+            timing = {"wall_time_s", "parallel_degree", "run_wall_s"}
+            s, p = read_meta(serial.out + ".meta"), read_meta(parallel.out + ".meta")
+            assert (s["parallel_degree"], p["parallel_degree"]) == ("1", "2")
+            assert len(p["run_wall_s"].split(",")) == 4
+            counts = {k: v for k, v in s.items() if k not in timing}
+            assert counts == {k: v for k, v in p.items() if k not in timing}
+            for key in harness.COUNTERS:
+                per_run = [int(v) for v in counts["run_" + key].split(",")]
+                assert len(per_run) == 4 and sum(per_run) == int(counts[key])
+            assert float(counts["cap_hit_rate"]) == int(counts["cap_hits"]) / (4 * 200)
+            totals[policy.partition(":")[0]] = {key: int(counts[key]) for key in harness.COUNTERS}
+        ftpl, ftrl = totals["ftpl"], totals["ftrl"]
+        assert ftpl["vectors_drawn"] >= ftpl["resample_trials"] >= 4 * 200 and ftpl["root_evals"] == 0
+        # at least one defect evaluation per round, and no perturbations
+        assert ftrl["root_evals"] >= 4 * 200
+        assert ftrl["vectors_drawn"] == ftrl["resample_trials"] == ftrl["cap_hits"] == 0
 
     def test_ftpl_run_reads_perturbations_in_chunks(self, monkeypatch):
         calls = []
@@ -303,6 +310,12 @@ class TestCli:
         [
             SIM + ["--policy", "ftpl:lp:m=x", "--env", "bern:0.1,0.2"],
             SIM + ["--policy", "ftpl:lp:m=0.2:cap=q", "--env", "bern:0.1,0.2"],
+            SIM + ["--policy", "ftrl:tsallis:beta=0.5:m=nan", "--env", "bern:0.1,0.2"],
+            SIM + ["--policy", "ftrl:tsallis:beta=0.5:m=inf", "--env", "bern:0.1,0.2"],
+            SIM + ["--policy", "ftpl:lp:m=nan", "--env", "bern:0.1,0.2"],
+            SIM + ["--policy", "ftrl:shannon:m=nan", "--env", "bern:0.1,0.2"],
+            SIM + ["--policy", "ftpl:lp:m=0.2:cap=0", "--env", "bern:0.1,0.2"],
+            SIM + ["--policy", "ftpl:lp:m=0.2:cap=-3", "--env", "bern:0.1,0.2"],
             SIM + ["--policy", "ftpl:lp:m=0.2", "--env", "switch:phase=10"],
             SIM + ["--policy", "ftpl:lp:m=0.2", "--env", "bern:0.1,x"],
             SIM + ["--policy", "ftpl:lp:m=0.2", "--env", "sched:bad.csv"],
@@ -326,7 +339,8 @@ class TestCli:
             ["duality", "sanity-normal", "--n", "0"],
             ["duality", "sanity-normal", "--n", "3000"],
         ],
-        ids=["policy-m", "policy-cap", "switch-missing-mu", "bern-number", "sched-number", "sched-short",
+        ids=["policy-m", "policy-cap", "tsallis-m-nan", "tsallis-m-inf", "ftpl-m-nan", "shannon-m-nan", "cap-zero",
+             "cap-negative", "switch-missing-mu", "bern-number", "sched-number", "sched-short",
              "verdict-no-K", "verdict-no-gaps", "verdict-no-rows", "verdict-bad-cell", "lambda-number",
              "lambda-scaled-number", "grid-number", "grid-zero-step", "regscan-x-no-colon",
              "regscan-points-negative", "regscan-points-zero", "ift-n-zero", "ift-n-negative",

@@ -20,6 +20,7 @@ from pllab.policies import (
     ftrl_update,
     geometric_resample,
     _perturbations,
+    _tsallis_root,
     kkt_residual,
     parse_policy,
     shannon_weights,
@@ -248,6 +249,31 @@ class TestFtrlSolver:
             assert abs(p.sum() - 1.0) <= 1e-10
             assert kkt_residual(q, p, beta) <= 1e-8
 
+    @pytest.mark.parametrize("beta", [0.0546875, 0.3, 0.5, 0.7])
+    def test_single_arm_has_weight_one(self, beta):
+        # defect(hi) rounds below 0 here, so a bracket [lo, hi] holds no sign change
+        p, c = tsallis_weights([1.0], beta)
+        assert p.tolist() == [1.0]
+
+    def test_warm_start_from_previous_root(self):
+        state = PolicyState.fresh(8, 0.23, np.random.default_rng(2))
+        evals = []
+        for t in range(200):
+            before = state.root_evals
+            arm, p = ftrl_select(state, Tsallis(0.5))
+            evals.append(state.root_evals - before)
+            cold = _tsallis_root(state.eta * state.lhat, 0.5)
+            ulp = abs(np.spacing(cold[1]))
+            assert abs(state.last_c - cold[1]) <= 4 * ulp
+            np.testing.assert_allclose(p, cold[0], rtol=0, atol=1e-15)
+            # restarted at its own root, the solver stays within an ulp or two in 1-3 evaluations
+            warm = _tsallis_root(state.eta * state.lhat, 0.5, cold[1])
+            assert abs(warm[1] - cold[1]) <= 2 * ulp and warm[2] <= 3
+            ftrl_update(state, arm, 1.0 if arm else 0.0, p)
+        assert min(evals) >= 1 and sum(evals) / len(evals) < 6
+        _, _ = ftrl_select(state, Shannon())
+        assert state.root_evals == sum(evals)
+
     def test_simplex_output(self):
         rng = np.random.default_rng(9)
         state = PolicyState.fresh(6, 0.7, rng)
@@ -303,6 +329,12 @@ class TestPolicyParsing:
         assert pol.regularizer == Shannon()
 
     def test_bad_specs(self):
-        for bad in ("ftpl:lp", "ftrl:tsallis:beta=0.5", "nope:m=1", "ftrl:huber:m=1"):
+        for bad in ("ftpl:lp", "ftrl:tsallis:beta=0.5", "nope:m=1", "ftrl:huber:m=1", "ftpl:lp:m=0.2:cap=0",
+                    "ftpl:lp:m=0.2:cap=-3"):
             with pytest.raises(DomainError):
                 parse_policy(bad)
+
+    @pytest.mark.parametrize("m", [0.0, -1.0, math.nan, math.inf])
+    def test_fresh_state_needs_finite_positive_m(self, m):
+        with pytest.raises(DomainError):
+            PolicyState.fresh(3, m, np.random.default_rng(0))
