@@ -219,41 +219,45 @@ def tsallis_weights(q, beta, start=None):
 def _tsallis_root(q, beta, start=None):
     """``tsallis_weights`` plus the number of defect evaluations it took: (p, c, evals).
 
-    The iteration starts at min(start, hi), where hi = min q - beta/(1-beta)
-    gives the closest arm alone mass 1, so defect(hi) >= 0.  It stops at the
-    first step that does not lower c, which in floating point is the root to
-    rounding.  A non-finite defect, such as a q whose spread is below float
-    resolution, or more than ``NEWTON_MAX_EVALS`` evaluations raise
-    ``SolverDiverged``.
+    The iteration runs on b = ratio c, where ratio = (1-beta)/beta, so that
+    p_i = (ratio q_i - b)^expo.  It starts at min(ratio start, hi), where
+    hi = ratio min q - 1 gives the closest arm alone mass 1, so defect(hi)
+    >= 0, and stops at the first step that does not lower b: in floating
+    point, the root to rounding.  ``SolverDiverged`` is raised when min q is
+    too large for any float b below it (an m of 1e300 does this), on a
+    non-finite defect and after ``NEWTON_MAX_EVALS`` evaluations.
     """
     q = np.asarray(q, dtype=float)
     ratio = (1.0 - beta) / beta
     expo = -1.0 / (1.0 - beta)
     rq = ratio * q
-    hi = float(q.min()) - 1.0 / ratio
-    c = start if start is not None and start < hi else hi
+    top = float(rq.min())
+    hi = top - 1.0
+    if not hi < top:  # then every b <= hi leaves rq - b > 0
+        raise SolverDiverged(f"min q = {float(q.min())!r} leaves no float below it for the Tsallis root")
+    b = ratio * start if start is not None and ratio * start < hi else hi
     add = np.add.reduce
     for evals in range(1, NEWTON_MAX_EVALS + 1):
-        x = rq - ratio * c
+        x = rq - b
         p = x ** expo
         defect = float(add(p)) - 1.0
         if not math.isfinite(defect):
-            raise SolverDiverged(f"normalization defect {defect} at c={c!r}")
-        slope = -expo * ratio * float(add(p / x))  # d defect / dc > 0
+            raise SolverDiverged(f"normalization defect {defect} at c={b / ratio!r}")
+        slope = -expo * float(add(p / x))  # d defect / db > 0
         if evals == 1 and defect < 0.0:
             # left of the root: the tangent of a convex function lands right of it
-            c = min(c - defect / slope, hi) if slope > 0.0 else hi
+            b = min(b - defect / slope, hi) if slope > 0.0 else hi
             continue
-        lower = c - defect / slope
-        if not lower < c:
+        lower = b - defect / slope
+        if not lower < b:
             break
-        c = lower
+        b = lower
     else:
         raise SolverDiverged(f"Newton iteration exceeded {NEWTON_MAX_EVALS} evaluations")
     total = p.sum()
     if abs(total - 1.0) > 1e-10:
         raise SolverDiverged(f"normalization residual {abs(total - 1.0):.2e}")
-    return p / total, c, evals
+    return p / total, b / ratio, evals
 
 
 def ftrl_select(state: PolicyState, regularizer):
