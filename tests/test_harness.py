@@ -312,6 +312,7 @@ class TestCli:
             SIM + ["--policy", "ftpl:lp:m=0.2:cap=q", "--env", "bern:0.1,0.2"],
             SIM + ["--policy", "ftrl:tsallis:beta=0.5:m=nan", "--env", "bern:0.1,0.2"],
             SIM + ["--policy", "ftrl:tsallis:beta=0.5:m=inf", "--env", "bern:0.1,0.2"],
+            SIM + ["--policy", "ftrl:tsallis:beta=0.5:m=1e300", "--env", "bern:0.1,0.2"],
             SIM + ["--policy", "ftpl:lp:m=nan", "--env", "bern:0.1,0.2"],
             SIM + ["--policy", "ftrl:shannon:m=nan", "--env", "bern:0.1,0.2"],
             SIM + ["--policy", "ftpl:lp:m=0.2:cap=0", "--env", "bern:0.1,0.2"],
@@ -339,7 +340,7 @@ class TestCli:
             ["duality", "sanity-normal", "--n", "0"],
             ["duality", "sanity-normal", "--n", "3000"],
         ],
-        ids=["policy-m", "policy-cap", "tsallis-m-nan", "tsallis-m-inf", "ftpl-m-nan", "shannon-m-nan", "cap-zero",
+        ids=["policy-m", "policy-cap", "tsallis-m-nan", "tsallis-m-inf", "tsallis-m-huge", "ftpl-m-nan", "shannon-m-nan", "cap-zero",
              "cap-negative", "switch-missing-mu", "bern-number", "sched-number", "sched-short",
              "verdict-no-K", "verdict-no-gaps", "verdict-no-rows", "verdict-bad-cell", "lambda-number",
              "lambda-scaled-number", "grid-number", "grid-zero-step", "regscan-x-no-colon",
