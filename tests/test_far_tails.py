@@ -1,7 +1,8 @@
 """Far-tail robustness of every law the spec language can build.
 
-Each evaluator must stay finite out to |x| = 1e300, and the separately
-computed CDF and survival function must still add up to 1.
+Each evaluator must stay finite out to |x| = 1e300 and return a Python
+float for a float argument, and the separately computed CDF and survival
+function must still add up to 1.
 """
 
 import warnings
@@ -46,5 +47,6 @@ def test_evaluators_finite_and_cdf_plus_sf_is_one(spec):
         for m, v in values.items():
             assert np.all(np.isfinite(v)), (spec, m, XS[~np.isfinite(v)])
             for x in XS[::12]:
-                assert np.isfinite(getattr(dist, m)(float(x))), (spec, m, x)
+                s = getattr(dist, m)(float(x))
+                assert type(s) is float and np.isfinite(s), (spec, m, x, s)
     assert np.max(np.abs(values["cdf"] + values["sf"] - 1.0)) <= 4e-16, spec

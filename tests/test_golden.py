@@ -11,12 +11,15 @@ The ``analyze-phi`` hashes pin the selection kernel to the last bit,
 ``two_arm_quantile`` and ``three_arm_regularizer_scan`` roots pin the phi
 inversions on top of it.  The exact ``phi_values`` / ``potential`` values
 pin the QUADPACK oracle in ``quadpack_oracle``, which the kernel must match
-to tolerance.  To regenerate after an intended change, print
-``_digest(tmp_path, policy, env)``, ``_phi_digest(tmp_path, spec, lam)`` and the
-values for each entry below.
+to tolerance.  The scalar hash pins ``cdf`` / ``sf`` / ``pdf`` / ``pdf_prime``
+of four glued laws at Python-float arguments out to |x| = 1e300.  To
+regenerate after an intended change, print ``_digest(tmp_path, policy, env)``,
+``_phi_digest(tmp_path, spec, lam)``, ``_scalar_digest()`` and the values for
+each entry below.
 """
 
 import hashlib
+import struct
 
 import numpy as np
 import pytest
@@ -131,3 +134,26 @@ def test_phi_inversions_exact():
         assert duality.two_arm_quantile(x, dist) == c
     rows = duality.three_arm_regularizer_scan(sorted(REGSCAN_GOLDEN), dist)
     assert [r["c"] for r in rows] == [REGSCAN_GOLDEN[x] for x in sorted(REGSCAN_GOLDEN)]
+
+
+# scalar evaluations (Python floats in and out) of glued laws, far tails included
+SCALAR_SPECS = ("splareto:a=2", "lp", "asp:2,3", "hybrid:right=trunc(frechet:2),left=gpd:3,1.5")
+_G = np.geomspace(1e-6, 1e300, 241)
+SCALAR_XS = np.concatenate([-_G[::-1], [0.0], _G])
+SCALAR_GOLDEN = "cc789e1d2fa1bf800a8b7acb2a9afeac9a22585b440852ed88ec32441a619c2b"
+
+
+def _scalar_digest():
+    h = hashlib.sha256()
+    for spec in SCALAR_SPECS:
+        dist = parse_dist(spec)
+        for m in ("cdf", "sf", "pdf", "pdf_prime"):
+            for x in SCALAR_XS:
+                v = getattr(dist, m)(float(x))
+                assert type(v) is float, (spec, m, x, type(v))
+                h.update(struct.pack("<d", v))
+    return h.hexdigest()
+
+
+def test_scalar_evaluators_exact():
+    assert _scalar_digest() == SCALAR_GOLDEN
