@@ -10,9 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
-import os
 import sys
-from stat import S_ISREG
 
 import numpy as np
 
@@ -36,22 +34,6 @@ def _parse_grid(text):
         raise PllabError(f"grid spec {text!r} needs finite numbers and a nonzero step")
     n = int(math.floor((stop - start) / step + 1e-9)) + 1
     return start + step * np.arange(max(n, 1))
-
-
-def _write_text(path, text):
-    """Replace the contents of ``path`` with ``text``, creating the file if need be.
-
-    A regular file is overwritten in place and cut to length after the
-    write rather than opened with truncation: ext4 forces a file truncated
-    to zero and rewritten out to disk when it is closed, one blocking write
-    per call.  Devices and pipes (``/dev/null``, ``/dev/stdout``) cannot be
-    cut and are written as they are.
-    """
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-    with open(fd, "w") as fh:
-        fh.write(text)
-        if S_ISREG(os.fstat(fd).st_mode):
-            fh.truncate()
 
 
 def _lambda_template(text):
@@ -146,7 +128,7 @@ def _cmd_analyze_phi(args):
     ]
     text = "\n".join(lines) + "\n"
     if args.out:
-        _write_text(args.out, text)
+        harness._write_text(args.out, text)
         print(f"wrote {args.out} ({len(grid)} grid points)")
     else:
         print(text, end="")
@@ -161,7 +143,7 @@ def _cmd_check_dist(args):
         lines.append(f'{assumption},"{stat}",{value:.10g},{src},"{note}"')
     text = "\n".join(lines) + "\n"
     if args.out:
-        _write_text(args.out, text)
+        harness._write_text(args.out, text)
         print(f"wrote {args.out}")
     else:
         print(text, end="")
@@ -185,7 +167,7 @@ def _cmd_duality_ift(args):
             f"{x:.17g},{res.pdf[i]:.17g},{res.imag_residual[i]:.3g},"
             f"{res.cdf[i]:.17g},{ref_sp[i]:.17g},{ref_lap[i]:.17g}"
         )
-    _write_text(args.out, "\n".join(lines) + "\n")
+    harness._write_text(args.out, "\n".join(lines) + "\n")
     final = res.cdf[-1]
     max_imag = float(np.max(np.abs(res.imag_residual)))
     print(f"wrote {args.out}; cdf final {final:.4f}, max |imag| {max_imag:.2e}")
@@ -209,7 +191,7 @@ def _cmd_duality_regscan(args):
             f"{row['upper']:.17g},{row['tsallis_ref']:.17g}"
         )
         ok &= row["lower"] <= row["c"] <= row["upper"]
-    _write_text(args.out, "\n".join(lines) + "\n")
+    harness._write_text(args.out, "\n".join(lines) + "\n")
     print(f"wrote {args.out}; envelope {'holds' if ok else 'VIOLATED'} at all {len(rows)} points")
     return 0 if ok else 1
 

@@ -365,12 +365,10 @@ class Hybrid(PerturbationDistribution):
     def _glue(self, x, raw):
         """(x < 0, h): h is half the left half's raw formula ``raw`` at -x
         where x < 0 and half the right half's at x elsewhere."""
-        if _is_scalar(x):
-            x = np.float64(x)
-            neg = bool(x < 0.0)
-            return neg, 0.5 * float(getattr(self.left if neg else self.right, raw)(abs(x)))
         x = np.asarray(x, dtype=float)
-        y = np.abs(x)
+        # [()] hands 0-d input to the halves as a numpy scalar, as in
+        # OneSided._on_half_line, so scalars round as they always have
+        y = np.abs(x)[()]
         left = getattr(self.left, raw)(y)
         right = left if self.left is self.right else getattr(self.right, raw)(y)
         neg = x < 0.0
@@ -378,18 +376,18 @@ class Hybrid(PerturbationDistribution):
 
     def cdf(self, x):
         neg, h = self._glue(x, "_sf")
-        return _pick(neg, h, 1.0 - h)
+        return _scalarize(x, np.where(neg, h, 1.0 - h))
 
     def sf(self, x):
         neg, h = self._glue(x, "_sf")
-        return _pick(neg, 1.0 - h, h)
+        return _scalarize(x, np.where(neg, 1.0 - h, h))
 
     def pdf(self, x):
-        return self._glue(x, "_pdf")[1]
+        return _scalarize(x, self._glue(x, "_pdf")[1])
 
     def pdf_prime(self, x):
         neg, h = self._glue(x, "_pdf_prime")
-        return _pick(neg, -h, h)
+        return _scalarize(x, np.where(neg, -h, h))
 
     def _quantile(self, u):
         low = u < 0.5
@@ -412,10 +410,6 @@ class Hybrid(PerturbationDistribution):
 
     def __repr__(self):
         return f"Hybrid(right={self.right!r}, left={self.left!r})"
-
-
-def _pick(cond, a, b):
-    return np.where(cond, a, b) if isinstance(cond, np.ndarray) else (a if cond else b)
 
 
 def SymmetricPareto(a=2.0):

@@ -17,7 +17,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.optimize import brentq, root
 from scipy.special import ndtri
 
@@ -28,7 +27,6 @@ from .errors import (
     NonIntegrable,
     RootFindFailed,
     SupportError,
-    ToleranceNotMet,
 )
 
 __all__ = [
@@ -40,7 +38,6 @@ __all__ = [
     "two_arm_quantile",
     "tsallis_quantile",
     "tsallis_von_mises_ratio",
-    "char_fn",
     "char_fn_grid",
     "ift_frequencies",
     "ift_density",
@@ -240,29 +237,6 @@ def correlated_tsallis_sampler(beta, rng, size=None):
 # characteristic function and inverse-FFT pipeline
 # ---------------------------------------------------------------------------
 
-def char_fn(t, quantile, eps: float = 1e-4, tol: float = 1e-8) -> complex:
-    """gbar(t) = integral_{eps}^{1-eps} exp(i t c(p)) dp by adaptive quadrature.
-
-    At t = 0 this equals 1 - 2 eps exactly; for an antisymmetric quantile the
-    imaginary part vanishes up to the quadrature tolerance.
-    """
-    if not 0.0 < eps <= 1e-3:
-        raise DomainError("eps must lie in (0, 1e-3]")
-    val, err = quad(
-        lambda p: np.exp(1j * t * quantile(p)),
-        eps,
-        1.0 - eps,
-        epsabs=tol,
-        epsrel=1e-10,
-        limit=800,
-        complex_func=True,
-        points=[0.5],
-    )
-    if abs(err) > 100.0 * tol:
-        raise ToleranceNotMet(abs(err), tol)
-    return complex(val)
-
-
 def _invert_monotone(fn, targets, lo, hi, iters=90):
     """Vectorized bisection inverse of an increasing function on [lo, hi]."""
     a = np.full_like(targets, lo, dtype=float)
@@ -276,19 +250,25 @@ def _invert_monotone(fn, targets, lo, hi, iters=90):
 
 
 def char_fn_grid(ts, quantile, eps: float = 1e-4):
-    """gbar on a whole frequency grid via composite Gauss-Legendre panels.
+    """gbar(t) = integral_{eps}^{1-eps} exp(i t c(p)) dp on an arithmetic frequency grid.
 
-    Panels of 24 nodes are uniform in c-space (so oscillations of
-    exp(i t c) are equally resolved everywhere: at most 6 radians per panel
-    at the largest requested |t|), which makes them adaptively thin where
-    the quantile is steep.  For an arithmetic grid the phase factors advance
-    by a constant complex multiplier per frequency, reducing the whole
-    evaluation to one vector recursion.
+    Composite Gauss-Legendre panels of 24 nodes are uniform in c-space (so
+    oscillations of exp(i t c) are equally resolved everywhere: at most 6
+    radians per panel at the largest requested |t|), which makes them
+    adaptively thin where the quantile is steep.  On an arithmetic grid the
+    phase factors advance by a constant complex multiplier per frequency,
+    reducing the whole evaluation to one vector recursion.  ``ts`` must be a
+    non-empty arithmetic grid of finite frequencies; one point is allowed.
     """
     if not 0.0 < eps <= 1e-3:
         raise DomainError("eps must lie in (0, 1e-3]")
     ts = np.asarray(ts, dtype=float)
-    t_max = float(np.max(np.abs(ts))) if len(ts) else 0.0
+    if ts.ndim != 1 or not len(ts) or not np.all(np.isfinite(ts)):
+        raise DomainError("ts must be a non-empty 1-d grid of finite frequencies")
+    diffs = np.diff(ts)
+    if not np.allclose(diffs, diffs[:1], rtol=1e-12, atol=0.0):
+        raise DomainError("ts must be an arithmetic grid")
+    t_max = float(np.max(np.abs(ts)))
     c_lo = float(quantile(np.asarray(eps)))
     c_hi = float(quantile(np.asarray(1.0 - eps)))
     n_panels = int(min(300_000, max(48, math.ceil(t_max * (c_hi - c_lo) / 6.0))))
@@ -304,19 +284,13 @@ def char_fn_grid(ts, quantile, eps: float = 1e-4):
     wts = (half[:, None] * w_gl[None, :]).ravel()
     c_nodes = np.asarray(quantile(nodes), dtype=float)
 
-    diffs = np.diff(ts)
-    if len(ts) > 1 and np.allclose(diffs, diffs[0], rtol=1e-12, atol=0.0):
-        # arithmetic grid: exp(i t_k c) = exp(i t_0 c) * step^k
-        out = np.empty(len(ts), dtype=complex)
-        z = np.exp(1j * ts[0] * c_nodes)
-        step = np.exp(1j * diffs[0] * c_nodes)
-        for k in range(len(ts)):
-            out[k] = z @ wts
-            z *= step
-        return out
+    # exp(i t_k c) = exp(i t_0 c) * step^k
     out = np.empty(len(ts), dtype=complex)
-    for k, t in enumerate(ts):
-        out[k] = np.exp(1j * t * c_nodes) @ wts
+    z = np.exp(1j * ts[0] * c_nodes)
+    step = np.exp(1j * (diffs[0] if len(diffs) else 0.0) * c_nodes)
+    for k in range(len(ts)):
+        out[k] = z @ wts
+        z *= step
     return out
 
 

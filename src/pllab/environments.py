@@ -22,6 +22,8 @@ __all__ = [
     "parse_environment",
 ]
 
+CHECKPOINT_RATIO = 1.25  # checkpoint_grid's geometric ratio
+
 
 @dataclass(frozen=True)
 class StochasticBernoulli:
@@ -31,7 +33,7 @@ class StochasticBernoulli:
 
     def __post_init__(self):
         mu = np.asarray(self.mu, dtype=float)
-        if mu.ndim != 1 or len(mu) < 1 or np.any(mu < 0.0) or np.any(mu > 1.0):
+        if mu.ndim != 1 or len(mu) < 1 or not np.all((mu >= 0.0) & (mu <= 1.0)):
             raise DomainError("mu must be a vector in [0,1]^K")
         object.__setattr__(self, "mu", tuple(float(v) for v in mu))
 
@@ -66,7 +68,7 @@ class FixedSchedule:
 
     def __post_init__(self):
         arr = np.asarray(self.losses, dtype=float)
-        if arr.ndim != 2 or np.any(arr < 0.0) or np.any(arr > 1.0):
+        if arr.ndim != 2 or not np.all((arr >= 0.0) & (arr <= 1.0)):
             raise DomainError("schedule must be a (T, K) matrix with entries in [0,1]")
         object.__setattr__(self, "losses", arr)
 
@@ -96,7 +98,7 @@ class SwitchingAdversary:
             raise DomainError("phase length must be >= 1")
         for name in ("mu1", "mu2"):
             v = np.asarray(getattr(self, name), dtype=float)
-            if np.any(v < 0.0) or np.any(v > 1.0):
+            if not np.all((v >= 0.0) & (v <= 1.0)):
                 raise DomainError(f"{name} must lie in [0,1]^K")
             object.__setattr__(self, name, tuple(float(x) for x in v))
         if len(self.mu1) != len(self.mu2):
@@ -146,8 +148,8 @@ def check_horizon(model, horizon):
         raise ScheduleExhausted(f"schedule has {model.horizon} rounds, asked for {horizon}")
 
 
-def checkpoint_grid(horizon, ratio=1.25):
-    """Geometric round grid {ceil(ratio^k)} clipped to the horizon."""
+def checkpoint_grid(horizon):
+    """Geometric round grid {ceil(CHECKPOINT_RATIO^k)} clipped to the horizon."""
     pts = []
     v = 1.0
     while True:
@@ -156,7 +158,7 @@ def checkpoint_grid(horizon, ratio=1.25):
             break
         if not pts or t > pts[-1]:
             pts.append(t)
-        v *= ratio
+        v *= CHECKPOINT_RATIO
     pts.append(int(horizon))
     return np.asarray(pts, dtype=int)
 

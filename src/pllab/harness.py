@@ -19,6 +19,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, field
+from stat import S_ISREG
 
 import numpy as np
 
@@ -43,6 +44,10 @@ __all__ = [
 ]
 
 
+# ConfigParser lower-cases keys, so "T" reads back as "t"
+_CONFIG_KEYS = {"policy", "env", "t", "runs", "seed", "out", "threads"}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     policy: str
@@ -52,15 +57,16 @@ class ExperimentConfig:
     seed: int
     out: str | None = None
     threads: int | None = None
-    checkpoint_ratio: float = 1.25
 
     def __post_init__(self):
         if self.horizon < 1 or self.runs < 1:
             raise DomainError("horizon and runs must be positive")
+        if self.seed < 0:
+            raise DomainError(f"seed must be nonnegative, got {self.seed}")
 
     @classmethod
     def from_file(cls, path):
-        """Load the flat ``[experiment]`` key=value config format."""
+        """Load the flat ``[experiment]`` key=value config format; unknown keys are an error."""
         parser = configparser.ConfigParser()
         read = parser.read(path)
         if not read:
@@ -68,6 +74,9 @@ class ExperimentConfig:
         if "experiment" not in parser:
             raise DomainError(f"config file {path!r} lacks an [experiment] section")
         sec = parser["experiment"]
+        unknown = sorted(set(sec) - _CONFIG_KEYS)
+        if unknown:
+            raise DomainError(f"config file {path!r}: unknown [experiment] keys {unknown}")
         try:
             return cls(
                 policy=sec["policy"],
@@ -77,7 +86,6 @@ class ExperimentConfig:
                 seed=sec.getint("seed"),
                 out=sec.get("out", fallback=None),
                 threads=sec.getint("threads", fallback=None),
-                checkpoint_ratio=sec.getfloat("checkpoint_ratio", fallback=1.25),
             )
         except (KeyError, ValueError) as exc:
             raise DomainError(f"config file {path!r}: {exc}") from exc
@@ -91,7 +99,9 @@ class ExperimentConfig:
                 f"T={self.horizon}",
                 f"runs={self.runs}",
                 f"seed={self.seed}",
-                f"checkpoint_ratio={self.checkpoint_ratio!r}",
+                # fixed at environments.CHECKPOINT_RATIO; hashed still so that
+                # config hashes, and with them the golden regret CSVs, stay put
+                "checkpoint_ratio=1.25",
             ]
         )
         return hashlib.sha256(text.encode()).hexdigest()[:16]
@@ -120,7 +130,7 @@ def simulate_run(config: ExperimentConfig, run_index: int):
     model = parse_environment(config.env)
     env_rng, pol_rng = run_streams(config.seed, run_index)
     state = policy.fresh_state(model.k, pol_rng)
-    checkpoints = checkpoint_grid(config.horizon, config.checkpoint_ratio)
+    checkpoints = checkpoint_grid(config.horizon)
 
     losses = loss_rows(model, 1, config.horizon, env_rng)
     arms = np.empty(config.horizon, dtype=int)
@@ -132,6 +142,22 @@ def simulate_run(config: ExperimentConfig, run_index: int):
     counters = {key: getattr(state, key) for key in COUNTERS}
     counters["wall_s"] = time.perf_counter() - start
     return curve, counters
+
+
+def _write_text(path, text):
+    """Replace the contents of ``path`` with ``text``, creating the file if need be.
+
+    A regular file is overwritten in place and cut to length after the
+    write rather than opened with truncation: ext4 forces a file truncated
+    to zero and rewritten out to disk when it is closed, one blocking write
+    per call.  Devices and pipes (``/dev/null``, ``/dev/stdout``) cannot be
+    cut and are written as they are.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w") as fh:
+        fh.write(text)
+        if S_ISREG(os.fstat(fd).st_mode):
+            fh.truncate()
 
 
 def _meta_lines(wall, degree, runs, horizon):
@@ -177,11 +203,12 @@ class RegretTable:
             vals = [f"{mean[i]:.17g}", f"{stderr[i]:.17g}"]
             vals += [f"{self.curves[j, i]:.17g}" for j in range(runs)]
             lines.append(f"{int(t)}," + ",".join(vals))
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _write_text(path, "\n".join(lines) + "\n")
 
     @classmethod
     def read_csv(cls, path):
+        """Inverse of ``write_csv``: the header must read t,mean,stderr,run0,...,
+        and every row must have one cell per column."""
         metadata = {}
         rows = []
         header = None
@@ -196,9 +223,15 @@ class RegretTable:
                     continue
                 if header is None:
                     header = line.split(",")
+                    run_cols = [f"run{j}" for j in range(len(header) - 3)]
+                    if not run_cols or header != ["t", "mean", "stderr", *run_cols]:
+                        raise DomainError(f"{path}: header must read t,mean,stderr,run0,... got {line!r}")
                     continue
                 if line:
-                    rows.append([_number(v, path) for v in line.split(",")])
+                    cells = line.split(",")
+                    if len(cells) != len(header):
+                        raise DomainError(f"{path}: row {line!r} has {len(cells)} cells, header has {len(header)}")
+                    rows.append([_number(v, path) for v in cells])
         if not rows:
             raise DomainError(f"{path}: no regret rows below the header")
         arr = np.asarray(rows)
@@ -221,7 +254,7 @@ def run_experiment(config: ExperimentConfig) -> RegretTable:
     policy = parse_policy(config.policy)
     model = parse_environment(config.env)
     check_horizon(model, config.horizon)
-    checkpoints = checkpoint_grid(config.horizon, config.checkpoint_ratio)
+    checkpoints = checkpoint_grid(config.horizon)
     t0 = time.perf_counter()
     degree = _parallel_degree(config)
     jobs = [(config, j) for j in range(config.runs)]
@@ -252,8 +285,8 @@ def run_experiment(config: ExperimentConfig) -> RegretTable:
     table = RegretTable(checkpoints=checkpoints, curves=curves, metadata=metadata)
     if config.out:
         table.write_csv(config.out)
-        with open(config.out + ".meta", "w") as fh:
-            fh.write("\n".join(_meta_lines(wall, degree, [c for _, c in results], config.horizon)) + "\n")
+        meta = _meta_lines(wall, degree, [c for _, c in results], config.horizon)
+        _write_text(config.out + ".meta", "\n".join(meta) + "\n")
     return table
 
 

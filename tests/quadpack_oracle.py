@@ -1,12 +1,13 @@
-"""Scalar QUADPACK reference for the selection kernel.
+"""Scalar QUADPACK references for the selection kernel and the characteristic function.
 
-This is the loop ``selection._component_integrals`` ran before it became one
+The first is the loop ``selection._component_integrals`` ran before it became one
 vectorized Gauss-Kronrod kernel: ``scipy.integrate.quad`` on a Python
 integrand, one point at a time, on the z-line split at every shifted kink
 and at +-cut.  ``phi_quadrature``, ``phi_values`` and ``potential`` here
 return what the library functions of those names returned then, bit for
 bit, together with their error estimates.  The tests hold the kernel to
-this oracle; it is slow, so only tests call it.
+this oracle.  ``char_fn`` is the pointwise characteristic function that
+``duality.char_fn_grid`` is held to.  They are slow, so only tests call them.
 """
 
 import functools
@@ -18,6 +19,7 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
 from pllab import selection
+from pllab.errors import DomainError, ToleranceNotMet
 
 _TAIL_CUT = 50.0
 
@@ -103,3 +105,26 @@ def potential(nu, dist, tol=1e-9):
         dist, mu - nu, (lambda z, s: z * float(dist.pdf(z + s)),), tol / (2.0 * len(nu))
     )
     return float(functools.reduce(operator.add, values[:, 0], mu)), float(errs.sum())
+
+
+def char_fn(t, quantile, eps=1e-4, tol=1e-8):
+    """gbar(t) = integral_{eps}^{1-eps} exp(i t c(p)) dp by adaptive quadrature.
+
+    At t = 0 this equals 1 - 2 eps exactly; for an antisymmetric quantile the
+    imaginary part vanishes up to the quadrature tolerance.
+    """
+    if not 0.0 < eps <= 1e-3:
+        raise DomainError("eps must lie in (0, 1e-3]")
+    val, err = quad(
+        lambda p: np.exp(1j * t * quantile(p)),
+        eps,
+        1.0 - eps,
+        epsabs=tol,
+        epsrel=1e-10,
+        limit=800,
+        complex_func=True,
+        points=[0.5],
+    )
+    if abs(err) > 100.0 * tol:
+        raise ToleranceNotMet(abs(err), tol)
+    return complex(val)

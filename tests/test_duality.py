@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import quadpack_oracle
 
 from pllab import duality, selection
 from pllab.distributions import (
@@ -195,30 +196,42 @@ class TestTsallisLaw:
 
 class TestCharFn:
     def test_at_zero(self):
-        val = duality.char_fn(0.0, lambda p: duality.tsallis_quantile(p, 0.5))
+        val = quadpack_oracle.char_fn(0.0, lambda p: duality.tsallis_quantile(p, 0.5))
         assert val == pytest.approx(1.0 - 2e-4, abs=1e-12)
 
     def test_real_positive_for_tsallis(self):
         for t in (0.3, 1.0, 2.5, 6.0):
-            val = duality.char_fn(t, lambda p: duality.tsallis_quantile(p, 0.5))
+            val = quadpack_oracle.char_fn(t, lambda p: duality.tsallis_quantile(p, 0.5))
             assert abs(val.imag) <= 1e-7
             assert val.real > 0.0
 
     def test_modulus_bound(self):
         for t in (0.5, 2.0, 11.0):
-            val = duality.char_fn(t, lambda p: duality.tsallis_quantile(p, 0.5))
+            val = quadpack_oracle.char_fn(t, lambda p: duality.tsallis_quantile(p, 0.5))
             assert abs(val) <= 1.0
 
     def test_grid_matches_pointwise(self):
         q = lambda p: duality.tsallis_quantile(p, 0.5)
-        ts = np.array([0.4, 1.7, 5.0, 12.0])
+        ts = 0.4 + 1.3 * np.arange(9)
         grid = duality.char_fn_grid(ts, q)
         for t, g in zip(ts, grid):
-            assert abs(g - duality.char_fn(t, q)) <= 1e-9
+            assert abs(g - quadpack_oracle.char_fn(t, q)) <= 1e-9
+        # a one-point grid is arithmetic too
+        assert abs(duality.char_fn_grid(ts[-1:], q)[0] - quadpack_oracle.char_fn(ts[-1], q)) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "ts", [[0.4, 1.7, 5.0, 12.0], [], [0.0, np.nan], [1.0, np.inf], [[0.0, 1.0]]],
+        ids=["non-arithmetic", "empty", "nan", "inf", "2-d"],
+    )
+    def test_grid_must_be_arithmetic(self, ts):
+        with pytest.raises(DomainError):
+            duality.char_fn_grid(ts, lambda p: duality.tsallis_quantile(p, 0.5))
 
     def test_eps_domain(self):
         with pytest.raises(DomainError):
-            duality.char_fn(1.0, lambda p: p, eps=0.01)
+            quadpack_oracle.char_fn(1.0, lambda p: p, eps=0.01)
+        with pytest.raises(DomainError):
+            duality.char_fn_grid([1.0], lambda p: p, eps=0.01)
 
 
 class TestIft:

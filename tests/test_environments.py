@@ -1,5 +1,7 @@
 """Loss generation and regret accounting."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,13 @@ class TestLossGeneration:
             FixedSchedule(losses=np.array([[2.0]]))
         with pytest.raises(DomainError):
             SwitchingAdversary(phase=0, mu1=(0.1,), mu2=(0.2,))
+        # NaN compares false both ways, so it must fail the range check
+        with pytest.raises(DomainError):
+            StochasticBernoulli(mu=(0.1, math.nan))
+        with pytest.raises(DomainError):
+            FixedSchedule(losses=np.array([[0.1, math.nan]]))
+        with pytest.raises(DomainError):
+            SwitchingAdversary(phase=5, mu1=(0.1, 0.2), mu2=(0.3, math.nan))
 
 
 class TestRegret:

@@ -285,6 +285,17 @@ class TestCli:
         assert out.read_text().splitlines()[0] == "x,c,lower,upper,tsallis_ref"
         assert len(out.read_text().splitlines()) == 3
         assert cli.main(argv + ["--out", os.devnull]) == 0
+        sim = ["simulate", "--policy", "ftpl:lp:m=0.23", "--env", "bern:0.1,0.4", "--T", "50", "--runs", "2",
+               "--seed", "3", "--threads", "1"]
+        assert cli.main(sim + ["--out", str(tmp_path / "fresh_sim.csv")]) == 0
+        for suffix in ("", ".meta"):
+            (tmp_path / ("reused_sim.csv" + suffix)).write_text("stale\n" * 1000)
+        assert cli.main(sim + ["--out", str(tmp_path / "reused_sim.csv")]) == 0
+        assert (tmp_path / "reused_sim.csv").read_bytes() == (tmp_path / "fresh_sim.csv").read_bytes()
+        meta = (tmp_path / "reused_sim.csv.meta").read_text()
+        assert "stale" not in meta
+        assert meta.splitlines()[0].startswith("wall_time_s=")
+        assert len(meta.splitlines()) == len((tmp_path / "fresh_sim.csv.meta").read_text().splitlines())
 
     def test_analyze_phi_stats_go_to_stderr(self, tmp_path, capsys):
         argv = ["analyze-phi", "--dist", "lp", "--lambda", "0,c,c", "--c-grid", "1:3:2"]
@@ -322,10 +333,17 @@ class TestCli:
             SIM + ["--policy", "ftpl:lp:m=0.2", "--env", "sched:bad.csv"],
             SIM + ["--policy", "ftpl:lp:m=0.2", "--env", "sched:two.csv", "--T", "5", "--runs", "2",
                    "--threads", "2"],
+            SIM + ["--policy", "ftpl:lp:m=0.2", "--env", "bern:0.1,0.2", "--seed", "-1"],
+            SIM + ["--policy", "ftpl:lp:m=0.2", "--env", "bern:0.1,nan"],
+            SIM + ["--policy", "ftpl:lp:m=0.2", "--env", "switch:phase=5,mu1=0.1|0.2,mu2=0.3|nan"],
+            SIM + ["--policy", "ftpl:lp:m=0.2", "--env", "sched:nan.csv", "--T", "2"],
+            SIM + ["--config", "old.ini"],
             ["verdict", "--csv", "plain.csv", "--envelope", "advlp"],
             ["verdict", "--csv", "no_gaps.csv", "--envelope", "stolp"],
             ["verdict", "--csv", "bad.csv", "--envelope", "advlp"],
             ["verdict", "--csv", "bad_cell.csv", "--envelope", "advlp"],
+            ["verdict", "--csv", "short_row.csv", "--envelope", "advlp"],
+            ["verdict", "--csv", "no_run.csv", "--envelope", "advlp"],
             PHI + ["--lambda", "0,q", "--c-grid", "1:2"],
             PHI + ["--lambda", "0,2-c", "--c-grid", "1:2"],
             PHI + ["--lambda", "0,c", "--c-grid", "1:x"],
@@ -342,7 +360,9 @@ class TestCli:
         ],
         ids=["policy-m", "policy-cap", "tsallis-m-nan", "tsallis-m-inf", "tsallis-m-huge", "ftpl-m-nan", "shannon-m-nan", "cap-zero",
              "cap-negative", "switch-missing-mu", "bern-number", "sched-number", "sched-short",
-             "verdict-no-K", "verdict-no-gaps", "verdict-no-rows", "verdict-bad-cell", "lambda-number",
+             "seed-negative", "bern-nan", "switch-nan", "sched-nan", "config-unknown-key",
+             "verdict-no-K", "verdict-no-gaps", "verdict-no-rows", "verdict-bad-cell", "verdict-short-row",
+             "verdict-no-run-column", "lambda-number",
              "lambda-scaled-number", "grid-number", "grid-zero-step", "regscan-x-no-colon",
              "regscan-points-negative", "regscan-points-zero", "ift-n-zero", "ift-n-negative",
              "ift-n-not-power-of-two", "ift-empty-x-range", "sanity-n-zero", "sanity-n-not-power-of-two"],
@@ -354,6 +374,14 @@ class TestCli:
         (tmp_path / "plain.csv").write_text("t,mean,stderr,run0\n1,0.5,0,0.5\n")
         (tmp_path / "no_gaps.csv").write_text("# K=2\n# m=0.2\nt,mean,stderr,run0\n1,0.5,0,0.5\n")
         (tmp_path / "bad_cell.csv").write_text("# K=2\n# m=0.2\nt,mean,stderr,run0\n1,0.5,0,x\n")
+        (tmp_path / "short_row.csv").write_text("# K=2\n# m=0.2\nt,mean,stderr,run0\n1,0.5,0\n")
+        (tmp_path / "no_run.csv").write_text("# K=2\n# m=0.2\nt,mean,stderr\n1,0.5,0\n")
+        (tmp_path / "nan.csv").write_text("0.1,0.2\n0.3,nan\n")
+        # a key this version does not read; 2.0 keeps the grid finite where it was still read
+        (tmp_path / "old.ini").write_text(
+            "[experiment]\npolicy = ftpl:lp:m=0.2\nenv = bern:0.1,0.2\nT = 10\nruns = 1\nseed = 0\n"
+            "checkpoint_ratio = 2.0\n"
+        )
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
