@@ -24,7 +24,7 @@ from stat import S_ISREG
 import numpy as np
 
 from .distributions import _number
-from .environments import check_horizon, checkpoint_grid, loss_rows, parse_environment, regret
+from .environments import CHECKPOINT_RATIO, check_horizon, checkpoint_grid, loss_rows, parse_environment, regret
 from .environments import next_loss  # noqa: F401  (bench/tests checks the tracer patches this alias)
 from .errors import DomainError, MetadataMismatch
 from .policies import parse_policy
@@ -42,10 +42,6 @@ __all__ = [
     "VerdictReport",
     "log_growth_fit",
 ]
-
-
-# ConfigParser lower-cases keys, so "T" reads back as "t"
-_CONFIG_KEYS = {"policy", "env", "t", "runs", "seed", "out", "threads"}
 
 
 @dataclass(frozen=True)
@@ -73,22 +69,23 @@ class ExperimentConfig:
             raise DomainError(f"config file {path!r} not found")
         if "experiment" not in parser:
             raise DomainError(f"config file {path!r} lacks an [experiment] section")
-        sec = parser["experiment"]
-        unknown = sorted(set(sec) - _CONFIG_KEYS)
-        if unknown:
-            raise DomainError(f"config file {path!r}: unknown [experiment] keys {unknown}")
+        vals = dict(parser["experiment"])
         try:
-            return cls(
-                policy=sec["policy"],
-                env=sec["env"],
-                horizon=sec.getint("T"),
-                runs=sec.getint("runs"),
-                seed=sec.getint("seed"),
-                out=sec.get("out", fallback=None),
-                threads=sec.getint("threads", fallback=None),
+            threads = vals.pop("threads", None)
+            config = cls(
+                policy=vals.pop("policy"),
+                env=vals.pop("env"),
+                horizon=int(vals.pop("t")),  # ConfigParser lower-cases keys
+                runs=int(vals.pop("runs")),
+                seed=int(vals.pop("seed")),
+                out=vals.pop("out", None),
+                threads=None if threads is None else int(threads),
             )
         except (KeyError, ValueError) as exc:
             raise DomainError(f"config file {path!r}: {exc}") from exc
+        if vals:
+            raise DomainError(f"config file {path!r}: unknown [experiment] keys {sorted(vals)}")
+        return config
 
     def semantic_hash(self):
         """Hash of the fields that determine the numbers (not paths/threads)."""
@@ -99,9 +96,9 @@ class ExperimentConfig:
                 f"T={self.horizon}",
                 f"runs={self.runs}",
                 f"seed={self.seed}",
-                # fixed at environments.CHECKPOINT_RATIO; hashed still so that
-                # config hashes, and with them the golden regret CSVs, stay put
-                "checkpoint_ratio=1.25",
+                # the checkpoint grid's ratio is not a config field; it is
+                # hashed so that config hashes, and the golden CSVs, keep their values
+                f"checkpoint_ratio={CHECKPOINT_RATIO!r}",
             ]
         )
         return hashlib.sha256(text.encode()).hexdigest()[:16]
