@@ -12,10 +12,12 @@ The ``analyze-phi`` hashes pin the selection kernel to the last bit,
 inversions on top of it.  The exact ``phi_values`` / ``potential`` values
 pin the QUADPACK oracle in ``quadpack_oracle``, which the kernel must match
 to tolerance.  The scalar hash pins ``cdf`` / ``sf`` / ``pdf`` / ``pdf_prime``
-of four glued laws at Python-float arguments out to |x| = 1e300.  To
-regenerate after an intended change, print ``_digest(tmp_path, policy, env)``,
-``_phi_digest(tmp_path, spec, lam)``, ``_scalar_digest()`` and the values for
-each entry below.
+of four glued laws at Python-float arguments out to |x| = 1e300.  The
+``check-dist`` hashes pin the regularity diagnostics: the evaluation grid and
+the seeded block-maximum design.  To regenerate after an intended change,
+print ``_digest(tmp_path, policy, env)``, ``_phi_digest(tmp_path, spec, lam)``,
+``_scalar_digest()``, ``_check_dist_digest(tmp_path, spec)`` and the values
+for each entry below.
 """
 
 import hashlib
@@ -157,3 +159,24 @@ def _scalar_digest():
 
 def test_scalar_evaluators_exact():
     assert _scalar_digest() == SCALAR_GOLDEN
+
+
+CHECK_DIST_GOLDEN = {
+    "pareto:2": "e61d2a4604175c7c0b3427f4461626e130fedfa2b51f9c122472080dbb11c855",
+    "lp": "307ea57eb0b4fb452fdab2b9b2e04bd2097df3ec21a98935bf41b26d0bc74577",
+    "asp:2,3": "a582efda985bb65b5e93fb4f6929c917b68d01c725fcda2afa084ad87b542d4c",
+    "gumbel": "65d4b47de2bc181718db817d1e263d31f4e343e5488bdf7a1dd2a333d7f04826",
+    "frechet:2": "b7a289040a0df83db9dc44133489dc275c645ed55f3c2b05a2a55ac403421899",
+    "trunc(frechet:2)": "6b60a450b79aed35018b0ad9b7b984e74dfd84e86c40f78a482c9bd0e5dfbd81",
+}
+
+
+def _check_dist_digest(tmp_path, spec):
+    out = tmp_path / "check.csv"
+    assert cli.main(["check-dist", "--dist", spec, "--out", str(out)]) == 0
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("spec", sorted(CHECK_DIST_GOLDEN))
+def test_check_dist_csv_hash(tmp_path, spec):
+    assert _check_dist_digest(tmp_path, spec) == CHECK_DIST_GOLDEN[spec]
