@@ -54,8 +54,6 @@ __all__ = [
     "Laplace",
     "ParetoLomax",
     "parse_dist",
-    "GridSpec",
-    "McSpec",
     "AssumptionReport",
     "check_assumptions",
 ]
@@ -210,9 +208,6 @@ class GeneralizedPareto(OneSided):
     def _quantile(self, u):
         return self.scale * np.expm1(-np.log1p(-u) / self.beta)  # exact for tiny u, unlike _isf(1 - u)
 
-    def mean(self):
-        return self.scale / (self.beta - 1.0) if self.beta > 1.0 else math.nan
-
     def __repr__(self):
         return f"GeneralizedPareto({self.beta:g},scale={self.scale:g})"
 
@@ -256,9 +251,6 @@ class Frechet(OneSided):
     def _quantile(self, u):
         return (-np.log(u)) ** (-1.0 / self.alpha)  # exact for tiny u, unlike _isf(1 - u)
 
-    def mean(self):
-        return math.gamma(1.0 - 1.0 / self.alpha) if self.alpha > 1.0 else math.nan
-
     def __repr__(self):
         return f"Frechet({self.alpha:g})"
 
@@ -284,9 +276,6 @@ class Exponential(OneSided):
 
     def _isf(self, q):
         return np.log(q) / -self.rate
-
-    def mean(self):
-        return 1.0 / self.rate
 
     def __repr__(self):
         return f"Exponential(rate={self.rate:g})"
@@ -324,14 +313,6 @@ class Truncated(OneSided):
 
     def _isf(self, q):
         return self.inner._isf(q * self._mass) - 1.0
-
-    def mean(self):
-        """E[Y], the integral of the survival function over (0, inf)."""
-        if self.tail_index_right <= 1.0:
-            return math.nan
-        from scipy.integrate import quad
-
-        return quad(self.sf, 0.0, math.inf, limit=200)[0]
 
     def __repr__(self):
         return f"Truncated({self.inner!r})"
@@ -404,9 +385,6 @@ class Hybrid(PerturbationDistribution):
     def density_jumps(self):
         glue = 0.5 * (self.right.density_at_zero - self.left.density_at_zero)
         return ((0.0, glue),) if glue else ()
-
-    def mean(self):
-        return 0.5 * (self.right.mean() - self.left.mean())
 
     def __repr__(self):
         return f"Hybrid(right={self.right!r}, left={self.left!r})"
@@ -488,9 +466,6 @@ class Gumbel(PerturbationDistribution):
     def _quantile(self, u):
         return -np.log(-np.log(u))
 
-    def mean(self):
-        return float(np.euler_gamma)
-
 
 # ---------------------------------------------------------------------------
 # distribution-spec mini-language
@@ -570,29 +545,12 @@ def parse_dist(spec: str) -> PerturbationDistribution:
 # assumption checker
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Geometric evaluation grid for the tail diagnostics."""
-
-    x_min: float = 1e-3
-    x_max: float = 1e3
-    n: int = 2000
-
-    def __post_init__(self):
-        if self.x_max < 1e3:
-            raise DomainError("grid must reach at least 1e3 for tail diagnostics")
-
-    def points(self):
-        return np.geomspace(self.x_min, self.x_max, self.n)
-
-
-@dataclass(frozen=True)
-class McSpec:
-    """Monte-Carlo design for the block-maximum diagnostics."""
-
-    block_sizes: tuple[int, ...] = (8, 32, 128, 512)
-    n_blocks: int = 20000
-    seed: int = 0
+# geometric evaluation grid of the tail diagnostics (mirrored for two-sided laws)
+TAIL_GRID = np.geomspace(1e-3, 1e3, 2000)
+# Monte-Carlo design of the block-maximum diagnostics
+BLOCK_SIZES = (8, 32, 128, 512)
+N_BLOCKS = 20000
+MC_SEED = 0
 
 
 @dataclass
@@ -616,15 +574,13 @@ class AssumptionReport:
     neg_logderiv_sup: float
     von_mises_limit: float
     grid_points: int
-    mc_block_sizes: tuple[int, ...]
-    mc_blocks: int
     flags: set = field(default_factory=set)
     notes: list = field(default_factory=list)
 
     def rows(self):
         """(assumption, statistic, value, grid_or_mc, notes) rows for CSV export."""
         g = f"grid:{self.grid_points}"
-        m = f"mc:{self.mc_blocks}x{list(self.mc_block_sizes)}"
+        m = f"mc:{N_BLOCKS}x{list(BLOCK_SIZES)}"
         viol = "" if self.ff_first_violation is None else f"first violation at x={self.ff_first_violation:.6g}"
         return [
             ("bounded_hazard", "sup f/(1-F)", self.hazard_sup, g,
@@ -657,20 +613,20 @@ def _tail_trend_diverging(x, values):
     return float(tail[-1]) >= 0.98 * float(np.max(tail)) and float(tail[-1]) > 1.5 * float(np.max(mid))
 
 
-def check_assumptions(dist, grid: GridSpec | None = None, mc: McSpec | None = None):
+def check_assumptions(dist):
     """Evaluate the five regularity diagnostics for ``dist``.
 
+    The grid diagnostics run on ``TAIL_GRID`` and the block maxima on
+    ``N_BLOCKS`` blocks of each size in ``BLOCK_SIZES``, seeded by ``MC_SEED``.
     Block maxima are normalized by a_k = quantile(1 - 1/k); for two-sided
     laws the reciprocal statistic conditions on a positive block maximum
     (the complementary event has probability 2^-k) and says so in notes.
     """
-    grid = grid or GridSpec()
-    mc = mc or McSpec()
     flags: set = set()
     notes: list = []
 
     lo, hi = dist.support
-    xs_right = grid.points()
+    xs_right = TAIL_GRID
     if lo == -math.inf:
         xs = np.concatenate([-xs_right[::-1], [0.0], xs_right])
     else:
@@ -710,23 +666,23 @@ def check_assumptions(dist, grid: GridSpec | None = None, mc: McSpec | None = No
         f_unimodal_from = 0.0 if len(increasing) == 0 else float(xs[pos][increasing[-1]])
 
         # Assumption: normalized block maxima (Monte Carlo)
-        rng = np.random.default_rng(np.random.SeedSequence((mc.seed, 0xB10C)))
+        rng = np.random.default_rng(np.random.SeedSequence((MC_SEED, 0xB10C)))
         mu_est, mu_ci, ml_est, ml_ci, fits = [], [], [], [], []
         alpha = dist.tail_index_right
-        for k in mc.block_sizes:
+        for k in BLOCK_SIZES:
             a_k = float(dist.quantile(1.0 - 1.0 / k))
             if a_k <= 0.0:
                 notes.append(f"k={k}: a_k <= 0, block statistic skipped")
                 continue
-            block_max = dist.sample_array((mc.n_blocks, k), rng).max(axis=1)
+            block_max = dist.sample_array((N_BLOCKS, k), rng).max(axis=1)
             norm = block_max / a_k
             mu_est.append(float(np.mean(norm)))
-            mu_ci.append(1.96 * float(np.std(norm)) / math.sqrt(mc.n_blocks))
+            mu_ci.append(1.96 * float(np.std(norm)) / math.sqrt(N_BLOCKS))
             pos_mask = norm > 0.0
             if not np.all(pos_mask):
                 notes.append(
                     f"k={k}: reciprocal conditioned on positive maximum "
-                    f"({int(np.sum(~pos_mask))} of {mc.n_blocks} blocks dropped)"
+                    f"({int(np.sum(~pos_mask))} of {N_BLOCKS} blocks dropped)"
                 )
             rec = 1.0 / norm[pos_mask]
             ml_est.append(float(np.mean(rec)))
@@ -777,8 +733,6 @@ def check_assumptions(dist, grid: GridSpec | None = None, mc: McSpec | None = No
         neg_logderiv_sup=nl_sup,
         von_mises_limit=float(vm),
         grid_points=len(xs),
-        mc_block_sizes=tuple(mc.block_sizes),
-        mc_blocks=mc.n_blocks,
         flags=flags,
         notes=notes,
     )

@@ -91,8 +91,12 @@ class DualityProbe:
     grad_check: float
 
 
-def duality_probe(nu, dist, h: float = 1e-4, tol: float = 1e-11) -> DualityProbe:
-    """Check d(potential)/d(nu_i) = phi_i by central finite differences."""
+def duality_probe(nu, dist) -> DualityProbe:
+    """Check d(potential)/d(nu_i) = phi_i by central finite differences.
+
+    The differences take steps h = 1e-4 of potentials evaluated at tol 1e-11.
+    """
+    h, tol = 1e-4, 1e-11
     nu = np.asarray(nu, dtype=float)
     nu = nu - nu[-1]  # location normalization, last coordinate 0
     phi = selection.phi_values(-nu, dist, tol=1e-9)
@@ -106,7 +110,7 @@ def duality_probe(nu, dist, h: float = 1e-4, tol: float = 1e-11) -> DualityProbe
     return DualityProbe(nu=nu, phi=phi, potential_value=base, grad_check=worst)
 
 
-def regularizer_value(p, dist, tol: float = 1e-9):
+def regularizer_value(p, dist):
     """Legendre-transform regularizer V(p) = <p, nu> - potential(nu).
 
     Solves phi(nu) = p for the unique reward vector with nu_K = 0 (the
@@ -139,7 +143,7 @@ def regularizer_value(p, dist, tol: float = 1e-9):
     if best_res > 1e-8:
         raise RootFindFailed(best_res, "phi(nu) = p root-finding")
     nu = np.concatenate([best_y, [0.0]])
-    value = float(np.dot(p, nu)) - potential(nu, dist, tol)
+    value = float(np.dot(p, nu)) - potential(nu, dist)
     return value, nu
 
 
@@ -249,39 +253,28 @@ def _invert_monotone(fn, targets, lo, hi, iters=90):
     return 0.5 * (a + b)
 
 
-def _grid_step(ts):
-    """Step ts[1] - ts[0] of a non-empty arithmetic grid (0.0 for one point).
-
-    A computed grid such as ``ift_frequencies`` rounds each point on its own,
-    so its steps differ by up to an ulp of max|t|.  The grid counts as
-    arithmetic when it lies within 4 n eps max|t| of ts[0] + k step, which
-    bounds the drift of a step rounded from two of its points over n steps.
-    """
-    n = len(ts)
-    if not n:
-        raise DomainError("ts must be a non-empty grid")
-    step = ts[1] - ts[0] if n > 1 else 0.0
-    tol = 4 * n * np.finfo(float).eps * np.max(np.abs(ts))
-    if not np.all(np.abs(ts - (ts[0] + step * np.arange(n))) <= tol):
-        raise DomainError("ts must be an arithmetic grid")
-    return step
+def ift_frequencies(x_min: float, x_max: float, n: int):
+    """Half-integer frequency grid w_k = (0.5 - n/2 + k) 2 pi / (x_max - x_min)."""
+    k = np.arange(n)
+    return (0.5 - n / 2 + k) * (2.0 * math.pi / (x_max - x_min))
 
 
-def char_fn_grid(ts, quantile, eps: float = 1e-4):
-    """gbar(t) = integral_{eps}^{1-eps} exp(i t c(p)) dp on an arithmetic frequency grid.
+def char_fn_grid(quantile, x_min: float, x_max: float, n: int, eps: float):
+    """gbar(t) = integral_{eps}^{1-eps} exp(i t c(p)) dp on the upper half IFT grid.
 
+    The frequencies are ts = ift_frequencies(x_min, x_max, n)[n // 2:], the
+    positive half of the grid ``ift_density`` inverts (one point for n = 2).
     Composite Gauss-Legendre panels of 24 nodes are uniform in c-space (so
     oscillations of exp(i t c) are equally resolved everywhere: at most 6
-    radians per panel at the largest requested |t|), which makes them
-    adaptively thin where the quantile is steep.  On an arithmetic grid the
-    phase factors advance by a constant complex multiplier per frequency,
-    reducing the whole evaluation to one vector recursion.  ``ts`` must be a
-    non-empty arithmetic grid; one point is allowed.
+    radians per panel at the largest |t|), which makes them adaptively thin
+    where the quantile is steep.  The grid is arithmetic, so the phase
+    factors advance by a constant complex multiplier per frequency, reducing
+    the whole evaluation to one vector recursion.
     """
     if not 0.0 < eps <= 1e-3:
         raise DomainError("eps must lie in (0, 1e-3]")
-    ts = np.asarray(ts, dtype=float)
-    dt = _grid_step(ts)
+    ts = ift_frequencies(x_min, x_max, n)[n // 2:]
+    dt = ts[1] - ts[0] if len(ts) > 1 else 0.0
     t_max = float(np.max(np.abs(ts)))
     c_lo = float(quantile(np.asarray(eps)))
     c_hi = float(quantile(np.asarray(1.0 - eps)))
@@ -329,12 +322,6 @@ class IftResult:
         return float(self.x_grid[1] - self.x_grid[0])
 
 
-def ift_frequencies(x_min: float, x_max: float, n: int):
-    """Half-integer frequency grid w_k = (0.5 - n/2 + k) 2 pi / (x_max - x_min)."""
-    k = np.arange(n)
-    return (0.5 - n / 2 + k) * (2.0 * math.pi / (x_max - x_min))
-
-
 def _check_grid(x_min, x_max, n):
     if n <= 0 or n & (n - 1) != 0:
         raise GridError(f"n must be a power of two, got {n}")
@@ -378,9 +365,7 @@ def ift_pipeline(quantile, x_min=-20.0, x_max=20.0, n=2048, eps=1e-4) -> IftResu
     difference is not symmetric).  The grid is checked before any quadrature.
     """
     _check_grid(x_min, x_max, n)
-    w = ift_frequencies(x_min, x_max, n)
-    upper = w[n // 2:]
-    gbar_upper = char_fn_grid(upper, quantile, eps=eps)
+    gbar_upper = char_fn_grid(quantile, x_min, x_max, n, eps)
     # endpoint truncation leaves O(eps)-level oscillation around zero at large
     # frequencies; only a materially negative real part signals a branch cut
     if np.any(gbar_upper.real < -1e-4 * np.max(np.abs(gbar_upper))):

@@ -59,6 +59,8 @@ class ExperimentConfig:
             raise DomainError("horizon and runs must be positive")
         if self.seed < 0:
             raise DomainError(f"seed must be nonnegative, got {self.seed}")
+        if self.threads is not None and self.threads < 1:
+            raise DomainError(f"threads must be at least 1, got {self.threads}")
 
     @classmethod
     def from_file(cls, path):
@@ -238,7 +240,7 @@ class RegretTable:
 
 
 def _parallel_degree(config: ExperimentConfig):
-    degree = config.threads if config.threads else (os.cpu_count() or 1)
+    degree = config.threads or os.cpu_count() or 1
     env_cap = os.environ.get("PLL_THREADS")
     if env_cap:
         degree = min(degree, max(1, _number(env_cap, "PLL_THREADS", int)))
@@ -247,10 +249,13 @@ def _parallel_degree(config: ExperimentConfig):
 
 def run_experiment(config: ExperimentConfig) -> RegretTable:
     """Execute all runs (parallel over runs), assemble metadata, write CSV."""
-    # fail fast, before any worker starts, on bad specs and short schedules
+    # fail fast, before any worker starts, on bad specs, short schedules and
+    # an output path whose directory is missing
     policy = parse_policy(config.policy)
     model = parse_environment(config.env)
     check_horizon(model, config.horizon)
+    if config.out and not os.path.isdir(os.path.dirname(config.out) or "."):
+        raise FileNotFoundError(f"output directory of {config.out!r} does not exist")
     checkpoints = checkpoint_grid(config.horizon)
     t0 = time.perf_counter()
     degree = _parallel_degree(config)

@@ -210,14 +210,8 @@ def tsallis_weights(q, beta, start=None):
     lowers c monotonically onto it (the Tsallis-INF solver of Zimmert &
     Seldin, JMLR 2021).  ``start`` is an optional warm start, typically the
     previous round's c; a start left of the root costs one extra step, which
-    convexity lands right of it.  Returns (p, c).
-    """
-    p, c, _ = _tsallis_root(q, beta, start)
-    return p, c
-
-
-def _tsallis_root(q, beta, start=None):
-    """``tsallis_weights`` plus the number of defect evaluations it took: (p, c, evals).
+    convexity lands right of it.  Returns (p, c, evals), evals being the
+    number of defect evaluations taken.
 
     The iteration runs on b = ratio c, where ratio = (1-beta)/beta, so that
     p_i = (ratio q_i - b)^expo.  It starts at min(ratio start, hi), where
@@ -266,7 +260,7 @@ def ftrl_select(state: PolicyState, regularizer):
     if isinstance(regularizer, Shannon):
         p = shannon_weights(q)
     elif isinstance(regularizer, Tsallis):
-        p, state.last_c, evals = _tsallis_root(q, regularizer.tsallis_beta, state.last_c)
+        p, state.last_c, evals = tsallis_weights(q, regularizer.tsallis_beta, state.last_c)
         state.root_evals += evals
     else:
         raise DomainError(f"unknown regularizer {regularizer!r}")

@@ -281,7 +281,7 @@ def phi_scan(dist, lambda_of_c, c_grid, tol=1e-8, on_probe=None):
     return rows
 
 
-def stability_envelope_scan(dist, K, lambda_of_c, c_grid, tol=1e-8):
+def stability_envelope_scan(dist, K, lambda_of_c, c_grid):
     """Stability-ratio scan against the rank and gap bound branches.
 
     Requires an unbounded hybrid-type law whose left tail is at least two
@@ -307,7 +307,7 @@ def stability_envelope_scan(dist, K, lambda_of_c, c_grid, tol=1e-8):
             raise DomainError("lambda family must produce vectors of length K")
         return lam
 
-    rows = phi_scan(dist, lam_of, c_grid, tol)
+    rows = phi_scan(dist, lam_of, c_grid)
     running_max = 0.0
     for row in rows:
         bound_rank = row["sigma_i"] ** (-1.0 / alpha) if math.isfinite(alpha) else 1.0
@@ -317,7 +317,7 @@ def stability_envelope_scan(dist, K, lambda_of_c, c_grid, tol=1e-8):
     return rows
 
 
-def counterexample_scan(dist, K, c_grid, tol=1e-8):
+def counterexample_scan(dist, K, c_grid):
     """Stability ratios at lambda = (0, c, ..., c) over a grid of c (rows of ``phi_scan``).
 
     For K >= 3 the grid must start at 2*sqrt(K) (the regime where the
@@ -328,4 +328,4 @@ def counterexample_scan(dist, K, c_grid, tol=1e-8):
     c_grid = np.asarray(list(c_grid), dtype=float)
     if K >= 3 and c_grid.min() < 2.0 * math.sqrt(K) - 1e-12:
         raise DomainError(f"for K >= 3 the grid must start at 2 sqrt(K) = {2*math.sqrt(K):.4f}")
-    return phi_scan(dist, lambda c: np.concatenate([[0.0], np.full(K - 1, c)]), c_grid, tol)
+    return phi_scan(dist, lambda c: np.concatenate([[0.0], np.full(K - 1, c)]), c_grid)

@@ -210,34 +210,21 @@ class TestCharFn:
             val = quadpack_oracle.char_fn(t, lambda p: duality.tsallis_quantile(p, 0.5))
             assert abs(val) <= 1.0
 
-    def test_grid_matches_pointwise(self):
+    @pytest.mark.parametrize("n", [2, 16])
+    def test_grid_matches_pointwise(self, n):
+        # the upper half of the IFT grid; n = 2 leaves one frequency
         q = lambda p: duality.tsallis_quantile(p, 0.5)
-        ts = 0.4 + 1.3 * np.arange(9)
-        grid = duality.char_fn_grid(ts, q)
+        ts = duality.ift_frequencies(-3.0, 3.0, n)[n // 2:]
+        grid = duality.char_fn_grid(q, -3.0, 3.0, n, 1e-4)
+        assert len(grid) == len(ts) == n // 2
         for t, g in zip(ts, grid):
             assert abs(g - quadpack_oracle.char_fn(t, q)) <= 1e-9
-        # a one-point grid is arithmetic too
-        assert abs(duality.char_fn_grid(ts[-1:], q)[0] - quadpack_oracle.char_fn(ts[-1], q)) <= 1e-9
-
-    @pytest.mark.parametrize("ts", [[0.4, 1.7, 5.0, 12.0], []], ids=["non-arithmetic", "empty"])
-    def test_grid_must_be_arithmetic(self, ts):
-        with pytest.raises(DomainError):
-            duality.char_fn_grid(ts, lambda p: duality.tsallis_quantile(p, 0.5))
-
-    @pytest.mark.parametrize("log2n", range(1, 21))
-    def test_ift_grids_count_as_arithmetic(self, log2n):
-        # each ift frequency is rounded on its own, so from n = 32768 on the
-        # steps of the upper half grid differ by more than 1e-12 relative
-        n = 2**log2n
-        upper = duality.ift_frequencies(-20.0, 20.0, n)[n // 2:]
-        step = upper[1] - upper[0] if len(upper) > 1 else 0.0
-        assert duality._grid_step(upper) == step
 
     def test_eps_domain(self):
         with pytest.raises(DomainError):
             quadpack_oracle.char_fn(1.0, lambda p: p, eps=0.01)
         with pytest.raises(DomainError):
-            duality.char_fn_grid([1.0], lambda p: p, eps=0.01)
+            duality.char_fn_grid(lambda p: p, -20.0, 20.0, 2, 0.01)
 
 
 class TestIft:

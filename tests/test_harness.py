@@ -334,6 +334,8 @@ class TestCli:
             SIM + ["--policy", "ftpl:lp:m=0.2", "--env", "sched:two.csv", "--T", "5", "--runs", "2",
                    "--threads", "2"],
             SIM + ["--policy", "ftpl:lp:m=0.2", "--env", "bern:0.1,0.2", "--seed", "-1"],
+            SIM + ["--policy", "ftpl:lp:m=0.2", "--env", "bern:0.1,0.2", "--threads", "0"],
+            SIM + ["--policy", "ftpl:lp:m=0.2", "--env", "bern:0.1,0.2", "--threads", "-2"],
             SIM + ["--policy", "ftpl:lp:m=0.2", "--env", "bern:0.1,nan"],
             SIM + ["--policy", "ftpl:lp:m=0.2", "--env", "switch:phase=5,mu1=0.1|0.2,mu2=0.3|nan"],
             SIM + ["--policy", "ftpl:lp:m=0.2", "--env", "sched:nan.csv", "--T", "2"],
@@ -360,7 +362,7 @@ class TestCli:
         ],
         ids=["policy-m", "policy-cap", "tsallis-m-nan", "tsallis-m-inf", "tsallis-m-huge", "ftpl-m-nan", "shannon-m-nan", "cap-zero",
              "cap-negative", "switch-missing-mu", "bern-number", "sched-number", "sched-short",
-             "seed-negative", "bern-nan", "switch-nan", "sched-nan", "config-unknown-key",
+             "seed-negative", "threads-zero", "threads-negative", "bern-nan", "switch-nan", "sched-nan", "config-unknown-key",
              "verdict-no-K", "verdict-no-gaps", "verdict-no-rows", "verdict-bad-cell", "verdict-short-row",
              "verdict-no-run-column", "lambda-number",
              "lambda-scaled-number", "grid-number", "grid-zero-step", "regscan-x-no-colon",
@@ -386,6 +388,14 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
         assert not (tmp_path / "unused.csv").exists()
+
+    def test_missing_out_dir_fails_before_any_run(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(harness, "simulate_run", lambda *job: pytest.fail("a run started"))
+        argv = self.SIM + ["--policy", "ftpl:lp:m=0.2", "--env", "bern:0.1,0.2", "--out", "missing/x.csv"]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
 
     def test_check_dist(self, tmp_path):
         out = tmp_path / "rep.csv"

@@ -20,7 +20,6 @@ from pllab.policies import (
     ftrl_update,
     geometric_resample,
     _perturbations,
-    _tsallis_root,
     kkt_residual,
     parse_policy,
     shannon_weights,
@@ -245,14 +244,14 @@ class TestFtrlSolver:
         rng = np.random.default_rng(4)
         for _ in range(25):
             q = rng.uniform(0.0, 30.0, size=int(rng.choice([2, 3, 8])))
-            p, c = tsallis_weights(q, beta)
+            p, c, _ = tsallis_weights(q, beta)
             assert abs(p.sum() - 1.0) <= 1e-10
             assert kkt_residual(q, p, beta) <= 1e-8
 
     @pytest.mark.parametrize("beta", [0.0546875, 0.3, 0.5, 0.7])
     def test_single_arm_has_weight_one(self, beta):
         # with one arm, defect(hi) can round below 0 (at beta = 0.0546875 and 0.3 here)
-        p, _ = tsallis_weights([1.0], beta)
+        p, _, _ = tsallis_weights([1.0], beta)
         assert p.tolist() == [1.0]
 
     def test_warm_start_from_previous_root(self):
@@ -262,12 +261,12 @@ class TestFtrlSolver:
             before = state.root_evals
             arm, p = ftrl_select(state, Tsallis(0.5))
             evals.append(state.root_evals - before)
-            cold = _tsallis_root(state.eta * state.lhat, 0.5)
+            cold = tsallis_weights(state.eta * state.lhat, 0.5)
             ulp = abs(np.spacing(cold[1]))
             assert abs(state.last_c - cold[1]) <= 4 * ulp
             np.testing.assert_allclose(p, cold[0], rtol=0, atol=1e-15)
             # restarted at its own root, the solver stays within an ulp or two in 1-3 evaluations
-            warm = _tsallis_root(state.eta * state.lhat, 0.5, cold[1])
+            warm = tsallis_weights(state.eta * state.lhat, 0.5, cold[1])
             assert abs(warm[1] - cold[1]) <= 2 * ulp and warm[2] <= 3
             ftrl_update(state, arm, 1.0 if arm else 0.0, p)
         assert min(evals) >= 1 and sum(evals) / len(evals) < 6
