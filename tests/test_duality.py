@@ -220,6 +220,19 @@ class TestCharFn:
         for t, g in zip(ts, grid):
             assert abs(g - quadpack_oracle.char_fn(t, q)) <= 1e-9
 
+    @pytest.mark.parametrize("log2n", range(1, 21))
+    def test_ift_grids_count_as_arithmetic(self, log2n):
+        # char_fn_grid advances the upper half by its first step, and
+        # ift_pipeline fills the lower half by mirroring it; each frequency
+        # is rounded on its own, so the steps drift by up to 4 n eps max|t|
+        n = 2**log2n
+        ts = duality.ift_frequencies(-20.0, 20.0, n)
+        upper = ts[n // 2:]
+        assert np.array_equal(ts[: n // 2], -upper[::-1])
+        step = upper[1] - upper[0] if len(upper) > 1 else 0.0
+        tol = 4 * n * np.finfo(float).eps * np.max(np.abs(upper))
+        assert np.all(np.abs(upper - (upper[0] + step * np.arange(n // 2))) <= tol)
+
     def test_eps_domain(self):
         with pytest.raises(DomainError):
             quadpack_oracle.char_fn(1.0, lambda p: p, eps=0.01)
