@@ -53,7 +53,8 @@ class RootFindFailed(PllabError, RuntimeError):
 
 
 class SolverDiverged(PllabError, RuntimeError):
-    """Simplex solver exceeded its iteration budget."""
+    """The Tsallis simplex solver met a non-finite defect, exceeded its iteration
+    budget or left a normalization residual above 1e-10."""
 
 
 class ScheduleExhausted(PllabError, IndexError):

@@ -134,9 +134,7 @@ def simulate_run(config: ExperimentConfig, run_index: int):
     losses = loss_rows(model, 1, config.horizon, env_rng)
     arms = np.empty(config.horizon, dtype=int)
     for t in range(config.horizon):
-        arm = policy.play(state)
-        policy.observe(state, arm, float(losses[t, arm]))
-        arms[t] = arm
+        arms[t] = policy.step(state, losses[t])
     curve = regret(arms, losses, model, checkpoints)[1]
     counters = {key: getattr(state, key) for key in COUNTERS}
     counters["wall_s"] = time.perf_counter() - start
@@ -243,7 +241,10 @@ def _parallel_degree(config: ExperimentConfig):
     degree = config.threads or os.cpu_count() or 1
     env_cap = os.environ.get("PLL_THREADS")
     if env_cap:
-        degree = min(degree, max(1, _number(env_cap, "PLL_THREADS", int)))
+        cap = _number(env_cap, "PLL_THREADS", int)
+        if cap < 1:
+            raise DomainError(f"PLL_THREADS must be at least 1, got {cap}")
+        degree = min(degree, cap)
     return max(1, min(degree, config.runs))
 
 

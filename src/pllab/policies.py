@@ -46,7 +46,6 @@ __all__ = [
     "ftrl_update",
     "tsallis_weights",
     "shannon_weights",
-    "kkt_residual",
     "FtplPolicy",
     "FtrlPolicy",
     "parse_policy",
@@ -78,7 +77,6 @@ class PolicyState:
     rng: np.random.Generator
     t: int = 1
     resample_cap: int | None = None
-    last_w: np.ndarray | None = None
     tape: np.ndarray = field(default_factory=lambda: np.empty(0), repr=False)
     tape_pos: int = 0
     tape_law: object = None
@@ -213,30 +211,29 @@ def tsallis_weights(q, beta, start=None):
     convexity lands right of it.  Returns (p, c, evals), evals being the
     number of defect evaluations taken.
 
-    The iteration runs on b = ratio c, where ratio = (1-beta)/beta, so that
-    p_i = (ratio q_i - b)^expo.  It starts at min(ratio start, hi), where
-    hi = ratio min q - 1 gives the closest arm alone mass 1, so defect(hi)
-    >= 0, and stops at the first step that does not lower b: in floating
-    point, the root to rounding.  ``SolverDiverged`` is raised when min q is
-    too large for any float b below it (an m of 1e300 does this), on a
-    non-finite defect and after ``NEWTON_MAX_EVALS`` evaluations.
+    The iteration runs on b = ratio (c - min q), where ratio = (1-beta)/beta,
+    so that p_i = (ratio (q_i - min q) - b)^expo; measured from min q, b keeps
+    its full precision however large q is.  It starts at
+    min(ratio (start - min q), -1), where b = -1 gives the closest arm alone
+    mass 1, so defect(-1) >= 0, and stops at the first step that does not
+    lower b: in floating point, the root to rounding.  ``SolverDiverged`` is
+    raised on a non-finite defect, after ``NEWTON_MAX_EVALS`` evaluations
+    and on a normalization residual above 1e-10.
     """
     q = np.asarray(q, dtype=float)
     ratio = (1.0 - beta) / beta
     expo = -1.0 / (1.0 - beta)
-    rq = ratio * q
-    top = float(rq.min())
-    hi = top - 1.0
-    if not hi < top:  # then every b <= hi leaves rq - b > 0
-        raise SolverDiverged(f"min q = {float(q.min())!r} leaves no float below it for the Tsallis root")
-    b = ratio * start if start is not None and ratio * start < hi else hi
+    q_min = float(q.min())
+    rq = ratio * (q - q_min)
+    hi = -1.0
+    b = ratio * (start - q_min) if start is not None and ratio * (start - q_min) < hi else hi
     add = np.add.reduce
     for evals in range(1, NEWTON_MAX_EVALS + 1):
         x = rq - b
         p = x ** expo
         defect = float(add(p)) - 1.0
         if not math.isfinite(defect):
-            raise SolverDiverged(f"normalization defect {defect} at c={b / ratio!r}")
+            raise SolverDiverged(f"normalization defect {defect} at c={b / ratio + q_min!r}")
         slope = -expo * float(add(p / x))  # d defect / db > 0
         if evals == 1 and defect < 0.0:
             # left of the root: the tangent of a convex function lands right of it
@@ -251,7 +248,7 @@ def tsallis_weights(q, beta, start=None):
     total = p.sum()
     if abs(total - 1.0) > 1e-10:
         raise SolverDiverged(f"normalization residual {abs(total - 1.0):.2e}")
-    return p / total, b / ratio, evals
+    return p / total, b / ratio + q_min, evals
 
 
 def ftrl_select(state: PolicyState, regularizer):
@@ -267,7 +264,6 @@ def ftrl_select(state: PolicyState, regularizer):
     u = state.rng.random()
     arm = int(np.searchsorted(np.cumsum(p), u, side="right"))
     arm = min(arm, state.k - 1)
-    state.last_w = p
     return arm, p
 
 
@@ -278,14 +274,6 @@ def ftrl_update(state: PolicyState, arm: int, loss: float, p) -> PolicyState:
     state.lhat[arm] += loss / p[arm]
     state.t += 1
     return state
-
-
-def kkt_residual(q, p, beta):
-    """max_i |q_i + V'(p_i) - c| for the Tsallis regularizer (c = median shift)."""
-    q = np.asarray(q, dtype=float)
-    grad = -(beta / (1.0 - beta)) * np.asarray(p, dtype=float) ** (beta - 1.0)
-    stat = q + grad
-    return float(np.max(np.abs(stat - np.median(stat))))
 
 
 # ---------------------------------------------------------------------------
@@ -301,12 +289,12 @@ class FtplPolicy:
     def fresh_state(self, k, rng):
         return PolicyState.fresh(k, self.m, rng, self.resample_cap)
 
-    def play(self, state):
-        return ftpl_select(state, self.dist)
-
-    def observe(self, state, arm, loss):
+    def step(self, state, loss_row):
+        """One round: play the perturbed leader, estimate 1/w, update; return the arm."""
+        arm = ftpl_select(state, self.dist)
         west = geometric_resample(state, self.dist, arm)
-        ftpl_update(state, arm, loss, west)
+        ftpl_update(state, arm, float(loss_row[arm]), west)
+        return arm
 
     def cap_description(self):
         if self.resample_cap is not None:
@@ -322,12 +310,11 @@ class FtrlPolicy:
     def fresh_state(self, k, rng):
         return PolicyState.fresh(k, self.m, rng)
 
-    def play(self, state):
-        arm, _ = ftrl_select(state, self.regularizer)
+    def step(self, state, loss_row):
+        """One round: solve for p, sample an arm, update with that p; return the arm."""
+        arm, p = ftrl_select(state, self.regularizer)
+        ftrl_update(state, arm, float(loss_row[arm]), p)
         return arm
-
-    def observe(self, state, arm, loss):
-        ftrl_update(state, arm, loss, state.last_w)
 
     def cap_description(self):
         return "exact-w"

@@ -4,7 +4,8 @@ This is the solver ``policies.tsallis_weights`` ran before it became a
 warm-started Newton iteration: expand a bracket [lo, hi] below min q until
 the normalization defect changes sign, then ``scipy.optimize.brentq`` to
 1e-15.  ``tsallis_weights`` here returns what the library function of that
-name returned then, bit for bit.  The tests hold the Newton solver to it.
+name returned then, bit for bit.  The tests hold the Newton solver to it,
+and to ``kkt_residual``, the stationarity residual of the weights.
 """
 
 import numpy as np
@@ -40,3 +41,11 @@ def tsallis_weights(q, beta):
     if abs(p.sum() - 1.0) > 1e-10:
         raise SolverDiverged(f"normalization residual {abs(p.sum()-1.0):.2e}")
     return p / p.sum(), float(c)
+
+
+def kkt_residual(q, p, beta):
+    """max_i |q_i + V'(p_i) - c| for the Tsallis regularizer (c = median shift)."""
+    q = np.asarray(q, dtype=float)
+    grad = -(beta / (1.0 - beta)) * np.asarray(p, dtype=float) ** (beta - 1.0)
+    stat = q + grad
+    return float(np.max(np.abs(stat - np.median(stat))))

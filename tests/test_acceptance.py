@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 import pytest
+from brentq_oracle import kkt_residual
 
 from pllab import duality, harness, selection
 from pllab.distributions import (
@@ -23,7 +24,7 @@ from pllab.distributions import (
     Truncated,
     parse_dist,
 )
-from pllab.policies import PolicyState, Tsallis, ftrl_select, ftrl_update, geometric_resample, kkt_residual
+from pllab.policies import PolicyState, Tsallis, ftrl_select, ftrl_update, geometric_resample
 
 BERN8 = "bern:" + ",".join(["0.1"] + ["0.3"] * 7)  # K=8, unique best arm, gap 0.2
 

@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from brentq_oracle import kkt_residual
 
 from pllab.distributions import Gumbel, LaplacePareto, PerturbationDistribution, SymmetricPareto, parse_dist
 from pllab.errors import DomainError
+from pllab.harness import COUNTERS
 from pllab.policies import (
     TAPE_CHUNK,
     FtplPolicy,
@@ -20,7 +22,6 @@ from pllab.policies import (
     ftrl_update,
     geometric_resample,
     _perturbations,
-    kkt_residual,
     parse_policy,
     shannon_weights,
     tsallis_weights,
@@ -306,6 +307,32 @@ class TestExp3Equivalence:
             freq = np.bincount(wins, minlength=3) / 1e5
             sigma = np.sqrt(p_closed * (1 - p_closed) / 1e5)
             assert np.all(np.abs(freq - p_closed) <= 3.7 * sigma + 1e-12)
+
+
+class TestPolicyStep:
+    @pytest.mark.parametrize(
+        "spec", ["ftpl:lp:m=0.23", "ftpl:lp:m=0.23:cap=3", "ftrl:tsallis:beta=0.5:m=0.23", "ftrl:shannon:m=0.1"]
+    )
+    def test_step_equals_explicit_round(self, spec):
+        policy = parse_policy(spec)
+        loss_rows = (np.random.default_rng(12).random((200, 3)) < [0.1, 0.4, 0.5]).astype(float)
+        state = policy.fresh_state(3, np.random.default_rng(13))
+        twin = policy.fresh_state(3, np.random.default_rng(13))
+        arms, twin_arms = [], []
+        for row in loss_rows:
+            arms.append(policy.step(state, row))
+            if isinstance(policy, FtplPolicy):
+                arm = ftpl_select(twin, policy.dist)
+                west = geometric_resample(twin, policy.dist, arm)
+                ftpl_update(twin, arm, float(row[arm]), west)
+            else:
+                arm, p = ftrl_select(twin, policy.regularizer)
+                ftrl_update(twin, arm, float(row[arm]), p)
+            twin_arms.append(arm)
+        assert arms == twin_arms and len(set(arms)) > 1
+        assert state.lhat.tobytes() == twin.lhat.tobytes()
+        assert (state.t, state.last_c) == (twin.t, twin.last_c) and state.t == 201
+        assert [getattr(state, key) for key in COUNTERS] == [getattr(twin, key) for key in COUNTERS]
 
 
 class TestPolicyParsing:
