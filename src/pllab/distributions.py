@@ -10,14 +10,15 @@ combinator, ``Hybrid``, which glues a right and a left primitive at 0 with
 half the mass on each side.  The primitives are ``GeneralizedPareto``,
 ``Frechet``, ``Exponential`` and ``Truncated`` (any law conditioned above 1
 and shifted back to 0); ``Gumbel`` is the only law written out on the whole
-line.  The named two-sided laws are thin constructors of composed laws:
+line.  ``GeneralizedPareto(a)``, at its default scale 1, is the Lomax law
+(spec ``pareto:a``).  The named two-sided laws are thin constructors of
+composed laws:
 
 =========================  =================================================
 ``SymmetricPareto(a)``     ``Hybrid(GeneralizedPareto(a, 1), GeneralizedPareto(a, 1))``
 ``LaplacePareto()``        ``Hybrid(GeneralizedPareto(2, 1), Exponential(2))``
 ``AsymmetricPareto(a, b)`` ``Hybrid(GeneralizedPareto(a, 1), GeneralizedPareto(b, b/a))``
 ``Laplace(r)``             ``Hybrid(Exponential(r), Exponential(r))``
-``ParetoLomax(a)``         ``GeneralizedPareto(a, 1)``
 =========================  =================================================
 
 Conventions
@@ -52,7 +53,6 @@ __all__ = [
     "LaplacePareto",
     "AsymmetricPareto",
     "Laplace",
-    "ParetoLomax",
     "parse_dist",
     "AssumptionReport",
     "check_assumptions",
@@ -427,11 +427,6 @@ def Laplace(rate=1.0):
     return Hybrid(half, half)
 
 
-def ParetoLomax(alpha=2.0):
-    """Lomax (shifted Pareto) law on (0, inf): 1 - F(x) = (x+1)^-alpha."""
-    return GeneralizedPareto(alpha, 1.0)
-
-
 @dataclass(frozen=True, repr=False)
 class Gumbel(PerturbationDistribution):
     """Standard Gumbel law; selection probabilities reduce to the softmax."""
@@ -532,7 +527,7 @@ def parse_dist(spec: str) -> PerturbationDistribution:
     if head == "frechet":
         return Frechet(_number(rest, spec))
     if head == "pareto":
-        return ParetoLomax(_number(rest, spec))
+        return GeneralizedPareto(_number(rest, spec))
     if head == "gpd":
         b, _, sc = rest.partition(",")
         return GeneralizedPareto(_number(b, spec), _number(sc, spec) if sc else 1.0)

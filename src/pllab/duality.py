@@ -4,9 +4,11 @@ The potential of a perturbation law is the expected perturbed maximum
 reward; its gradient is the arm-selection probability vector, and its
 Legendre transform is the regularizer that makes the two policy families
 coincide.  This module evaluates all three numerically, plus the two-arm
-quantile representation of the regularizer derivative and the
-characteristic-function / inverse-FFT pipeline used to identify the law
-behind the 1/2-Tsallis regularizer.
+quantile representation of the regularizer derivative, the three-arm scan
+of that derivative, the closed-form quantile of the perturbation difference
+that induces the beta-Tsallis policy, and the characteristic-function /
+inverse-FFT pipeline used to identify the law behind the 1/2-Tsallis
+regularizer.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ __all__ = [
     "regularizer_value",
     "two_arm_quantile",
     "tsallis_quantile",
-    "tsallis_von_mises_ratio",
     "char_fn_grid",
     "ift_frequencies",
     "ift_density",
@@ -45,7 +46,6 @@ __all__ = [
     "tsallis_ift_pipeline",
     "normal_ift_pipeline",
     "normal_quantile",
-    "correlated_tsallis_sampler",
     "three_arm_regularizer_scan",
 ]
 
@@ -152,7 +152,8 @@ def _phi_1_root(lam_of_c, x, dist, lo):
 
     Integrates arm 1 only.  The bracket [lo, 4] doubles until g = phi_1 - x
     changes sign on it (lo = 0 stays fixed), unless an end already has
-    |g| <= 1e-9; a final |g| above 1e-9 raises RootFindFailed.
+    |g| <= 1e-9; a final |g| above 1e-9, or a bracket past 1e9, raises
+    RootFindFailed with |g| at the last end examined.
     """
 
     @functools.lru_cache(maxsize=None)
@@ -167,7 +168,7 @@ def _phi_1_root(lam_of_c, x, dist, lo):
             return float(end)
         lo, hi = 2.0 * lo, 2.0 * hi
         if hi > 1e9:
-            raise RootFindFailed(hi, "phi_1 inversion bracket expansion")
+            raise RootFindFailed(abs(g(end)), "phi_1 inversion bracket expansion")
     c = brentq(g, lo, hi, xtol=1e-12, rtol=8.9e-16, maxiter=200)
     if abs(g(c)) > 1e-9:
         raise RootFindFailed(abs(g(c)), "phi_1 inversion")
@@ -207,34 +208,6 @@ def tsallis_quantile(p, beta: float = 0.5):
     if np.isscalar(p) or p_arr.ndim == 0:
         return float(out)
     return out
-
-
-def tsallis_von_mises_ratio(x, beta: float = 0.5):
-    """z fbar(z)/(1 - Fbar(z)) at z = c(x), from the quantile representation.
-
-    Tends to 1/(1-beta) as x -> 1, certifying a polynomial tail of that index.
-    """
-    c = tsallis_quantile(x, beta)
-    c_prime = beta * (np.asarray(x, float) ** (beta - 2.0) + (1.0 - np.asarray(x, float)) ** (beta - 2.0))
-    return c / ((1.0 - np.asarray(x, float)) * c_prime)
-
-
-def correlated_tsallis_sampler(beta, rng, size=None):
-    """Dependent perturbation pair whose difference follows the Tsallis law.
-
-    Draws U uniform, sets xi = tsallis_quantile(U, beta) and returns
-    (-max(xi, 0), -max(-xi, 0)); then r2 - r1 = xi exactly, so the empirical
-    quantile of the difference reproduces ``tsallis_quantile``.  The common
-    additive constant of the construction is dropped (argmin-invariant).
-    """
-    u = rng.random(size) if size is not None else rng.random()
-    u = np.where(np.asarray(u) == 0.0, 0.5 / 2.0**53, u)
-    xi = tsallis_quantile(u, beta)
-    r1 = -np.maximum(xi, 0.0)
-    r2 = -np.maximum(-np.asarray(xi), 0.0)
-    if size is None:
-        return float(r1), float(r2)
-    return r1, r2
 
 
 # ---------------------------------------------------------------------------
@@ -305,14 +278,12 @@ def char_fn_grid(quantile, x_min: float, x_max: float, n: int, eps: float):
 class IftResult:
     """Output of the discrete characteristic-function inversion.
 
-    ``gbar`` holds the (conjugate-extended) frequency samples that were
-    inverted; the pdf is the real part of the inversion and imag_residual
-    its imaginary part, which must be at machine level for conjugate-
-    symmetric input.
+    The pdf is the real part of the inversion and imag_residual its
+    imaginary part, which must be at machine level for conjugate-symmetric
+    input.
     """
 
     x_grid: np.ndarray
-    gbar: np.ndarray
     pdf: np.ndarray
     imag_residual: np.ndarray
     cdf: np.ndarray
@@ -329,7 +300,7 @@ def _check_grid(x_min, x_max, n):
         raise GridError("x_max must exceed x_min")
 
 
-def ift_density(char_samples, x_min: float = -20.0, x_max: float = 20.0, n: int = 2048) -> IftResult:
+def ift_density(char_samples, x_min: float, x_max: float, n: int) -> IftResult:
     """Discrete inverse Fourier transform on the half-integer frequency grid.
 
     ``char_samples`` must hold the n frequency samples (conjugate-symmetric
@@ -350,14 +321,13 @@ def ift_density(char_samples, x_min: float = -20.0, x_max: float = 20.0, n: int 
     cdf = np.cumsum(pdf) * dx
     return IftResult(
         x_grid=x_min + dx * k,
-        gbar=cf,
         pdf=pdf,
         imag_residual=vals.imag,
         cdf=cdf,
     )
 
 
-def ift_pipeline(quantile, x_min=-20.0, x_max=20.0, n=2048, eps=1e-4) -> IftResult:
+def ift_pipeline(quantile, x_min, x_max, n, eps) -> IftResult:
     """Evaluate sqrt(gbar) on the upper half grid, mirror, and invert.
 
     The square root takes the principal branch; a warning is emitted if the

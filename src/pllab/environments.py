@@ -163,8 +163,8 @@ def checkpoint_grid(horizon):
     return np.asarray(pts, dtype=int)
 
 
-def regret(arms, losses, model, checkpoints=None):
-    """Regret curve from a played trace.
+def regret(arms, losses, model):
+    """Regret curve from a played trace, on ``checkpoint_grid(T)``.
 
     ``arms`` is the played-arm index per round and ``losses`` the full (T, K)
     loss matrix of the trace.  Stochastic models score pseudo-regret (sum of
@@ -177,9 +177,7 @@ def regret(arms, losses, model, checkpoints=None):
     T = len(arms)
     if losses.shape[0] != T:
         raise DomainError("trace length mismatch")
-    if checkpoints is None:
-        checkpoints = checkpoint_grid(T)
-    checkpoints = np.asarray(checkpoints, dtype=int)
+    checkpoints = checkpoint_grid(T)
 
     if getattr(model, "stochastic", False):
         cum = np.cumsum(model.gaps[arms])

@@ -129,13 +129,12 @@ def simulate_run(config: ExperimentConfig, run_index: int):
     model = parse_environment(config.env)
     env_rng, pol_rng = run_streams(config.seed, run_index)
     state = policy.fresh_state(model.k, pol_rng)
-    checkpoints = checkpoint_grid(config.horizon)
 
     losses = loss_rows(model, 1, config.horizon, env_rng)
     arms = np.empty(config.horizon, dtype=int)
     for t in range(config.horizon):
         arms[t] = policy.step(state, losses[t])
-    curve = regret(arms, losses, model, checkpoints)[1]
+    curve = regret(arms, losses, model)[1]
     counters = {key: getattr(state, key) for key in COUNTERS}
     counters["wall_s"] = time.perf_counter() - start
     return curve, counters

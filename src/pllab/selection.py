@@ -1,4 +1,4 @@
-"""Arm-selection probabilities by adaptive quadrature, with a Monte-Carlo oracle.
+"""Arm-selection probabilities by adaptive quadrature.
 
 For a loss vector lambda and i.i.d. perturbations with CDF F and density f,
 the probability that arm i attains the perturbed argmin is
@@ -13,11 +13,12 @@ panels split at every shifted kink and support edge, the tails mapped onto
 (0, 1], which evaluates F and each factor once per refinement pass on an
 array of every panel, node and distinct gap, for just the arms a caller
 reads (the phi_1 inversions in ``duality`` read arm 1 alone).  The tests
-hold it to the scalar QUADPACK loop it replaced.
+hold it to the scalar QUADPACK loop it replaced and to a Monte-Carlo
+estimate of the argmin frequencies.
 
 ``phi_scan`` evaluates a loss family lambda(c) over a grid of c, one row per
-(c, arm); ``counterexample_scan``, ``stability_envelope_scan`` and the
-``analyze-phi`` command are built on it.
+(c, arm); ``counterexample_scan`` and the ``analyze-phi`` command are built
+on it.
 """
 
 from __future__ import annotations
@@ -38,8 +39,6 @@ __all__ = [
     "phi_quadrature",
     "phi_values",
     "phi_scan",
-    "phi_monte_carlo",
-    "stability_envelope_scan",
     "counterexample_scan",
 ]
 
@@ -228,29 +227,6 @@ def phi_values(lam, dist, tol: float = 1e-9):
     return _phi(lam, dist, tol, with_prime=False)[2][:, 0].copy()
 
 
-def phi_monte_carlo(lam, dist, n, rng):
-    """Empirical argmin frequencies over n i.i.d. perturbation vectors.
-
-    Returns (phi_hat, ci_halfwidth) with 95% normal-approximation intervals;
-    argmin ties go to the lowest index.  Draws at most 200,000 vectors at once.
-    """
-    lam = np.asarray(lam, dtype=float)
-    if n < 10_000:
-        raise DomainError("need n >= 1e4 for a meaningful oracle")
-    K = len(lam)
-    counts = np.zeros(K, dtype=np.int64)
-    remaining = int(n)
-    while remaining > 0:
-        m = min(200_000, remaining)
-        r = dist.sample_array((m, K), rng)
-        wins = np.argmin(lam[None, :] - r, axis=1)
-        counts += np.bincount(wins, minlength=K)
-        remaining -= m
-    phat = counts / float(n)
-    ci = 1.96 * np.sqrt(phat * (1.0 - phat) / float(n))
-    return phat, ci
-
-
 def phi_scan(dist, lambda_of_c, c_grid, tol=1e-8, on_probe=None):
     """``phi_quadrature`` at lambda_of_c(c) for each c of a grid.
 
@@ -278,42 +254,6 @@ def phi_scan(dist, lambda_of_c, c_grid, tol=1e-8, on_probe=None):
                     "quad_error": probe.quad_error,
                 }
             )
-    return rows
-
-
-def stability_envelope_scan(dist, K, lambda_of_c, c_grid):
-    """Stability-ratio scan against the rank and gap bound branches.
-
-    Requires an unbounded hybrid-type law whose left tail is at least two
-    orders lighter than the right (tail_left >= tail_right + 2 > 3); the scan
-    reports -phi'/phi next to rank^(-1/alpha) and 1/gap so the implied
-    constant can be read off empirically.  Rows are those of ``phi_scan``
-    plus bound_rank, bound_gap and empirical_constant.
-    """
-    alpha = dist.tail_index_right
-    beta = dist.tail_index_left
-    if dist.support != (-math.inf, math.inf):
-        raise DomainError("scan requires a law supported on the whole real line")
-    if not alpha > 1.0:
-        raise DomainError(f"right tail index must exceed 1, got {alpha}")
-    if not beta >= alpha + 2.0:
-        raise DomainError(
-            f"left tail index {beta} violates the requirement beta >= alpha + 2 = {alpha + 2}"
-        )
-
-    def lam_of(c):
-        lam = np.asarray(lambda_of_c(c), dtype=float)
-        if len(lam) != K:
-            raise DomainError("lambda family must produce vectors of length K")
-        return lam
-
-    rows = phi_scan(dist, lam_of, c_grid)
-    running_max = 0.0
-    for row in rows:
-        bound_rank = row["sigma_i"] ** (-1.0 / alpha) if math.isfinite(alpha) else 1.0
-        bound_gap = 1.0 / row["lambda_gap"] if row["lambda_gap"] > 0.0 else math.inf
-        running_max = max(running_max, row["ratio_1"] / min(bound_rank, bound_gap))
-        row.update(bound_rank=float(bound_rank), bound_gap=float(bound_gap), empirical_constant=running_max)
     return rows
 
 

@@ -14,7 +14,6 @@ from pllab.distributions import (
     Hybrid,
     Laplace,
     LaplacePareto,
-    ParetoLomax,
     SymmetricPareto,
     Truncated,
     check_assumptions,
@@ -29,13 +28,13 @@ ALL_DISTS = {
     "LaplacePareto()": LaplacePareto(),
     "AsymmetricPareto(2,3)": AsymmetricPareto(2.0, 3.0),
     "Frechet(2)": Frechet(2.0),
-    "ParetoLomax(2)": ParetoLomax(2.0),
+    "GeneralizedPareto(2)": GeneralizedPareto(2.0),
     "GeneralizedPareto(3,scale=1.5)": GeneralizedPareto(3.0, 1.5),
     "Gumbel()": Gumbel(),
     "Laplace(rate=1)": Laplace(1.0),
     "Laplace(rate=2)": Laplace(2.0),
-    "Hybrid(right=ParetoLomax(2), left=ParetoLomax(4))": Hybrid(
-        right=ParetoLomax(2.0), left=ParetoLomax(4.0)
+    "Hybrid(right=GeneralizedPareto(2), left=GeneralizedPareto(4))": Hybrid(
+        right=GeneralizedPareto(2.0), left=GeneralizedPareto(4.0)
     ),
     "Truncated(Frechet(2))": Truncated(Frechet(2.0)),
     "Truncated(SymmetricPareto(a=2))": Truncated(SymmetricPareto(2.0)),
@@ -139,24 +138,24 @@ class TestCalculusConsistency:
 
 class TestComposition:
     def test_hybrid_is_half_half(self):
-        h = Hybrid(right=ParetoLomax(2.0), left=ParetoLomax(4.0))
+        h = Hybrid(right=GeneralizedPareto(2.0), left=GeneralizedPareto(4.0))
         assert h.cdf(0.0) == 0.5
         assert Hybrid(right=Truncated(Gumbel()), left=Frechet(1.0)).cdf(0.0) == 0.5
         xs = np.linspace(0.0, 30.0, 200)
-        np.testing.assert_allclose(h.cdf(xs), 0.5 + 0.5 * np.asarray(ParetoLomax(2.0).cdf(xs)), atol=1e-15)
-        np.testing.assert_allclose(h.cdf(-xs[1:]), 0.5 - 0.5 * np.asarray(ParetoLomax(4.0).cdf(xs[1:])), atol=1e-15)
+        np.testing.assert_allclose(h.cdf(xs), 0.5 + 0.5 * np.asarray(GeneralizedPareto(2.0).cdf(xs)), atol=1e-15)
+        np.testing.assert_allclose(h.cdf(-xs[1:]), 0.5 - 0.5 * np.asarray(GeneralizedPareto(4.0).cdf(xs[1:])), atol=1e-15)
         assert h.tail_index_right == 2.0
         assert h.tail_index_left == 4.0
 
     def test_hybrid_reproduces_asymmetric_pareto(self):
-        h = Hybrid(right=ParetoLomax(2.0), left=GeneralizedPareto(beta=3.0, scale=1.5))
+        h = Hybrid(right=GeneralizedPareto(2.0), left=GeneralizedPareto(beta=3.0, scale=1.5))
         asp = AsymmetricPareto(2.0, 3.0)
         xs = np.linspace(-40.0, 40.0, 4001)
         assert np.max(np.abs(np.asarray(h.cdf(xs)) - np.asarray(asp.cdf(xs)))) <= 1e-12
 
     def test_hybrid_rejects_two_sided_halves(self):
         with pytest.raises(DomainError):
-            Hybrid(right=SymmetricPareto(2.0), left=ParetoLomax(2.0))
+            Hybrid(right=SymmetricPareto(2.0), left=GeneralizedPareto(2.0))
 
     def test_hybrid_far_left_tail_keeps_relative_accuracy(self):
         h = parse_dist("hybrid:right=pareto:2,left=pareto:4")
@@ -190,7 +189,7 @@ class TestComposition:
 
     def test_truncated_tail_slope(self):
         # 1 - F*(x) = Theta((x+1)^-alpha): log-log slope within +-0.1 of -alpha
-        for base, alpha in [(Frechet(2.0), 2.0), (SymmetricPareto(2.0), 2.0), (ParetoLomax(3.0), 3.0)]:
+        for base, alpha in [(Frechet(2.0), 2.0), (SymmetricPareto(2.0), 2.0), (GeneralizedPareto(3.0), 3.0)]:
             tr = Truncated(base)
             xs = np.geomspace(10.0, 1e3, 60)
             tail = 1.0 - np.asarray(tr.cdf(xs))
@@ -241,16 +240,16 @@ class TestSpecParser:
         assert parse_dist("splareto:3") == SymmetricPareto(3.0)
         assert parse_dist("asp:2,3") == AsymmetricPareto(2.0, 3.0)
         assert parse_dist("frechet:2") == Frechet(2.0)
-        assert parse_dist("pareto:2.5") == ParetoLomax(2.5)
+        assert parse_dist("pareto:2.5") == GeneralizedPareto(2.5)
         assert isinstance(parse_dist("gumbel"), Gumbel)
         assert parse_dist("laplace:2") == Laplace(2.0)
         h = parse_dist("hybrid:right=pareto:2,left=pareto:4")
-        assert isinstance(h, Hybrid) and h.right == ParetoLomax(2.0)
+        assert isinstance(h, Hybrid) and h.right == GeneralizedPareto(2.0)
         t = parse_dist("trunc(frechet:2)")
         assert isinstance(t, Truncated) and t.inner == Frechet(2.0)
         nested = parse_dist("hybrid:right=trunc(hybrid:right=pareto:2,left=pareto:3),left=pareto:2")
-        inner = Hybrid(right=ParetoLomax(2.0), left=ParetoLomax(3.0))
-        assert nested == Hybrid(right=Truncated(inner), left=ParetoLomax(2.0))
+        inner = Hybrid(right=GeneralizedPareto(2.0), left=GeneralizedPareto(3.0))
+        assert nested == Hybrid(right=Truncated(inner), left=GeneralizedPareto(2.0))
 
     def test_bad_specs(self):
         for bad in ("nope", "hybrid:left=pareto:2", "splareto:a=-1",
@@ -261,7 +260,7 @@ class TestSpecParser:
 
 class TestAssumptionChecker:
     def test_pareto_lomax_clean(self):
-        report = check_assumptions(ParetoLomax(2.0))
+        report = check_assumptions(GeneralizedPareto(2.0))
         assert report.ff_monotone
         assert report.von_mises_limit == pytest.approx(2.0, abs=0.01)
         assert report.hazard_sup <= 2.0 + 1e-9
@@ -284,7 +283,7 @@ class TestAssumptionChecker:
         assert report.hazard_sup <= 1.1
 
     def test_block_maxima_recorded(self):
-        report = check_assumptions(ParetoLomax(2.0))
+        report = check_assumptions(GeneralizedPareto(2.0))
         assert {row[3] for row in report.rows() if row[0] == "block_maxima"} == {"mc:20000x[8, 32, 128, 512]"}
         assert math.isfinite(report.block_max_mu)
         assert math.isfinite(report.block_max_ml)

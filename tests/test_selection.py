@@ -4,15 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from mc_oracle import phi_monte_carlo
 
 from pllab import selection
 from pllab.distributions import (
     AsymmetricPareto,
     Frechet,
+    GeneralizedPareto,
     Gumbel,
     Laplace,
     LaplacePareto,
-    ParetoLomax,
     SymmetricPareto,
     Truncated,
     parse_dist,
@@ -20,11 +21,9 @@ from pllab.distributions import (
 from pllab.errors import DomainError
 from pllab.selection import (
     counterexample_scan,
-    phi_monte_carlo,
     phi_quadrature,
     phi_scan,
     phi_values,
-    stability_envelope_scan,
 )
 
 
@@ -42,7 +41,7 @@ MIXED = {
     "AsymmetricPareto(2,3)": AsymmetricPareto(2.0, 3.0),
     "Gumbel()": Gumbel(),
     "Laplace(rate=1)": Laplace(1.0),
-    "ParetoLomax(2)": ParetoLomax(2.0),
+    "GeneralizedPareto(2)": GeneralizedPareto(2.0),
     "Frechet(2)": Frechet(2.0),
     "Truncated(Frechet(2))": Truncated(Frechet(2.0)),
 }
@@ -214,33 +213,24 @@ class TestScans:
             assert (r["ratio_1"], r["ratio_32"]) == (probe.ratio_1[i], probe.ratio_32[i])
             assert r["quad_error"] == probe.quad_error
 
-    def test_scans_extend_phi_scan_rows(self):
+    def test_counterexample_scan_rows_are_phi_scan_rows(self):
         dist, grid = LaplacePareto(), [2.0 * math.sqrt(3.0), 5.0]
-        base = phi_scan(dist, lambda c: [0.0, c, c], grid)
-        assert counterexample_scan(dist, 3, grid) == base
-        env = stability_envelope_scan(dist, 3, lambda c: [0.0, c, c], grid)
-        assert [{k: r[k] for k in base[0]} for r in env] == base
-        assert all({"bound_rank", "bound_gap", "empirical_constant"} <= r.keys() for r in env)
-        with pytest.raises(DomainError):
-            stability_envelope_scan(dist, 4, lambda c: [0.0, c, c], grid)
+        assert counterexample_scan(dist, 3, grid) == phi_scan(dist, lambda c: [0.0, c, c], grid)
 
-    def test_envelope_scan_requires_light_left_tail(self):
-        with pytest.raises(DomainError):
-            stability_envelope_scan(AsymmetricPareto(2.0, 3.0), 4, lambda c: [0.0, c, c, c], [1.0])
-        with pytest.raises(DomainError):
-            stability_envelope_scan(ParetoLomax(2.0), 3, lambda c: [0.0, c, c], [1.0])
-
-    def test_envelope_scan_bounded_constant_for_laplace_pareto(self):
-        rows = stability_envelope_scan(
-            LaplacePareto(), 4, lambda c: np.array([0.0, c, c, c]), np.arange(1.0, 51.0, 7.0)
-        )
+    def test_laplace_pareto_ratio_within_rank_and_gap_envelope(self):
+        # light left tail: -phi'/phi <= C min(rank^(-1/alpha), 1/gap) with one
+        # constant C across the scan, alpha the right tail index
+        dist = LaplacePareto()
+        rows = phi_scan(dist, lambda c: np.array([0.0, c, c, c]), np.arange(1.0, 51.0, 7.0))
         # gap-branch product ratio_1 * gap stays bounded across the scan
         prods = [r["ratio_1"] * r["lambda_gap"] for r in rows if r["lambda_gap"] > 0]
         assert max(prods) < 10.0
-        assert rows[-1]["empirical_constant"] < 10.0
+        bounds = [min(r["sigma_i"] ** (-1.0 / dist.tail_index_right),
+                      1.0 / r["lambda_gap"] if r["lambda_gap"] > 0.0 else math.inf) for r in rows]
+        assert max(r["ratio_1"] / bound for r, bound in zip(rows, bounds)) < 10.0
 
-    def test_envelope_scan_all_ratios_equal_at_zero(self):
-        rows = stability_envelope_scan(LaplacePareto(), 3, lambda c: np.array([c, c, c]), [0.0])
+    def test_all_ratios_equal_at_zero(self):
+        rows = phi_scan(LaplacePareto(), lambda c: np.array([c, c, c]), [0.0])
         vals = [r["ratio_1"] for r in rows]
         assert np.allclose(vals, vals[0], atol=1e-9)
         assert all(math.isfinite(v) for v in vals)
