@@ -160,6 +160,15 @@ class TestRegret:
             best = min(losses[:t, i].sum() for i in range(k))
             assert abs(curve[idx] - (played - best)) <= 1e-9 + k
 
+    @pytest.mark.parametrize("T", [1, 2, 7, 333])
+    def test_regret_reports_on_checkpoint_grid(self, T):
+        rng = np.random.default_rng(T)
+        losses = rng.random((T, 3))
+        arms = rng.integers(0, 3, size=T)
+        cps, curve, _ = regret(arms, losses, FixedSchedule(losses=losses))
+        np.testing.assert_array_equal(cps, checkpoint_grid(T))
+        assert curve.shape == cps.shape
+
     def test_checkpoint_grid_shape(self):
         grid = checkpoint_grid(1000)
         assert grid[0] == 1

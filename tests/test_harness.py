@@ -8,6 +8,7 @@ import pytest
 
 from pllab import cli, harness
 from pllab.distributions import PerturbationDistribution
+from pllab.environments import checkpoint_grid
 from pllab.errors import DomainError, MetadataMismatch, ScheduleExhausted
 
 
@@ -100,6 +101,12 @@ class TestRunMetadata:
                                        horizon=3000, runs=1, seed=1)
         harness.simulate_run(cfg, 0)
         assert 0 < len(calls) < cfg.horizon / 10
+
+    def test_run_curve_lies_on_the_table_checkpoints(self, tmp_path):
+        # 37 rounds: the last checkpoint is the horizon, not a grid power
+        cfg = small_config(tmp_path, policy="ftrl:shannon:m=0.1", horizon=37, runs=1)
+        curve, _ = harness.simulate_run(cfg, 0)
+        assert curve.shape == checkpoint_grid(cfg.horizon).shape
 
     def test_short_schedule_fails_before_any_run(self, tmp_path, monkeypatch):
         (tmp_path / "two.csv").write_text("0.1,0.2\n0.3,0.4\n")

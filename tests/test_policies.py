@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from brentq_oracle import kkt_residual
 
+from pllab import duality
 from pllab.distributions import Gumbel, LaplacePareto, PerturbationDistribution, SymmetricPareto, parse_dist
 from pllab.errors import DomainError
 from pllab.harness import COUNTERS
@@ -239,6 +240,16 @@ class TestFtrlSolver:
         lhs = state.eta * (state.lhat[0] - state.lhat[1])
         rhs = x ** -0.5 - (1.0 - x) ** -0.5
         assert abs(lhs - rhs) <= 1e-8
+
+    @pytest.mark.parametrize("beta", [0.2, 0.5, 0.8])
+    def test_two_arm_weight_at_tsallis_quantile_gap(self, beta):
+        # a scaled loss gap eta (lhat_2 - lhat_1) = tsallis_quantile(x) gives
+        # arm 1 weight x: the difference law induces the beta-Tsallis policy
+        state = PolicyState.fresh(2, 0.4, np.random.default_rng(0))
+        for x in (0.05, 0.3, 0.5, 0.7, 0.95):
+            state.lhat = np.array([0.0, duality.tsallis_quantile(x, beta) / state.eta])
+            _, p = ftrl_select(state, Tsallis(beta))
+            assert abs(p[0] - x) <= 1e-9, (beta, x)
 
     @pytest.mark.parametrize("beta", [0.2, 0.5, 0.8])
     def test_kkt_residual_small(self, beta):
