@@ -4,7 +4,6 @@ from . import distributions, duality, environments, harness, policies, selection
 from .errors import (
     DomainError,
     GridError,
-    MetadataMismatch,
     NonIntegrable,
     PllabError,
     RootFindFailed,
@@ -32,5 +31,4 @@ __all__ = [
     "SolverDiverged",
     "ScheduleExhausted",
     "GridError",
-    "MetadataMismatch",
 ]

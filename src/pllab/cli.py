@@ -33,7 +33,9 @@ def _parse_grid(text):
     if step == 0.0 or not all(math.isfinite(v) for v in (start, stop, step)):
         raise PllabError(f"grid spec {text!r} needs finite numbers and a nonzero step")
     n = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return start + step * np.arange(max(n, 1))
+    if n < 1:
+        raise PllabError(f"grid spec {text!r} steps away from its stop")
+    return start + step * np.arange(n)
 
 
 def _lambda_template(text):
@@ -81,25 +83,7 @@ def _cmd_simulate(args):
 
 def _cmd_verdict(args):
     table = harness.RegretTable.read_csv(args.csv)
-
-    def meta(key):
-        if key not in table.metadata:
-            raise PllabError(f"{args.csv}: no '# {key}=' line in the CSV header")
-        return table.metadata[key]
-
-    k = _number(meta("K"), args.csv, int)
-    m = _number(meta("m"), args.csv)
-    kind = args.envelope.lower()
-    if kind == "advlp":
-        env = harness.AdvLP(m=m, k=k)
-    elif kind == "stolp":
-        gaps = tuple(_number(v, args.csv) for v in meta("gaps").split(","))
-        env = harness.StoLP(m=m, gaps=gaps)
-    elif kind == "tsallisref":
-        env = harness.TsallisRef(k=k)
-    else:
-        raise PllabError(f"unknown envelope {args.envelope!r}")
-    report = harness.verdict(table, env)
+    report = harness.verdict(table, args.envelope)
     print(report)
     if args.log_fit:
         t_hi = int(table.checkpoints[-1])

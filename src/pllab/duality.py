@@ -294,8 +294,9 @@ class IftResult:
 
 
 def _check_grid(x_min, x_max, n):
-    if n <= 0 or n & (n - 1) != 0:
-        raise GridError(f"n must be a power of two, got {n}")
+    # the pipelines mirror the upper n // 2 frequencies into n samples, so n >= 2
+    if n < 2 or n & (n - 1) != 0:
+        raise GridError(f"n must be a power of two of at least 2, got {n}")
     if not x_max > x_min:
         raise GridError("x_max must exceed x_min")
 

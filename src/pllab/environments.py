@@ -55,10 +55,6 @@ class StochasticBernoulli:
         g = np.sort(self.gaps)
         return float(g[1]) if len(g) > 1 else 0.0
 
-    @property
-    def stochastic(self):
-        return True
-
 
 @dataclass(frozen=True)
 class FixedSchedule:
@@ -79,10 +75,6 @@ class FixedSchedule:
     @property
     def horizon(self):
         return self.losses.shape[0]
-
-    @property
-    def stochastic(self):
-        return False
 
 
 @dataclass(frozen=True)
@@ -110,10 +102,6 @@ class SwitchingAdversary:
 
     def mean_at(self, t):
         return self.mu1 if ((t - 1) // self.phase) % 2 == 0 else self.mu2
-
-    @property
-    def stochastic(self):
-        return False
 
 
 def loss_rows(model, t0, n, rng):
@@ -170,7 +158,7 @@ def regret(arms, losses, model):
     loss matrix of the trace.  Stochastic models score pseudo-regret (sum of
     suboptimality gaps of the played arms); other models score realized
     regret against the best fixed arm in hindsight.  Returns
-    (checkpoints, curve, final).
+    (checkpoints, curve).
     """
     arms = np.asarray(arms, dtype=int)
     losses = np.asarray(losses, dtype=float)
@@ -179,14 +167,13 @@ def regret(arms, losses, model):
         raise DomainError("trace length mismatch")
     checkpoints = checkpoint_grid(T)
 
-    if getattr(model, "stochastic", False):
+    if isinstance(model, StochasticBernoulli):
         cum = np.cumsum(model.gaps[arms])
     else:
         played = np.cumsum(losses[np.arange(T), arms])
         per_arm = np.cumsum(losses, axis=0)
         cum = played - per_arm.min(axis=1)
-    curve = cum[checkpoints - 1]
-    return checkpoints, curve, float(cum[-1])
+    return checkpoints, cum[checkpoints - 1]
 
 
 def parse_environment(spec: str):

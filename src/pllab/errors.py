@@ -10,7 +10,6 @@ __all__ = [
     "SolverDiverged",
     "ScheduleExhausted",
     "GridError",
-    "MetadataMismatch",
 ]
 
 
@@ -63,7 +62,3 @@ class ScheduleExhausted(PllabError, IndexError):
 
 class GridError(PllabError, ValueError):
     """Invalid discretization grid (e.g. FFT length not a power of two)."""
-
-
-class MetadataMismatch(PllabError, ValueError):
-    """Regret CSV metadata does not match the bound envelope parameters."""

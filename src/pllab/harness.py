@@ -9,6 +9,10 @@ perturbations from a tape (see ``policies``); both read their stream in the
 same order as one draw per round, so neither changes a number.  Wall-clock
 time and the sampling counters go to a sidecar file so they cannot break
 that contract.
+
+``verdict(table, kind)`` builds the envelope ``kind`` (advlp, stolp or
+tsallisref) from the K, m and gaps that ``run_experiment`` wrote into the
+table's metadata, so a table is always judged at its own parameters.
 """
 
 from __future__ import annotations
@@ -24,9 +28,9 @@ from stat import S_ISREG
 import numpy as np
 
 from .distributions import _number
-from .environments import CHECKPOINT_RATIO, check_horizon, checkpoint_grid, loss_rows, parse_environment, regret
+from .environments import CHECKPOINT_RATIO, StochasticBernoulli, check_horizon, loss_rows, parse_environment, regret
 from .environments import next_loss  # noqa: F401  (bench/tests checks the tracer patches this alias)
-from .errors import DomainError, MetadataMismatch
+from .errors import DomainError
 from .policies import parse_policy
 
 __all__ = [
@@ -118,7 +122,7 @@ COUNTERS = ("vectors_drawn", "resample_trials", "cap_hits", "root_evals")
 
 
 def simulate_run(config: ExperimentConfig, run_index: int):
-    """One bandit run: (regret curve on the checkpoint grid, run counters).
+    """One bandit run: (checkpoint grid, regret curve on it, run counters).
 
     The counters are the run's wall time ``wall_s`` and the policy state's
     ``vectors_drawn``, ``resample_trials`` and ``cap_hits`` (0 for FTRL) and
@@ -134,10 +138,10 @@ def simulate_run(config: ExperimentConfig, run_index: int):
     arms = np.empty(config.horizon, dtype=int)
     for t in range(config.horizon):
         arms[t] = policy.step(state, losses[t])
-    curve = regret(arms, losses, model)[1]
+    checkpoints, curve = regret(arms, losses, model)
     counters = {key: getattr(state, key) for key in COUNTERS}
     counters["wall_s"] = time.perf_counter() - start
-    return curve, counters
+    return checkpoints, curve, counters
 
 
 def _write_text(path, text):
@@ -238,12 +242,6 @@ class RegretTable:
 
 def _parallel_degree(config: ExperimentConfig):
     degree = config.threads or os.cpu_count() or 1
-    env_cap = os.environ.get("PLL_THREADS")
-    if env_cap:
-        cap = _number(env_cap, "PLL_THREADS", int)
-        if cap < 1:
-            raise DomainError(f"PLL_THREADS must be at least 1, got {cap}")
-        degree = min(degree, cap)
     return max(1, min(degree, config.runs))
 
 
@@ -256,7 +254,6 @@ def run_experiment(config: ExperimentConfig) -> RegretTable:
     check_horizon(model, config.horizon)
     if config.out and not os.path.isdir(os.path.dirname(config.out) or "."):
         raise FileNotFoundError(f"output directory of {config.out!r} does not exist")
-    checkpoints = checkpoint_grid(config.horizon)
     t0 = time.perf_counter()
     degree = _parallel_degree(config)
     jobs = [(config, j) for j in range(config.runs)]
@@ -269,7 +266,8 @@ def run_experiment(config: ExperimentConfig) -> RegretTable:
         results = [simulate_run(*job) for job in jobs]
     wall = time.perf_counter() - t0
 
-    curves = np.vstack([curve for curve, _ in results])
+    checkpoints = results[0][0]  # every run plays the full horizon, so all share one grid
+    curves = np.vstack([curve for _, curve, _ in results])
     metadata = {
         "config_hash": config.semantic_hash(),
         "policy": config.policy,
@@ -280,14 +278,15 @@ def run_experiment(config: ExperimentConfig) -> RegretTable:
         "runs": config.runs,
         "seed": config.seed,
         "resample_cap": policy.cap_description(),
-        "regret_kind": "pseudo" if getattr(model, "stochastic", False) else "adversarial",
+        "regret_kind": "adversarial",
     }
-    if getattr(model, "stochastic", False):
+    if isinstance(model, StochasticBernoulli):
+        metadata["regret_kind"] = "pseudo"
         metadata["gaps"] = ",".join(f"{g:.17g}" for g in model.gaps)
     table = RegretTable(checkpoints=checkpoints, curves=curves, metadata=metadata)
     if config.out:
         table.write_csv(config.out)
-        meta = _meta_lines(wall, degree, [c for _, c in results], config.horizon)
+        meta = _meta_lines(wall, degree, [c for _, _, c in results], config.horizon)
         _write_text(config.out + ".meta", "\n".join(meta) + "\n")
     return table
 
@@ -381,24 +380,28 @@ class VerdictReport:
         return "\n".join(out)
 
 
-def verdict(table: RegretTable, envelope) -> VerdictReport:
-    """Compare mean + 2 stderr against the envelope at every checkpoint."""
-    meta = table.metadata
-    if "K" in meta and int(meta["K"]) != envelope.k:
-        raise MetadataMismatch(f"table has K={meta['K']}, envelope K={envelope.k}")
-    if hasattr(envelope, "m") and "m" in meta and not math.isclose(
-        float(meta["m"]), envelope.m, rel_tol=1e-12
-    ):
-        raise MetadataMismatch(f"table has m={meta['m']}, envelope m={envelope.m}")
-    if isinstance(envelope, StoLP) and "gaps" in meta:
-        table_gaps = tuple(float(v) for v in str(meta["gaps"]).split(","))
-        if len(table_gaps) != len(envelope.gaps) or not all(
-            math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-12)
-            for a, b in zip(sorted(table_gaps), sorted(envelope.gaps))
-        ):
-            raise MetadataMismatch("gap vectors differ between table and envelope")
+def _envelope(metadata, kind):
+    """The envelope ``kind`` (advlp, stolp or tsallisref) at the table's own K, m and gaps."""
 
-    bounds = envelope.evaluate(table.checkpoints)
+    def field(key):
+        if key not in metadata:
+            raise DomainError(f"regret table has no '# {key}=' metadata line")
+        return str(metadata[key])
+
+    kind = kind.lower()
+    if kind == "advlp":
+        return AdvLP(m=_number(field("m"), "m"), k=_number(field("K"), "K", int))
+    if kind == "stolp":
+        return StoLP(m=_number(field("m"), "m"), gaps=tuple(_number(g, "gaps") for g in field("gaps").split(",")))
+    if kind == "tsallisref":
+        return TsallisRef(k=_number(field("K"), "K", int))
+    raise DomainError(f"unknown envelope {kind!r}; expected advlp, stolp or tsallisref")
+
+
+def verdict(table: RegretTable, kind: str) -> VerdictReport:
+    """Compare mean + 2 stderr against envelope ``kind`` at every checkpoint;
+    the envelope takes K, m and gaps from the table's metadata."""
+    bounds = _envelope(table.metadata, kind).evaluate(table.checkpoints)
     mean, se = table.mean, table.stderr
     rows = []
     ok_all = True

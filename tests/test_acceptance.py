@@ -124,7 +124,7 @@ def _regret_table(horizon, runs=20, seed=20260810):
 def test_criterion_05_adversarial_envelope():
     t0 = time.time()
     table = _regret_table(horizon=20000)
-    rep = harness.verdict(table, harness.AdvLP(m=0.23, k=8))
+    rep = harness.verdict(table, "advlp")
     elapsed = time.time() - t0
     margin = min(b - (m + 2 * s) for (_, m, s, b, _) in rep.rows)
     report(5, rep.all_pass, f"mean+2se below AdvLP at all {len(rep.rows)} checkpoints (min margin {margin:.1f})", elapsed, 300)

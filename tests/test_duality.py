@@ -235,6 +235,12 @@ class TestCharFn:
             duality.char_fn_grid(lambda p: p, -20.0, 20.0, 2, 0.01)
 
 
+@pytest.fixture(scope="module")
+def tsallis_ift():
+    """The 1/2-Tsallis IFT pipeline at its defaults, computed once for the module."""
+    return duality.tsallis_ift_pipeline()
+
+
 class TestIft:
     def test_grid_errors(self):
         with pytest.raises(GridError):
@@ -242,7 +248,7 @@ class TestIft:
         with pytest.raises(GridError):
             duality.ift_density(np.zeros(64), -20.0, 20.0, 128)
 
-    @pytest.mark.parametrize("n,x_max", [(0, 20.0), (-4, 20.0), (3000, 20.0), (2048, -20.0)])
+    @pytest.mark.parametrize("n,x_max", [(0, 20.0), (-4, 20.0), (1, 20.0), (3000, 20.0), (2048, -20.0)])
     def test_pipeline_checks_grid_before_quadrature(self, monkeypatch, n, x_max):
         monkeypatch.setattr(duality, "char_fn_grid", lambda *a, **kw: pytest.fail("quadrature ran"))
         with pytest.raises(GridError):
@@ -253,13 +259,13 @@ class TestIft:
         ref = np.exp(-res.x_grid**2) / math.sqrt(math.pi)
         assert np.max(np.abs(res.pdf - ref)) <= 1e-3
 
-    def test_tsallis_half_pipeline_bands(self):
-        res = duality.tsallis_ift_pipeline()
+    def test_tsallis_half_pipeline_bands(self, tsallis_ift):
+        res = tsallis_ift
         assert 0.98 <= res.cdf[-1] <= 1.02
         assert np.max(np.abs(res.imag_residual)) <= 1e-10
 
-    def test_tsallis_closer_to_symmetric_pareto_than_laplace(self):
-        res = duality.tsallis_ift_pipeline()
+    def test_tsallis_closer_to_symmetric_pareto_than_laplace(self, tsallis_ift):
+        res = tsallis_ift
         mask = np.abs(res.x_grid) <= 5.0
         sp = np.asarray(SymmetricPareto(2.0).pdf(res.x_grid[mask]))
         lap = 0.5 * np.exp(-np.abs(res.x_grid[mask]))

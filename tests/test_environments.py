@@ -114,17 +114,16 @@ class TestRegret:
         T = 100
         arms = np.zeros(T, dtype=int)
         losses = np.zeros((T, 2))
-        _, curve, final = regret(arms, losses, model)
-        assert final == 0.0
+        _, curve = regret(arms, losses, model)
         assert np.all(curve == 0.0)
 
     def test_always_worst_arm_fixed_schedule(self):
         T = 50
         model = FixedSchedule(losses=np.tile([0.0, 1.0], (T, 1)))
         arms = np.ones(T, dtype=int)
-        cps, curve, final = regret(arms, np.tile([0.0, 1.0], (T, 1)), model)
+        cps, curve = regret(arms, np.tile([0.0, 1.0], (T, 1)), model)
         np.testing.assert_allclose(curve, cps.astype(float))
-        assert final == T
+        assert curve[-1] == T
 
     def test_uniform_play_expected_gap_rate(self):
         delta, k = 0.3, 4
@@ -133,7 +132,7 @@ class TestRegret:
         T = 10**5
         arms = rng.integers(0, k, size=T)
         losses = np.zeros((T, k))
-        _, _, final = regret(arms, losses, model)
+        final = regret(arms, losses, model)[1][-1]
         p = (k - 1) / k
         expect = T * delta * p
         sigma = delta * np.sqrt(p * (1 - p) * T)
@@ -144,7 +143,7 @@ class TestRegret:
         rng = np.random.default_rng(1)
         T = 4000
         arms = rng.integers(0, 3, size=T)
-        _, curve, _ = regret(arms, np.zeros((T, 3)), model)
+        _, curve = regret(arms, np.zeros((T, 3)), model)
         assert np.all(np.diff(curve) >= 0.0)
 
     def test_adversarial_matches_naive_recount(self):
@@ -153,7 +152,7 @@ class TestRegret:
         losses = rng.random((T, k))
         arms = rng.integers(0, k, size=T)
         model = FixedSchedule(losses=losses)
-        cps, curve, final = regret(arms, losses, model)
+        cps, curve = regret(arms, losses, model)
         # brute-force oracle
         for idx, t in enumerate(cps):
             played = sum(losses[s, arms[s]] for s in range(t))
@@ -165,7 +164,7 @@ class TestRegret:
         rng = np.random.default_rng(T)
         losses = rng.random((T, 3))
         arms = rng.integers(0, 3, size=T)
-        cps, curve, _ = regret(arms, losses, FixedSchedule(losses=losses))
+        cps, curve = regret(arms, losses, FixedSchedule(losses=losses))
         np.testing.assert_array_equal(cps, checkpoint_grid(T))
         assert curve.shape == cps.shape
 

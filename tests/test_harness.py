@@ -9,7 +9,7 @@ import pytest
 from pllab import cli, harness
 from pllab.distributions import PerturbationDistribution
 from pllab.environments import checkpoint_grid
-from pllab.errors import DomainError, MetadataMismatch, ScheduleExhausted
+from pllab.errors import DomainError, ScheduleExhausted
 
 
 def small_config(tmp_path, name="out.csv", **kw):
@@ -38,11 +38,6 @@ class TestDeterminism:
         harness.run_experiment(small_config(tmp_path, "s.csv", threads=1))
         harness.run_experiment(small_config(tmp_path, "p.csv", threads=2))
         assert (tmp_path / "s.csv").read_bytes() == (tmp_path / "p.csv").read_bytes()
-
-    def test_pll_threads_cap(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("PLL_THREADS", "1")
-        cfg = small_config(tmp_path, "c.csv", threads=8)
-        assert harness._parallel_degree(cfg) == 1
 
     def test_stream_is_pure_function(self):
         a1, p1 = harness.run_streams(5, 2)
@@ -105,8 +100,9 @@ class TestRunMetadata:
     def test_run_curve_lies_on_the_table_checkpoints(self, tmp_path):
         # 37 rounds: the last checkpoint is the horizon, not a grid power
         cfg = small_config(tmp_path, policy="ftrl:shannon:m=0.1", horizon=37, runs=1)
-        curve, _ = harness.simulate_run(cfg, 0)
-        assert curve.shape == checkpoint_grid(cfg.horizon).shape
+        checkpoints, curve, _ = harness.simulate_run(cfg, 0)
+        np.testing.assert_array_equal(checkpoints, checkpoint_grid(cfg.horizon))
+        assert curve.shape == checkpoints.shape
 
     def test_short_schedule_fails_before_any_run(self, tmp_path, monkeypatch):
         (tmp_path / "two.csv").write_text("0.1,0.2\n0.3,0.4\n")
@@ -183,24 +179,25 @@ class TestVerdict:
 
     def test_zero_regret_passes(self):
         table = self.make_table([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-        report = harness.verdict(table, harness.AdvLP(m=0.23, k=2))
+        report = harness.verdict(table, "advlp")
         assert report.all_pass
 
     def test_synthetic_double_envelope_fails_everywhere(self):
         env = harness.AdvLP(m=0.23, k=2)
         bounds = env.evaluate(np.array([1, 10, 100], dtype=float))
         table = self.make_table([2.0 * bounds])
-        report = harness.verdict(table, env)
+        report = harness.verdict(table, "advlp")
         assert not report.all_pass
         assert all(not ok for (_, _, _, _, ok) in report.rows)
 
-    def test_metadata_mismatch(self):
-        table = self.make_table([[0.0, 0.0, 0.0]], k=3)
-        with pytest.raises(MetadataMismatch):
-            harness.verdict(table, harness.AdvLP(m=0.23, k=2))
-        table = self.make_table([[0.0, 0.0, 0.0]], k=2, m=0.5)
-        with pytest.raises(MetadataMismatch):
-            harness.verdict(table, harness.AdvLP(m=0.23, k=2))
+    def test_envelope_is_built_from_table_metadata(self):
+        cps = np.array([1.0, 10.0, 100.0])
+        table = self.make_table([[0.0, 0.0, 0.0]], k=3, m=0.5, gaps=(0.0, 0.2, 0.4))
+        for kind, env in [("advlp", harness.AdvLP(m=0.5, k=3)),
+                          ("stolp", harness.StoLP(m=0.5, gaps=(0.0, 0.2, 0.4))),
+                          ("tsallisref", harness.TsallisRef(k=3))]:
+            bounds = [bound for (_, _, _, bound, _) in harness.verdict(table, kind).rows]
+            assert bounds == env.evaluate(cps).tolist()
 
     def test_log_growth_fit_recovers_log_curve(self):
         t = np.unique(np.geomspace(10, 10000, 40).astype(int))
@@ -253,16 +250,6 @@ class TestCli:
         assert cli.main(["simulate", "--config", "x.ini", *extra]) == 0
         assert seen[0].threads == (1 if "--threads" in extra else 2)
         assert seen[0].out == ("flag.csv" if "--out" in extra else "ini.csv")
-
-    @pytest.mark.parametrize("cap", ["abc", "0", "-2"])
-    def test_bad_thread_cap_is_usage_error(self, capsys, monkeypatch, cap):
-        monkeypatch.setenv("PLL_THREADS", cap)
-        monkeypatch.setattr(harness, "simulate_run", lambda *job: pytest.fail("a run started"))
-        argv = ["simulate", "--policy", "ftpl:lp:m=0.2", "--env", "bern:0.1,0.2", "--T", "10", "--runs", "1",
-                "--seed", "0"]
-        assert cli.main(argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "PLL_THREADS" in err and len(err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize("m", ["1e6", "1e300"])
     def test_tsallis_at_large_m_runs(self, m):
@@ -361,10 +348,12 @@ class TestCli:
             ["verdict", "--csv", "bad_cell.csv", "--envelope", "advlp"],
             ["verdict", "--csv", "short_row.csv", "--envelope", "advlp"],
             ["verdict", "--csv", "no_run.csv", "--envelope", "advlp"],
+            ["verdict", "--csv", "no_gaps.csv", "--envelope", "nope"],
             PHI + ["--lambda", "0,q", "--c-grid", "1:2"],
             PHI + ["--lambda", "0,2-c", "--c-grid", "1:2"],
             PHI + ["--lambda", "0,c", "--c-grid", "1:x"],
             PHI + ["--lambda", "0,c", "--c-grid", "1:2:0"],
+            PHI + ["--lambda", "0,c", "--c-grid", "1:0"],
             ["duality", "regscan", "--x", "0.4", "--out", "unused.csv"],
             ["duality", "regscan", "--x", "0.4:0.5", "--points", "-1", "--out", "unused.csv"],
             ["duality", "regscan", "--x", "0.4:0.5", "--points", "0", "--out", "unused.csv"],
@@ -379,8 +368,8 @@ class TestCli:
              "cap-negative", "switch-missing-mu", "bern-number", "sched-number", "sched-short",
              "seed-negative", "threads-zero", "threads-negative", "bern-nan", "switch-nan", "sched-nan", "config-unknown-key",
              "verdict-no-K", "verdict-no-gaps", "verdict-no-rows", "verdict-bad-cell", "verdict-short-row",
-             "verdict-no-run-column", "lambda-number",
-             "lambda-scaled-number", "grid-number", "grid-zero-step", "regscan-x-no-colon",
+             "verdict-no-run-column", "verdict-unknown-envelope", "lambda-number",
+             "lambda-scaled-number", "grid-number", "grid-zero-step", "grid-step-away", "regscan-x-no-colon",
              "regscan-points-negative", "regscan-points-zero", "ift-n-zero", "ift-n-negative",
              "ift-n-not-power-of-two", "ift-empty-x-range", "sanity-n-zero", "sanity-n-not-power-of-two"],
     )
