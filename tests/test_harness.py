@@ -199,6 +199,17 @@ class TestVerdict:
             bounds = [bound for (_, _, _, bound, _) in harness.verdict(table, kind).rows]
             assert bounds == env.evaluate(cps).tolist()
 
+    @pytest.mark.parametrize(
+        "drop,kind",
+        [("K", "advlp"), ("m", "advlp"), ("gaps", "stolp"), ("K", "tsallisref"), (None, "nope")],
+        ids=["advlp-no-K", "advlp-no-m", "stolp-no-gaps", "tsallisref-no-K", "unknown-kind"],
+    )
+    def test_missing_metadata_or_unknown_kind_is_domain_error(self, drop, kind):
+        table = self.make_table([[0.0, 0.0, 0.0]], gaps=(0.0, 0.2))
+        table.metadata.pop(drop, None)
+        with pytest.raises(DomainError):
+            harness.verdict(table, kind)
+
     def test_log_growth_fit_recovers_log_curve(self):
         t = np.unique(np.geomspace(10, 10000, 40).astype(int))
         y = 3.0 + 2.0 * np.log(t)
@@ -275,6 +286,10 @@ class TestCli:
         lines = out.read_text().strip().splitlines()
         assert lines[0].startswith("c,i,sigma_i,phi")
         assert len(lines) == 1 + 3 * 3
+
+    @pytest.mark.parametrize("spec,grid", [("1:1", [1.0]), ("6:4:-1", [6.0, 5.0, 4.0]), ("1:3:2", [1.0, 3.0])])
+    def test_grid_spec_is_inclusive(self, spec, grid):
+        assert cli._parse_grid(spec).tolist() == grid
 
     def test_out_file_is_replaced_whole(self, tmp_path):
         argv = ["analyze-phi", "--dist", "lp", "--lambda", "0,c", "--c-grid", "1:1"]
@@ -363,6 +378,8 @@ class TestCli:
             ["duality", "ift", "--xmin", "5", "--xmax", "5", "--out", "unused.csv"],
             ["duality", "sanity-normal", "--n", "0"],
             ["duality", "sanity-normal", "--n", "3000"],
+            ["duality", "ift", "--n", "1", "--out", "unused.csv"],
+            ["duality", "sanity-normal", "--n", "1"],
         ],
         ids=["policy-m", "policy-cap", "tsallis-m-nan", "tsallis-m-inf", "ftpl-m-nan", "shannon-m-nan", "cap-zero",
              "cap-negative", "switch-missing-mu", "bern-number", "sched-number", "sched-short",
@@ -371,7 +388,8 @@ class TestCli:
              "verdict-no-run-column", "verdict-unknown-envelope", "lambda-number",
              "lambda-scaled-number", "grid-number", "grid-zero-step", "grid-step-away", "regscan-x-no-colon",
              "regscan-points-negative", "regscan-points-zero", "ift-n-zero", "ift-n-negative",
-             "ift-n-not-power-of-two", "ift-empty-x-range", "sanity-n-zero", "sanity-n-not-power-of-two"],
+             "ift-n-not-power-of-two", "ift-empty-x-range", "sanity-n-zero", "sanity-n-not-power-of-two",
+             "ift-n-one", "sanity-n-one"],
     )
     def test_bad_input_is_usage_error(self, capsys, tmp_path, monkeypatch, argv):
         monkeypatch.chdir(tmp_path)
