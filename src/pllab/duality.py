@@ -333,10 +333,17 @@ def ift_pipeline(quantile, x_min, x_max, n, eps) -> IftResult:
 
     The square root takes the principal branch; a warning is emitted if the
     real part of gbar ever goes negative (possible phase wrap for laws whose
-    difference is not symmetric).  The grid is checked before any quadrature.
+    difference is not symmetric).  Imaginary parts within the summation's
+    rounding drift, n eps_mach times the weight total 1 - 2 eps, are set to
+    +0.0 first: where truncation leaves a slightly negative real part, the
+    sign of that rounding noise would otherwise pick the branch, so the
+    density would depend on the order of the sum.  The grid is checked before
+    any quadrature.
     """
     _check_grid(x_min, x_max, n)
     gbar_upper = char_fn_grid(quantile, x_min, x_max, n, eps)
+    drift = n * np.finfo(float).eps * (1.0 - 2.0 * eps)
+    gbar_upper.imag[np.abs(gbar_upper.imag) <= drift] = 0.0
     # endpoint truncation leaves O(eps)-level oscillation around zero at large
     # frequencies; only a materially negative real part signals a branch cut
     if np.any(gbar_upper.real < -1e-4 * np.max(np.abs(gbar_upper))):

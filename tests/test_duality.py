@@ -254,6 +254,15 @@ class TestIft:
         with pytest.raises(GridError):
             duality.tsallis_ift_pipeline(n=n, x_max=x_max)
 
+    def test_square_root_branch_ignores_rounding_sign(self, monkeypatch, tsallis_ift):
+        # the symmetric law's gbar is real; where truncation leaves its real
+        # part slightly negative, flipping the sign of the imaginary rounding
+        # noise must not flip the square root's branch
+        grid = duality.char_fn_grid
+        monkeypatch.setattr(duality, "char_fn_grid", lambda *a: np.conj(grid(*a)))
+        res = duality.tsallis_ift_pipeline()
+        assert np.max(np.abs(res.pdf - tsallis_ift.pdf)) <= 1e-12
+
     def test_normal_sanity(self):
         res = duality.normal_ift_pipeline()
         ref = np.exp(-res.x_grid**2) / math.sqrt(math.pi)
