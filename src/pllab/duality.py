@@ -232,22 +232,17 @@ def ift_frequencies(x_min: float, x_max: float, n: int):
     return (0.5 - n / 2 + k) * (2.0 * math.pi / (x_max - x_min))
 
 
-def char_fn_grid(quantile, x_min: float, x_max: float, n: int, eps: float):
-    """gbar(t) = integral_{eps}^{1-eps} exp(i t c(p)) dp on the upper half IFT grid.
+# char_fn_grid writes the frequency index as k = k1 + _BLOCK k2 and sums the
+# quadrature nodes _CHUNK at a time, so each table stays at 2 MB for n = 2048
+_BLOCK = 32
+_CHUNK = 4096
 
-    The frequencies are ts = ift_frequencies(x_min, x_max, n)[n // 2:], the
-    positive half of the grid ``ift_density`` inverts (one point for n = 2).
-    Composite Gauss-Legendre panels of 24 nodes are uniform in c-space (so
-    oscillations of exp(i t c) are equally resolved everywhere: at most 6
-    radians per panel at the largest |t|), which makes them adaptively thin
-    where the quantile is steep.  The grid is arithmetic, so the phase
-    factors advance by a constant complex multiplier per frequency, reducing
-    the whole evaluation to one vector recursion.
-    """
+
+def _char_fn_nodes(quantile, x_min: float, x_max: float, n: int, eps: float):
+    """Frequencies and Gauss-Legendre nodes (c values, p weights) of ``char_fn_grid``."""
     if not 0.0 < eps <= 1e-3:
         raise DomainError("eps must lie in (0, 1e-3]")
     ts = ift_frequencies(x_min, x_max, n)[n // 2:]
-    dt = ts[1] - ts[0] if len(ts) > 1 else 0.0
     t_max = float(np.max(np.abs(ts)))
     c_lo = float(quantile(np.asarray(eps)))
     c_hi = float(quantile(np.asarray(1.0 - eps)))
@@ -262,16 +257,49 @@ def char_fn_grid(quantile, x_min: float, x_max: float, n: int, eps: float):
     mid = 0.5 * (p_edges[1:] + p_edges[:-1])
     nodes = (mid[:, None] + half[:, None] * x_gl[None, :]).ravel()
     wts = (half[:, None] * w_gl[None, :]).ravel()
-    c_nodes = np.asarray(quantile(nodes), dtype=float)
+    return ts, np.asarray(quantile(nodes), dtype=float), wts
 
-    # exp(i t_k c) = exp(i t_0 c) * step^k
-    out = np.empty(len(ts), dtype=complex)
-    z = np.exp(1j * ts[0] * c_nodes)
-    step = np.exp(1j * dt * c_nodes)
-    for k in range(len(ts)):
-        out[k] = z @ wts
-        z *= step
-    return out
+
+def char_fn_grid(quantile, x_min: float, x_max: float, n: int, eps: float):
+    """gbar(t) = integral_{eps}^{1-eps} exp(i t c(p)) dp on the upper half IFT grid.
+
+    The frequencies are ts = ift_frequencies(x_min, x_max, n)[n // 2:], the
+    positive half of the grid ``ift_density`` inverts (one point for n = 2).
+    Composite Gauss-Legendre panels of 24 nodes are uniform in c-space (so
+    oscillations of exp(i t c) are equally resolved everywhere: at most 6
+    radians per panel at the largest |t|), which makes them adaptively thin
+    where the quantile is steep.
+
+    The grid is arithmetic, ts[k] = ts[0] + k dt, so with step = exp(i dt c)
+    each phase factor is exp(i ts[0] c) step^k.  Writing k = k1 + 32 k2, the
+    m = n/2 sums over the nodes become one matrix product per chunk of at
+    most 4096 nodes: A[k1] = step^k1 (k1 < 32) and
+    B[k2] = exp(i ts[0] c) w (step^32)^k2, both built by repeated
+    multiplication, and out[k2, k1] += B @ A.T.  The output is trimmed to m
+    frequencies; for m < 32 the single block is m wide.  The tables take
+    16 * 4096 * (32 + m/32) bytes, whatever the number of nodes.
+    """
+    ts, c_nodes, wts = _char_fn_nodes(quantile, x_min, x_max, n, eps)
+    m = len(ts)
+    dt = ts[1] - ts[0] if m > 1 else 0.0
+    width = min(_BLOCK, m)
+    n_blocks = -(-m // width)
+    out = np.zeros((n_blocks, width), dtype=complex)
+    a_table = np.empty((width, _CHUNK), dtype=complex)
+    b_table = np.empty((n_blocks, _CHUNK), dtype=complex)
+    for start in range(0, len(c_nodes), _CHUNK):
+        c = c_nodes[start:start + _CHUNK]
+        a, b = a_table[:, :len(c)], b_table[:, :len(c)]
+        step = np.exp(1j * dt * c)
+        a[0] = 1.0
+        for k1 in range(1, width):
+            np.multiply(a[k1 - 1], step, out=a[k1])
+        np.multiply(a[-1], step, out=step)  # step^width
+        np.multiply(np.exp(1j * ts[0] * c), wts[start:start + _CHUNK], out=b[0])
+        for k2 in range(1, n_blocks):
+            np.multiply(b[k2 - 1], step, out=b[k2])
+        out += b @ a.T
+    return out.ravel()[:m]
 
 
 @dataclass(frozen=True)

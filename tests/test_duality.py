@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 import quadpack_oracle
+import recursion_oracle
 
 from pllab import duality, selection
 from pllab.distributions import (
@@ -214,6 +215,20 @@ class TestCharFn:
         assert len(grid) == len(ts) == n // 2
         for t, g in zip(ts, grid):
             assert abs(g - quadpack_oracle.char_fn(t, q)) <= 1e-9
+
+    @pytest.mark.parametrize("n", [2, 16, 64, 512])
+    @pytest.mark.parametrize(
+        "quantile,eps",
+        [(lambda p: duality.tsallis_quantile(p, 0.5), 1e-4), (duality.normal_quantile, 1e-9)],
+        ids=["tsallis", "normal"],
+    )
+    def test_blocked_product_matches_recursion(self, quantile, eps, n):
+        # n = 2 and 16 leave one partial block of frequencies, 512 several
+        # blocks and (Tsallis) a last chunk of nodes shorter than the rest
+        grid = duality.char_fn_grid(quantile, -20.0, 20.0, n, eps)
+        oracle = recursion_oracle.char_fn_grid(quantile, -20.0, 20.0, n, eps)
+        assert len(grid) == n // 2
+        assert np.max(np.abs(grid - oracle)) <= 1e-14
 
     @pytest.mark.parametrize("log2n", range(1, 21))
     def test_ift_grids_count_as_arithmetic(self, log2n):
