@@ -14,10 +14,11 @@ pin the QUADPACK oracle in ``quadpack_oracle``, which the kernel must match
 to tolerance.  The scalar hash pins ``cdf`` / ``sf`` / ``pdf`` / ``pdf_prime``
 of four glued laws at Python-float arguments out to |x| = 1e300.  The
 ``check-dist`` hashes pin the regularity diagnostics: the evaluation grid and
-the seeded block-maximum design.  To regenerate after an intended change,
-print ``_digest(tmp_path, policy, env)``, ``_phi_digest(tmp_path, spec, lam)``,
-``_scalar_digest()``, ``_check_dist_digest(tmp_path, spec)`` and the values
-for each entry below.
+the seeded block-maximum design.  The IFT values pin ``duality ift``'s
+density and the normal sanity figure to 1e-10.  To regenerate after an
+intended change, print ``_digest(tmp_path, policy, env)``,
+``_phi_digest(tmp_path, spec, lam)``, ``_scalar_digest()``,
+``_check_dist_digest(tmp_path, spec)`` and the values for each entry below.
 """
 
 import hashlib
@@ -137,6 +138,32 @@ def test_phi_inversions_exact():
     rows = duality.three_arm_regularizer_scan(sorted(REGSCAN_GOLDEN), dist)
     assert [r["c"] for r in rows] == [REGSCAN_GOLDEN[x] for x in sorted(REGSCAN_GOLDEN)]
 
+
+
+# duality ift at its defaults (beta 1/2, x in [-20, 20], n = 2048, eps 1e-4):
+# the pdf linearly interpolated at x and the last cdf entry; and the sup
+# |pdf - N(0, 1/sqrt(2))| of the normal sanity pipeline.  Values with a
+# tolerance, not hashes: the BLAS summation order inside char_fn_grid's
+# matrix products may differ between machines.
+IFT_PDF_GOLDEN = {
+    0.0: 0.663887235727669,
+    1.0: 0.13757014698299672,
+    -1.0: 0.13754176653844138,
+    5.0: 0.004365720135831497,
+    -5.0: 0.0042578216406169486,
+}
+IFT_CDF_GOLDEN = 0.9959657059157778
+NORMAL_SUP_GOLDEN = 0.00026900447716371456
+
+
+def test_ift_pipeline_values():
+    res = duality.tsallis_ift_pipeline()
+    for x, want in IFT_PDF_GOLDEN.items():
+        assert abs(np.interp(x, res.x_grid, res.pdf) - want) <= 1e-10, x
+    assert abs(res.cdf[-1] - IFT_CDF_GOLDEN) <= 1e-10
+    normal = duality.normal_ift_pipeline()
+    sup = np.max(np.abs(normal.pdf - np.exp(-normal.x_grid**2) / np.sqrt(np.pi)))
+    assert abs(sup - NORMAL_SUP_GOLDEN) <= 1e-10
 
 # scalar evaluations (Python floats in and out) of glued laws, far tails included
 SCALAR_SPECS = ("splareto:a=2", "lp", "asp:2,3", "hybrid:right=trunc(frechet:2),left=gpd:3,1.5")
