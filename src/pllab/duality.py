@@ -276,8 +276,8 @@ def char_fn_grid(quantile, x_min: float, x_max: float, n: int, eps: float):
     most 4096 nodes: A[k1] = step^k1 (k1 < 32) and
     B[k2] = exp(i ts[0] c) w (step^32)^k2, both built by repeated
     multiplication, and out[k2, k1] += B @ A.T.  The output is trimmed to m
-    frequencies; for m < 32 the single block is m wide.  The tables take
-    16 * 4096 * (32 + m/32) bytes, whatever the number of nodes.
+    frequencies; for m < 32 the single block is m wide.  The tables hold at
+    most 4096 (32 + m/32) complex values, whatever the number of nodes.
     """
     ts, c_nodes, wts = _char_fn_nodes(quantile, x_min, x_max, n, eps)
     m = len(ts)
