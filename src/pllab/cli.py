@@ -181,7 +181,7 @@ def _cmd_duality_regscan(args):
 
 
 def _cmd_duality_sanity(args):
-    res = duality.normal_ift_pipeline(n=args.n, eps=args.eps)
+    res = duality.normal_ift_pipeline(n=args.n)
     ref = np.exp(-res.x_grid**2) / math.sqrt(math.pi)  # N(0, 1/sqrt(2)) density
     sup = float(np.max(np.abs(res.pdf - ref)))
     print(f"normal sanity: sup |pdf - N(0,1/sqrt(2))| = {sup:.3e} (threshold 1e-3)")
@@ -245,7 +245,6 @@ def build_parser():
 
     san = dsub.add_parser("sanity-normal", help="normal-distribution pipeline check")
     san.add_argument("--n", type=int, default=2048)
-    san.add_argument("--eps", type=float, default=1e-9)
     san.set_defaults(fn=_cmd_duality_sanity)
 
     return p
@@ -256,10 +255,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except PllabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (PllabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -8,14 +8,13 @@ quantile representation of the regularizer derivative, the three-arm scan
 of that derivative, the closed-form quantile of the perturbation difference
 that induces the beta-Tsallis policy, and the characteristic-function /
 inverse-FFT pipeline used to identify the law behind the 1/2-Tsallis
-regularizer.
+regularizer (a real cosine transform over half the quantile's range).
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -239,29 +238,33 @@ _CHUNK = 4096
 
 
 def _char_fn_nodes(quantile, x_min: float, x_max: float, n: int, eps: float):
-    """Frequencies and Gauss-Legendre nodes (c values, p weights) of ``char_fn_grid``."""
+    """Frequencies and Gauss-Legendre nodes (c values, doubled p weights) of ``char_fn_grid`` on [eps, 1/2]."""
     if not 0.0 < eps <= 1e-3:
         raise DomainError("eps must lie in (0, 1e-3]")
     ts = ift_frequencies(x_min, x_max, n)[n // 2:]
     t_max = float(np.max(np.abs(ts)))
     c_lo = float(quantile(np.asarray(eps)))
-    c_hi = float(quantile(np.asarray(1.0 - eps)))
-    n_panels = int(min(300_000, max(48, math.ceil(t_max * (c_hi - c_lo) / 6.0))))
+    n_panels = int(min(150_000, max(24, math.ceil(-t_max * c_lo / 6.0))))
 
-    c_edges = np.linspace(c_lo, c_hi, n_panels + 1)
-    p_edges = _invert_monotone(quantile, c_edges, eps, 1.0 - eps)
-    p_edges[0], p_edges[-1] = eps, 1.0 - eps
+    c_edges = np.linspace(c_lo, 0.0, n_panels + 1)
+    p_edges = _invert_monotone(quantile, c_edges, eps, 0.5)
+    p_edges[0], p_edges[-1] = eps, 0.5
 
     x_gl, w_gl = np.polynomial.legendre.leggauss(24)
     half = 0.5 * (p_edges[1:] - p_edges[:-1])
     mid = 0.5 * (p_edges[1:] + p_edges[:-1])
     nodes = (mid[:, None] + half[:, None] * x_gl[None, :]).ravel()
-    wts = (half[:, None] * w_gl[None, :]).ravel()
+    wts = (half[:, None] * (2.0 * w_gl)[None, :]).ravel()
     return ts, np.asarray(quantile(nodes), dtype=float), wts
 
 
 def char_fn_grid(quantile, x_min: float, x_max: float, n: int, eps: float):
-    """gbar(t) = integral_{eps}^{1-eps} exp(i t c(p)) dp on the upper half IFT grid.
+    """gbar(t) = 2 integral_{eps}^{1/2} cos(t c(p)) dp on the upper half IFT grid.
+
+    This is the truncated characteristic function
+    integral_{eps}^{1-eps} exp(i t c(p)) dp of r2 - r1 provided the quantile
+    is antisymmetric, c(1 - p) = -c(p) with c(1/2) = 0, as the quantile of a
+    difference of i.i.d. perturbations is; the sine part then cancels.
 
     The frequencies are ts = ift_frequencies(x_min, x_max, n)[n // 2:], the
     positive half of the grid ``ift_density`` inverts (one point for n = 2).
@@ -299,7 +302,7 @@ def char_fn_grid(quantile, x_min: float, x_max: float, n: int, eps: float):
         for k2 in range(1, n_blocks):
             np.multiply(b[k2 - 1], step, out=b[k2])
         out += b @ a.T
-    return out.ravel()[:m]
+    return out.ravel()[:m].real
 
 
 @dataclass(frozen=True)
@@ -325,6 +328,8 @@ def _check_grid(x_min, x_max, n):
     # the pipelines mirror the upper n // 2 frequencies into n samples, so n >= 2
     if n < 2 or n & (n - 1) != 0:
         raise GridError(f"n must be a power of two of at least 2, got {n}")
+    if not (math.isfinite(x_min) and math.isfinite(x_max)):
+        raise GridError(f"the x range [{x_min}, {x_max}] must be finite")
     if not x_max > x_min:
         raise GridError("x_max must exceed x_min")
 
@@ -359,26 +364,13 @@ def ift_density(char_samples, x_min: float, x_max: float, n: int) -> IftResult:
 def ift_pipeline(quantile, x_min, x_max, n, eps) -> IftResult:
     """Evaluate sqrt(gbar) on the upper half grid, mirror, and invert.
 
-    The square root takes the principal branch; a warning is emitted if the
-    real part of gbar ever goes negative (possible phase wrap for laws whose
-    difference is not symmetric).  Imaginary parts within the summation's
-    rounding drift, n eps_mach times the weight total 1 - 2 eps, are set to
-    +0.0 first: where truncation leaves a slightly negative real part, the
-    sign of that rounding noise would otherwise pick the branch, so the
-    density would depend on the order of the sum.  The grid is checked before
-    any quadrature.
+    For i.i.d. perturbations gbar = |phi_r|^2 is real and nonnegative, so a
+    negative value is truncation residue and is projected to 0 before the
+    square root.  The grid is checked before any quadrature.
     """
     _check_grid(x_min, x_max, n)
-    gbar_upper = char_fn_grid(quantile, x_min, x_max, n, eps)
-    drift = n * np.finfo(float).eps * (1.0 - 2.0 * eps)
-    gbar_upper.imag[np.abs(gbar_upper.imag) <= drift] = 0.0
-    # endpoint truncation leaves O(eps)-level oscillation around zero at large
-    # frequencies; only a materially negative real part signals a branch cut
-    if np.any(gbar_upper.real < -1e-4 * np.max(np.abs(gbar_upper))):
-        warnings.warn("gbar has negative real part: principal square root may cross a branch cut")
-    root_upper = np.sqrt(gbar_upper)
-    cf = np.concatenate([np.conj(root_upper[::-1]), root_upper])
-    return ift_density(cf, x_min, x_max, n)
+    root_upper = np.sqrt(np.maximum(char_fn_grid(quantile, x_min, x_max, n, eps), 0.0))
+    return ift_density(np.concatenate([root_upper[::-1], root_upper]), x_min, x_max, n)
 
 
 def tsallis_ift_pipeline(beta=0.5, x_min=-20.0, x_max=20.0, n=2048, eps=1e-4) -> IftResult:
@@ -390,16 +382,15 @@ def normal_quantile(p):
     return ndtri(np.asarray(p, dtype=float))
 
 
-def normal_ift_pipeline(x_min=-20.0, x_max=20.0, n=2048, eps=1e-9) -> IftResult:
+def normal_ift_pipeline(x_min=-20.0, x_max=20.0, n=2048) -> IftResult:
     """Sanity pipeline: gbar of N(0,1), so the inversion must return N(0, 1/sqrt(2)).
 
     The Gaussian needs a far deeper endpoint cutoff than a heavy-tailed law:
-    truncating the quantile integral at 1e-4 leaves tail oscillations around
-    zero that swamp exp(-t^2/4) after the square root and push the recovered
-    density off by ~7e-2.  eps = 1e-9 puts the truncated mass well below the
-    1e-3 sanity band.
+    the truncated mass leaves oscillations around zero that swamp
+    exp(-t^2/4) after the square root.  The half range resolves p near 0, so
+    eps = 1e-15 puts the truncation below rounding.
     """
-    return ift_pipeline(normal_quantile, x_min, x_max, n, eps)
+    return ift_pipeline(normal_quantile, x_min, x_max, n, 1e-15)
 
 
 # ---------------------------------------------------------------------------

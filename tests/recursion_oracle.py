@@ -4,7 +4,8 @@ This is the summation ``char_fn_grid`` ran before its blocked matrix
 product: over the same Gauss-Legendre nodes, the phase factors
 z = exp(i t_k c) advance by the constant multiplier exp(i dt c), one
 frequency at a time.  It makes m passes over every node, so only tests
-call it.
+call it.  Over the half range of ``_char_fn_nodes`` the complex sum also
+carries a sine part, so its real part is returned.
 """
 
 import numpy as np
@@ -23,4 +24,4 @@ def char_fn_grid(quantile, x_min, x_max, n, eps):
     for k in range(len(ts)):
         out[k] = z @ wts
         z *= step
-    return out
+    return out.real

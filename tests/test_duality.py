@@ -278,6 +278,14 @@ class TestIft:
         res = duality.tsallis_ift_pipeline()
         assert np.max(np.abs(res.pdf - tsallis_ift.pdf)) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "pipeline", [duality.tsallis_ift_pipeline, duality.normal_ift_pipeline], ids=["tsallis", "normal"]
+    )
+    def test_symmetric_law_gives_even_density(self, pipeline):
+        # x_k = -x_{n-k} on the grid, and both laws are symmetric
+        pdf = pipeline().pdf
+        assert np.max(np.abs(pdf[1:] - pdf[:0:-1])) <= 1e-12
+
     def test_normal_sanity(self):
         res = duality.normal_ift_pipeline()
         ref = np.exp(-res.x_grid**2) / math.sqrt(math.pi)

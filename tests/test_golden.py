@@ -146,14 +146,14 @@ def test_phi_inversions_exact():
 # tolerance, not hashes: the BLAS summation order inside char_fn_grid's
 # matrix products may differ between machines.
 IFT_PDF_GOLDEN = {
-    0.0: 0.663887235727669,
-    1.0: 0.13757014698299672,
-    -1.0: 0.13754176653844138,
-    5.0: 0.004365720135831497,
-    -5.0: 0.0042578216406169486,
+    0.0: 0.6638872357172245,
+    1.0: 0.13755595676184823,
+    -1.0: 0.13755595676184823,
+    5.0: 0.004311770891607902,
+    -5.0: 0.004311770891607902,
 }
-IFT_CDF_GOLDEN = 0.9959657059157778
-NORMAL_SUP_GOLDEN = 0.00026900447716371456
+IFT_CDF_GOLDEN = 0.9959665254049457
+NORMAL_SUP_GOLDEN = 3.842868900871821e-07
 
 
 def test_ift_pipeline_values():

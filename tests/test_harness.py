@@ -380,6 +380,11 @@ class TestCli:
             ["duality", "sanity-normal", "--n", "3000"],
             ["duality", "ift", "--n", "1", "--out", "unused.csv"],
             ["duality", "sanity-normal", "--n", "1"],
+            ["duality", "ift", "--xmax", "inf", "--out", "unused.csv"],
+            ["duality", "ift", "--n", "64", "--out", "."],
+            ["duality", "regscan", "--x", "0.4:0.5", "--points", "1", "--out", "."],
+            SIM + ["--policy", "ftpl:lp:m=0.2", "--env", "bern:0.1,0.2", "--out", "."],
+            ["verdict", "--csv", ".", "--envelope", "advlp"],
         ],
         ids=["policy-m", "policy-cap", "tsallis-m-nan", "tsallis-m-inf", "ftpl-m-nan", "shannon-m-nan", "cap-zero",
              "cap-negative", "switch-missing-mu", "bern-number", "sched-number", "sched-short",
@@ -389,7 +394,8 @@ class TestCli:
              "lambda-scaled-number", "grid-number", "grid-zero-step", "grid-step-away", "regscan-x-no-colon",
              "regscan-points-negative", "regscan-points-zero", "ift-n-zero", "ift-n-negative",
              "ift-n-not-power-of-two", "ift-empty-x-range", "sanity-n-zero", "sanity-n-not-power-of-two",
-             "ift-n-one", "sanity-n-one"],
+             "ift-n-one", "sanity-n-one", "ift-infinite-x-range", "ift-out-directory", "regscan-out-directory",
+             "simulate-out-directory", "verdict-csv-directory"],
     )
     def test_bad_input_is_usage_error(self, capsys, tmp_path, monkeypatch, argv):
         monkeypatch.chdir(tmp_path)
@@ -411,10 +417,11 @@ class TestCli:
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
         assert not (tmp_path / "unused.csv").exists()
 
-    def test_missing_out_dir_fails_before_any_run(self, capsys, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("out", ["missing/x.csv", "."])
+    def test_missing_out_dir_fails_before_any_run(self, capsys, tmp_path, monkeypatch, out):
         monkeypatch.chdir(tmp_path)
         monkeypatch.setattr(harness, "simulate_run", lambda *job: pytest.fail("a run started"))
-        argv = self.SIM + ["--policy", "ftpl:lp:m=0.2", "--env", "bern:0.1,0.2", "--out", "missing/x.csv"]
+        argv = self.SIM + ["--policy", "ftpl:lp:m=0.2", "--env", "bern:0.1,0.2", "--out", out]
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
@@ -423,6 +430,11 @@ class TestCli:
         out = tmp_path / "rep.csv"
         assert cli.main(["check-dist", "--dist", "pareto:2", "--out", str(out)]) == 0
         assert "von_mises" in out.read_text()
+
+    def test_sanity_normal_holds_at_large_n(self, capsys):
+        assert cli.main(["duality", "sanity-normal", "--n", "32768"]) == 0
+        sup = float(capsys.readouterr().out.split("= ")[1].split()[0])
+        assert sup <= 1e-4
 
     def test_duality_subcommands(self, tmp_path):
         assert cli.main(["duality", "sanity-normal"]) == 0
