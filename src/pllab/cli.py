@@ -140,7 +140,7 @@ def _cmd_check_dist(args):
 
 def _cmd_duality_ift(args):
     res = duality.tsallis_ift_pipeline(
-        beta=args.beta, x_min=args.xmin, x_max=args.xmax, n=args.n, eps=args.eps
+        beta=args.beta, x_min=args.xmin, x_max=args.xmax, n=args.n
     )
     sp = SymmetricPareto(a=2.0)
     ref_sp = np.asarray(sp.pdf(res.x_grid))
@@ -232,7 +232,6 @@ def build_parser():
     ift.add_argument("--xmin", type=float, default=-20.0)
     ift.add_argument("--xmax", type=float, default=20.0)
     ift.add_argument("--n", type=int, default=2048)
-    ift.add_argument("--eps", type=float, default=1e-4)
     ift.add_argument("--out", required=True)
     ift.set_defaults(fn=_cmd_duality_ift)
 

@@ -8,7 +8,8 @@ quantile representation of the regularizer derivative, the three-arm scan
 of that derivative, the closed-form quantile of the perturbation difference
 that induces the beta-Tsallis policy, and the characteristic-function /
 inverse-FFT pipeline used to identify the law behind the 1/2-Tsallis
-regularizer (a real cosine transform over half the quantile's range).
+regularizer (a real cosine transform over half the quantile's range, with
+the Tsallis tail near p = 0 integrated exactly).
 """
 
 from __future__ import annotations
@@ -213,11 +214,11 @@ def tsallis_quantile(p, beta: float = 0.5):
 # characteristic function and inverse-FFT pipeline
 # ---------------------------------------------------------------------------
 
-def _invert_monotone(fn, targets, lo, hi, iters=90):
-    """Vectorized bisection inverse of an increasing function on [lo, hi]."""
+def _invert_monotone(fn, targets, lo, hi):
+    """Vectorized bisection inverse of an increasing function on [lo, hi], to (hi - lo) 2^-90."""
     a = np.full_like(targets, lo, dtype=float)
     b = np.full_like(targets, hi, dtype=float)
-    for _ in range(iters):
+    for _ in range(90):
         mid = 0.5 * (a + b)
         below = fn(mid) < targets
         a = np.where(below, mid, a)
@@ -239,8 +240,8 @@ _CHUNK = 4096
 
 def _char_fn_nodes(quantile, x_min: float, x_max: float, n: int, eps: float):
     """Frequencies and Gauss-Legendre nodes (c values, doubled p weights) of ``char_fn_grid`` on [eps, 1/2]."""
-    if not 0.0 < eps <= 1e-3:
-        raise DomainError("eps must lie in (0, 1e-3]")
+    if not 0.0 < eps < 0.5:
+        raise DomainError("eps must lie in (0, 1/2)")
     ts = ift_frequencies(x_min, x_max, n)[n // 2:]
     t_max = float(np.max(np.abs(ts)))
     c_lo = float(quantile(np.asarray(eps)))
@@ -259,12 +260,15 @@ def _char_fn_nodes(quantile, x_min: float, x_max: float, n: int, eps: float):
 
 
 def char_fn_grid(quantile, x_min: float, x_max: float, n: int, eps: float):
-    """gbar(t) = 2 integral_{eps}^{1/2} cos(t c(p)) dp on the upper half IFT grid.
+    """2 integral_{eps}^{1/2} cos(t c(p)) dp on the upper half IFT grid.
 
-    This is the truncated characteristic function
-    integral_{eps}^{1-eps} exp(i t c(p)) dp of r2 - r1 provided the quantile
-    is antisymmetric, c(1 - p) = -c(p) with c(1/2) = 0, as the quantile of a
-    difference of i.i.d. perturbations is; the sine part then cancels.
+    This is the part integral_{eps}^{1-eps} exp(i t c(p)) dp of the
+    characteristic function gbar of r2 - r1 provided the quantile is
+    antisymmetric, c(1 - p) = -c(p) with c(1/2) = 0, as the quantile of a
+    difference of i.i.d. perturbations is; the sine part then cancels.  The
+    rest, 2 integral_0^eps cos(t c(p)) dp, is the caller's: the Tsallis
+    pipeline adds it exactly (``_tsallis_tail``), the normal one puts eps
+    below rounding.
 
     The frequencies are ts = ift_frequencies(x_min, x_max, n)[n // 2:], the
     positive half of the grid ``ift_density`` inverts (one point for n = 2).
@@ -361,20 +365,73 @@ def ift_density(char_samples, x_min: float, x_max: float, n: int) -> IftResult:
     )
 
 
-def ift_pipeline(quantile, x_min, x_max, n, eps) -> IftResult:
-    """Evaluate sqrt(gbar) on the upper half grid, mirror, and invert.
+def ift_pipeline(gbar, x_min, x_max, n) -> IftResult:
+    """Invert sqrt(gbar), given on the upper half grid, mirrored onto the lower.
 
-    For i.i.d. perturbations gbar = |phi_r|^2 is real and nonnegative, so a
-    negative value is truncation residue and is projected to 0 before the
-    square root.  The grid is checked before any quadrature.
+    ``gbar`` is the real characteristic function of r2 - r1 at
+    ``ift_frequencies(x_min, x_max, n)[n // 2:]``.  For i.i.d. perturbations
+    gbar = |phi_r|^2 >= 0, so a negative value is rounding residue and is
+    projected to 0 before the square root.
     """
-    _check_grid(x_min, x_max, n)
-    root_upper = np.sqrt(np.maximum(char_fn_grid(quantile, x_min, x_max, n, eps), 0.0))
+    root_upper = np.sqrt(np.maximum(gbar, 0.0))
     return ift_density(np.concatenate([root_upper[::-1], root_upper]), x_min, x_max, n)
 
 
-def tsallis_ift_pipeline(beta=0.5, x_min=-20.0, x_max=20.0, n=2048, eps=1e-4) -> IftResult:
-    return ift_pipeline(lambda p: tsallis_quantile(p, beta), x_min, x_max, n, eps)
+def _tsallis_tail(beta, ts, S):
+    """T(t) = 2 integral_0^eps cos(t c(p)) dp of ``tsallis_quantile`` at eps = S^(-1/(1-beta)), for t > 0.
+
+    With a = 1/(1-beta), coef = beta/(1-beta) and s = p^(beta-1) = p^(-1/a),
+    T = 2 Re integral_S^inf a s^(-a-1) exp(i t c(s)) ds, where
+    c(s) = -coef (s - (1 - s^-a)^(beta-1)) is analytic for Re s >= S > 1 and
+    |exp(i t c)| = exp(t coef Im s).  So the path turns down to s = S - i y
+    (numerical steepest descent, Huybrechs & Vandewalle, SIAM J. Numer.
+    Anal. 44(3), 2006): exp(-t coef y) is the Gauss-Laguerre weight in
+    x = t coef y, and for t coef S >= 4 the rest is smooth enough that 40
+    nodes reach rounding.
+    """
+    coef, a = beta / (1.0 - beta), 1.0 / (1.0 - beta)
+    x, w = np.polynomial.laguerre.laggauss(40)
+    tc = (ts * coef)[:, None]
+    log_s = np.log(S - 1j * x / tc)
+    # i t c(s) + x on the path, the Laguerre weight taken out
+    phase = 1j * tc * (np.exp((beta - 1.0) * np.log(1.0 - np.exp(-a * log_s))) - S)
+    # ds = -i dx / (t coef), and 2 Re(-i z) = 2 Im z
+    return 2.0 * a * (np.exp(phase - (a + 1.0) * log_s) @ w).imag / (ts * coef)
+
+
+def _tsallis_gbar(beta, x_min, x_max, n, S):
+    """gbar(t) = 2 integral_0^{1/2} cos(t c(p)) dp of ``tsallis_quantile`` on the upper half grid.
+
+    ``_tsallis_tail`` gives (0, eps] exactly, eps = S^(-1/(1-beta)), so the
+    sum does not depend on S.  ``char_fn_grid`` starts at max(eps, 1e-20):
+    below 1e-20 (beta above about 0.92) it would pay for |c(eps)|, about
+    coef S, in panels that weigh less than rounding.
+    """
+    eps = S ** (-1.0 / (1.0 - beta))
+    ts = ift_frequencies(x_min, x_max, n)[n // 2:]
+    head = char_fn_grid(lambda p: tsallis_quantile(p, beta), x_min, x_max, n, max(eps, 1e-20))
+    return head + _tsallis_tail(beta, ts, S)
+
+
+def _tail_start(beta, x_min, x_max):
+    """S = max(32, 4 / (coef t_min)), so t coef S >= 4 down to t_min = pi / (x_max - x_min).
+
+    The floor serves beta near 1, where s^(-a-1) turns faster along the path.
+    """
+    return max(32.0, 4.0 * (x_max - x_min) * (1.0 - beta) / (math.pi * beta))
+
+
+def tsallis_ift_pipeline(beta=0.5, x_min=-20.0, x_max=20.0, n=2048) -> IftResult:
+    """Density of r2 - r1 for the perturbations inducing the beta-Tsallis policy.
+
+    gbar has no truncation (``_tsallis_gbar``), its split worked out from
+    beta and the grid.  Both are checked before any quadrature.
+    """
+    _check_grid(x_min, x_max, n)
+    if not 0.0 < beta < 1.0:
+        raise DomainError("beta must lie in (0, 1)")
+    gbar = _tsallis_gbar(beta, x_min, x_max, n, _tail_start(beta, x_min, x_max))
+    return ift_pipeline(gbar, x_min, x_max, n)
 
 
 def normal_quantile(p):
@@ -382,15 +439,17 @@ def normal_quantile(p):
     return ndtri(np.asarray(p, dtype=float))
 
 
-def normal_ift_pipeline(x_min=-20.0, x_max=20.0, n=2048) -> IftResult:
+def normal_ift_pipeline(n=2048) -> IftResult:
     """Sanity pipeline: gbar of N(0,1), so the inversion must return N(0, 1/sqrt(2)).
 
     The Gaussian needs a far deeper endpoint cutoff than a heavy-tailed law:
     the truncated mass leaves oscillations around zero that swamp
     exp(-t^2/4) after the square root.  The half range resolves p near 0, so
-    eps = 1e-15 puts the truncation below rounding.
+    eps = 1e-15 on x in [-20, 20] puts the truncation below rounding.
     """
-    return ift_pipeline(normal_quantile, x_min, x_max, n, 1e-15)
+    x_min, x_max = -20.0, 20.0
+    _check_grid(x_min, x_max, n)
+    return ift_pipeline(char_fn_grid(normal_quantile, x_min, x_max, n, 1e-15), x_min, x_max, n)
 
 
 # ---------------------------------------------------------------------------

@@ -42,18 +42,9 @@ class StochasticBernoulli:
         return len(self.mu)
 
     @property
-    def i_star(self):
-        return int(np.argmin(self.mu))
-
-    @property
     def gaps(self):
         mu = np.asarray(self.mu)
         return mu - mu.min()
-
-    @property
-    def min_gap(self):
-        g = np.sort(self.gaps)
-        return float(g[1]) if len(g) > 1 else 0.0
 
 
 @dataclass(frozen=True)

@@ -248,14 +248,17 @@ def _parallel_degree(config: ExperimentConfig):
 def run_experiment(config: ExperimentConfig) -> RegretTable:
     """Execute all runs (parallel over runs), assemble metadata, write CSV."""
     # fail fast, before any worker starts, on bad specs, short schedules and
-    # an output path that is a directory or whose directory is missing
+    # an output path (or its .meta sidecar) that is a directory or whose
+    # directory is missing
     policy = parse_policy(config.policy)
     model = parse_environment(config.env)
     check_horizon(model, config.horizon)
-    if config.out and os.path.isdir(config.out):
-        raise IsADirectoryError(f"output path {config.out!r} is a directory")
-    if config.out and not os.path.isdir(os.path.dirname(config.out) or "."):
-        raise FileNotFoundError(f"output directory of {config.out!r} does not exist")
+    if config.out:
+        for path in (config.out, config.out + ".meta"):
+            if os.path.isdir(path):
+                raise IsADirectoryError(f"output path {path!r} is a directory")
+        if not os.path.isdir(os.path.dirname(config.out) or "."):
+            raise FileNotFoundError(f"output directory of {config.out!r} does not exist")
     t0 = time.perf_counter()
     degree = _parallel_degree(config)
     jobs = [(config, j) for j in range(config.runs)]

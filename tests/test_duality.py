@@ -247,7 +247,18 @@ class TestCharFn:
         with pytest.raises(DomainError):
             quadpack_oracle.char_fn(1.0, lambda p: p, eps=0.01)
         with pytest.raises(DomainError):
-            duality.char_fn_grid(lambda p: p, -20.0, 20.0, 2, 0.01)
+            duality.char_fn_grid(lambda p: p, -20.0, 20.0, 2, 0.5)
+
+    @pytest.mark.parametrize("x_max", [20.0, 200.0])
+    @pytest.mark.parametrize("beta", [0.3, 0.5, 0.8])
+    def test_tsallis_gbar_exact_to_rounding(self, beta, x_max):
+        # the exact tail makes the split point a matter of cost only, and
+        # gbar = |phi_r|^2 >= 0 (truncating the tail left values near -2e-7)
+        start = duality._tail_start(beta, -x_max, x_max)
+        near = duality._tsallis_gbar(beta, -x_max, x_max, 2048, start)
+        far = duality._tsallis_gbar(beta, -x_max, x_max, 2048, 4.0 * start)
+        assert np.max(np.abs(near - far)) <= 1e-12
+        assert near.min() >= -1e-14
 
 
 @pytest.fixture(scope="module")
@@ -268,15 +279,6 @@ class TestIft:
         monkeypatch.setattr(duality, "char_fn_grid", lambda *a, **kw: pytest.fail("quadrature ran"))
         with pytest.raises(GridError):
             duality.tsallis_ift_pipeline(n=n, x_max=x_max)
-
-    def test_square_root_branch_ignores_rounding_sign(self, monkeypatch, tsallis_ift):
-        # the symmetric law's gbar is real; where truncation leaves its real
-        # part slightly negative, flipping the sign of the imaginary rounding
-        # noise must not flip the square root's branch
-        grid = duality.char_fn_grid
-        monkeypatch.setattr(duality, "char_fn_grid", lambda *a: np.conj(grid(*a)))
-        res = duality.tsallis_ift_pipeline()
-        assert np.max(np.abs(res.pdf - tsallis_ift.pdf)) <= 1e-12
 
     @pytest.mark.parametrize(
         "pipeline", [duality.tsallis_ift_pipeline, duality.normal_ift_pipeline], ids=["tsallis", "normal"]

@@ -88,9 +88,7 @@ class TestLossGeneration:
 
     def test_gap_metadata(self):
         model = StochasticBernoulli(mu=(0.3, 0.1, 0.5))
-        assert model.i_star == 1
         np.testing.assert_allclose(model.gaps, [0.2, 0.0, 0.4])
-        assert model.min_gap == pytest.approx(0.2)
 
     def test_validation(self):
         with pytest.raises(DomainError):

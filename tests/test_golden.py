@@ -140,19 +140,19 @@ def test_phi_inversions_exact():
 
 
 
-# duality ift at its defaults (beta 1/2, x in [-20, 20], n = 2048, eps 1e-4):
-# the pdf linearly interpolated at x and the last cdf entry; and the sup
-# |pdf - N(0, 1/sqrt(2))| of the normal sanity pipeline.  Values with a
-# tolerance, not hashes: the BLAS summation order inside char_fn_grid's
-# matrix products may differ between machines.
+# duality ift at its defaults (beta 1/2, x in [-20, 20], n = 2048; gbar
+# exact to rounding, no truncation): the pdf linearly interpolated at x and
+# the last cdf entry; and the sup |pdf - N(0, 1/sqrt(2))| of the normal
+# sanity pipeline.  Values with a tolerance, not hashes: the BLAS summation
+# order inside char_fn_grid's matrix products may differ between machines.
 IFT_PDF_GOLDEN = {
-    0.0: 0.6638872357172245,
-    1.0: 0.13755595676184823,
-    -1.0: 0.13755595676184823,
-    5.0: 0.004311770891607902,
-    -5.0: 0.004311770891607902,
+    0.0: 0.6598279873462375,
+    1.0: 0.1375180250695037,
+    -1.0: 0.1375180250695045,
+    5.0: 0.004315380947625702,
+    -5.0: 0.004315380947621279,
 }
-IFT_CDF_GOLDEN = 0.9959665254049457
+IFT_CDF_GOLDEN = 0.995940775037768
 NORMAL_SUP_GOLDEN = 3.842868900871821e-07
 
 

@@ -385,6 +385,8 @@ class TestCli:
             ["duality", "regscan", "--x", "0.4:0.5", "--points", "1", "--out", "."],
             SIM + ["--policy", "ftpl:lp:m=0.2", "--env", "bern:0.1,0.2", "--out", "."],
             ["verdict", "--csv", ".", "--envelope", "advlp"],
+            SIM + ["--policy", "ftpl:lp:m=0.2", "--env", "bern:0.1,0.2", "--out", "unused.csv"],
+            ["duality", "ift", "--beta", "1", "--out", "unused.csv"],
         ],
         ids=["policy-m", "policy-cap", "tsallis-m-nan", "tsallis-m-inf", "ftpl-m-nan", "shannon-m-nan", "cap-zero",
              "cap-negative", "switch-missing-mu", "bern-number", "sched-number", "sched-short",
@@ -395,7 +397,7 @@ class TestCli:
              "regscan-points-negative", "regscan-points-zero", "ift-n-zero", "ift-n-negative",
              "ift-n-not-power-of-two", "ift-empty-x-range", "sanity-n-zero", "sanity-n-not-power-of-two",
              "ift-n-one", "sanity-n-one", "ift-infinite-x-range", "ift-out-directory", "regscan-out-directory",
-             "simulate-out-directory", "verdict-csv-directory"],
+             "simulate-out-directory", "verdict-csv-directory", "simulate-meta-directory", "ift-beta-one"],
     )
     def test_bad_input_is_usage_error(self, capsys, tmp_path, monkeypatch, argv):
         monkeypatch.chdir(tmp_path)
@@ -407,6 +409,7 @@ class TestCli:
         (tmp_path / "short_row.csv").write_text("# K=2\n# m=0.2\nt,mean,stderr,run0\n1,0.5,0\n")
         (tmp_path / "no_run.csv").write_text("# K=2\n# m=0.2\nt,mean,stderr\n1,0.5,0\n")
         (tmp_path / "nan.csv").write_text("0.1,0.2\n0.3,nan\n")
+        (tmp_path / "unused.csv.meta").mkdir()
         # a key this version does not read; 2.0 keeps the grid finite where it was still read
         (tmp_path / "old.ini").write_text(
             "[experiment]\npolicy = ftpl:lp:m=0.2\nenv = bern:0.1,0.2\nT = 10\nruns = 1\nseed = 0\n"
@@ -416,6 +419,13 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
         assert not (tmp_path / "unused.csv").exists()
+
+    def test_ift_takes_no_eps(self, tmp_path):
+        # the Tsallis tail is exact, so there is no truncation to choose
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["duality", "ift", "--eps", "1e-4", "--out", str(tmp_path / "ift.csv")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "ift.csv").exists()
 
     @pytest.mark.parametrize("out", ["missing/x.csv", "."])
     def test_missing_out_dir_fails_before_any_run(self, capsys, tmp_path, monkeypatch, out):

@@ -1,7 +1,9 @@
 """Each module's ``__all__`` names every public function and class it defines,
-and every public function has a caller outside the tests."""
+every public function has a caller outside the tests, and the public values a
+caller can set are the listed ones."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -19,6 +21,50 @@ TEST_ONLY = {
     "selection.counterexample_scan": "criterion 4: the paper's K = 3 counterexample",
     "duality.two_arm_quantile": "golden pin: the exact two-arm roots",
     "duality.regularizer_value": "north-star number: the Legendre-dual regularizer",
+}
+
+# every settable public value: a defaulted parameter of an __all__ function or
+# of a public method, or a defaulted dataclass field.  A new one fails
+# test_public_settable_values until it is added here on purpose.
+SETTABLE = {
+    "cli.main.argv",
+    "distributions.AssumptionReport.flags",
+    "distributions.AssumptionReport.notes",
+    "distributions.AsymmetricPareto.alpha",
+    "distributions.AsymmetricPareto.beta",
+    "distributions.Exponential.rate",
+    "distributions.Frechet.alpha",
+    "distributions.GeneralizedPareto.beta",
+    "distributions.GeneralizedPareto.scale",
+    "distributions.Laplace.rate",
+    "distributions.SymmetricPareto.a",
+    "duality.normal_ift_pipeline.n",
+    "duality.potential.tol",
+    "duality.tsallis_ift_pipeline.beta",
+    "duality.tsallis_ift_pipeline.n",
+    "duality.tsallis_ift_pipeline.x_max",
+    "duality.tsallis_ift_pipeline.x_min",
+    "duality.tsallis_quantile.beta",
+    "harness.ExperimentConfig.out",
+    "harness.ExperimentConfig.threads",
+    "harness.RegretTable.metadata",
+    "policies.FtplPolicy.resample_cap",
+    "policies.PolicyState.cap_hits",
+    "policies.PolicyState.last_c",
+    "policies.PolicyState.resample_cap",
+    "policies.PolicyState.resample_trials",
+    "policies.PolicyState.root_evals",
+    "policies.PolicyState.t",
+    "policies.PolicyState.tape",
+    "policies.PolicyState.tape_law",
+    "policies.PolicyState.tape_pos",
+    "policies.PolicyState.vectors_drawn",
+    "policies.Tsallis.tsallis_beta",
+    "policies.tsallis_weights.start",
+    "selection.phi_quadrature.tol",
+    "selection.phi_scan.on_probe",
+    "selection.phi_scan.tol",
+    "selection.phi_values.tol",
 }
 
 
@@ -53,3 +99,28 @@ def test_every_public_function_has_a_caller():
     # equality: a listed function that gains a caller leaves the list
     assert uncalled == TEST_ONLY.keys()
     assert all(reason.strip() for reason in TEST_ONLY.values())
+
+
+def _defaulted(fn, prefix):
+    params = inspect.signature(fn).parameters.values()
+    return {f"{prefix}.{p.name}" for p in params if p.default is not p.empty}
+
+
+def test_public_settable_values():
+    settable = set()
+    for name in MODULES:
+        mod = importlib.import_module(f"pllab.{name}")
+        for attr in getattr(mod, "__all__", ()):
+            obj, prefix = getattr(mod, attr), f"{name}.{attr}"
+            if inspect.isfunction(obj):
+                settable |= _defaulted(obj, prefix)
+            elif inspect.isclass(obj):
+                if dataclasses.is_dataclass(obj):
+                    settable |= {
+                        f"{prefix}.{f.name}" for f in dataclasses.fields(obj)
+                        if f.default is not dataclasses.MISSING or f.default_factory is not dataclasses.MISSING
+                    }
+                for meth, fn in vars(obj).items():
+                    if inspect.isfunction(fn) and not meth.startswith("_"):
+                        settable |= _defaulted(fn, f"{prefix}.{meth}")
+    assert settable == SETTABLE
