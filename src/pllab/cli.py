@@ -21,6 +21,9 @@ from .errors import PllabError
 __all__ = ["build_parser", "main"]
 
 
+_MAX_GRID_POINTS = 10**6  # at about 3 ms a probe, 10^6 probes already take some 50 minutes
+
+
 def _parse_grid(text):
     """start:stop[:step] -> inclusive numpy grid."""
     parts = [_number(v, text) for v in text.split(":")]
@@ -32,7 +35,10 @@ def _parse_grid(text):
         raise PllabError(f"grid spec {text!r} must read start:stop[:step]")
     if step == 0.0 or not all(math.isfinite(v) for v in (start, stop, step)):
         raise PllabError(f"grid spec {text!r} needs finite numbers and a nonzero step")
-    n = int(math.floor((stop - start) / step + 1e-9)) + 1
+    count = (stop - start) / step + 1e-9
+    if count >= _MAX_GRID_POINTS:  # inf included
+        raise PllabError(f"grid spec {text!r} asks for {count:.3g} points, more than {_MAX_GRID_POINTS}")
+    n = int(math.floor(count)) + 1
     if n < 1:
         raise PllabError(f"grid spec {text!r} steps away from its stop")
     return start + step * np.arange(n)
@@ -163,8 +169,8 @@ def _cmd_duality_regscan(args):
     lo, colon, hi = args.x.partition(":")
     if not colon:
         raise PllabError(f"--x {args.x!r} must read lo:hi")
-    if args.points < 1:
-        raise PllabError(f"--points must be at least 1, got {args.points}")
+    if not 1 <= args.points <= _MAX_GRID_POINTS:
+        raise PllabError(f"--points must lie in [1, {_MAX_GRID_POINTS}], got {args.points}")
     grid = np.linspace(_number(lo, args.x), _number(hi, args.x), args.points)
     rows = duality.three_arm_regularizer_scan(grid, dist)
     lines = ["x,c,lower,upper,tsallis_ref"]

@@ -8,8 +8,9 @@ quantile representation of the regularizer derivative, the three-arm scan
 of that derivative, the closed-form quantile of the perturbation difference
 that induces the beta-Tsallis policy, and the characteristic-function /
 inverse-FFT pipeline used to identify the law behind the 1/2-Tsallis
-regularizer (a real cosine transform over half the quantile's range, with
-the Tsallis tail near p = 0 integrated exactly).
+regularizer (a real cosine transform over half the quantile's range, its
+nodes placed in closed form, with the Tsallis tail near p = 0 integrated
+exactly).
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq, root
-from scipy.special import ndtri
 
 from . import selection
 from .errors import (
@@ -42,10 +42,8 @@ __all__ = [
     "char_fn_grid",
     "ift_frequencies",
     "ift_density",
-    "ift_pipeline",
     "tsallis_ift_pipeline",
     "normal_ift_pipeline",
-    "normal_quantile",
     "three_arm_regularizer_scan",
 ]
 
@@ -196,7 +194,9 @@ def tsallis_quantile(p, beta: float = 0.5):
         c(p) = -(beta/(1-beta)) (p^(beta-1) - (1-p)^(beta-1)).
 
     Antisymmetric about p = 1/2; for beta = 1/2 this is
-    -(p^-0.5 - (1-p)^-0.5).
+    -(p^-0.5 - (1-p)^-0.5).  It is evaluated as
+    -coef (1-p)^(beta-1) expm1((beta-1)(log p - log1p(-p))): near beta = 1
+    the two powers both lie near 1, and their difference would lose digits.
     """
     if not 0.0 < beta < 1.0:
         raise DomainError("beta must lie in (0, 1)")
@@ -204,7 +204,7 @@ def tsallis_quantile(p, beta: float = 0.5):
     if np.any(p_arr <= 0.0) or np.any(p_arr >= 1.0):
         raise DomainError("p must lie in (0, 1)")
     coef = beta / (1.0 - beta)
-    out = -coef * (p_arr ** (beta - 1.0) - (1.0 - p_arr) ** (beta - 1.0))
+    out = -coef * (1.0 - p_arr) ** (beta - 1.0) * np.expm1((beta - 1.0) * (np.log(p_arr) - np.log1p(-p_arr)))
     if np.isscalar(p) or p_arr.ndim == 0:
         return float(out)
     return out
@@ -214,22 +214,22 @@ def tsallis_quantile(p, beta: float = 0.5):
 # characteristic function and inverse-FFT pipeline
 # ---------------------------------------------------------------------------
 
-def _invert_monotone(fn, targets, lo, hi):
-    """Vectorized bisection inverse of an increasing function on [lo, hi], to (hi - lo) 2^-90."""
-    a = np.full_like(targets, lo, dtype=float)
-    b = np.full_like(targets, hi, dtype=float)
-    for _ in range(90):
-        mid = 0.5 * (a + b)
-        below = fn(mid) < targets
-        a = np.where(below, mid, a)
-        b = np.where(below, b, mid)
-    return 0.5 * (a + b)
-
-
 def ift_frequencies(x_min: float, x_max: float, n: int):
     """Half-integer frequency grid w_k = (0.5 - n/2 + k) 2 pi / (x_max - x_min)."""
     k = np.arange(n)
     return (0.5 - n / 2 + k) * (2.0 * math.pi / (x_max - x_min))
+
+
+def _panels(lo, hi, width, graded=()):
+    """Nodes and weights of 24-point Gauss-Legendre panels: between the ``graded`` edges below lo, then on [lo, hi].
+
+    The panels on [lo, hi] are equal and at most ``width`` wide, 24 to 150,000 of them.
+    """
+    n_panels = int(min(150_000, max(24, math.ceil((hi - lo) / width))))
+    edges = np.concatenate([graded, np.linspace(lo, hi, n_panels + 1)])
+    x_gl, w_gl = np.polynomial.legendre.leggauss(24)
+    half = 0.5 * np.diff(edges)
+    return ((edges[:-1] + half)[:, None] + half[:, None] * x_gl).ravel(), (half[:, None] * w_gl).ravel()
 
 
 # char_fn_grid writes the frequency index as k = k1 + _BLOCK k2 and sums the
@@ -238,45 +238,17 @@ _BLOCK = 32
 _CHUNK = 4096
 
 
-def _char_fn_nodes(quantile, x_min: float, x_max: float, n: int, eps: float):
-    """Frequencies and Gauss-Legendre nodes (c values, doubled p weights) of ``char_fn_grid`` on [eps, 1/2]."""
-    if not 0.0 < eps < 0.5:
-        raise DomainError("eps must lie in (0, 1/2)")
-    ts = ift_frequencies(x_min, x_max, n)[n // 2:]
-    t_max = float(np.max(np.abs(ts)))
-    c_lo = float(quantile(np.asarray(eps)))
-    n_panels = int(min(150_000, max(24, math.ceil(-t_max * c_lo / 6.0))))
+def char_fn_grid(x_min: float, x_max: float, n: int, c_nodes, wts):
+    """sum_j wts_j cos(t c_j) on the upper half IFT grid.
 
-    c_edges = np.linspace(c_lo, 0.0, n_panels + 1)
-    p_edges = _invert_monotone(quantile, c_edges, eps, 0.5)
-    p_edges[0], p_edges[-1] = eps, 0.5
-
-    x_gl, w_gl = np.polynomial.legendre.leggauss(24)
-    half = 0.5 * (p_edges[1:] - p_edges[:-1])
-    mid = 0.5 * (p_edges[1:] + p_edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * x_gl[None, :]).ravel()
-    wts = (half[:, None] * (2.0 * w_gl)[None, :]).ravel()
-    return ts, np.asarray(quantile(nodes), dtype=float), wts
-
-
-def char_fn_grid(quantile, x_min: float, x_max: float, n: int, eps: float):
-    """2 integral_{eps}^{1/2} cos(t c(p)) dp on the upper half IFT grid.
-
-    This is the part integral_{eps}^{1-eps} exp(i t c(p)) dp of the
-    characteristic function gbar of r2 - r1 provided the quantile is
-    antisymmetric, c(1 - p) = -c(p) with c(1/2) = 0, as the quantile of a
-    difference of i.i.d. perturbations is; the sine part then cancels.  The
-    rest, 2 integral_0^eps cos(t c(p)) dp, is the caller's: the Tsallis
-    pipeline adds it exactly (``_tsallis_tail``), the normal one puts eps
-    below rounding.
+    With the caller's nodes and weights this is a quadrature of
+    gbar(t) = 2 integral_0^{1/2} cos(t c(p)) dp, the real characteristic
+    function of r2 - r1 when c(1 - p) = -c(p), as for any difference of i.i.d.
+    perturbations.  The pipelines place them in closed form: in s = p^(beta-1)
+    for the Tsallis head (``_tsallis_nodes``), in c for the normal law.
 
     The frequencies are ts = ift_frequencies(x_min, x_max, n)[n // 2:], the
     positive half of the grid ``ift_density`` inverts (one point for n = 2).
-    Composite Gauss-Legendre panels of 24 nodes are uniform in c-space (so
-    oscillations of exp(i t c) are equally resolved everywhere: at most 6
-    radians per panel at the largest |t|), which makes them adaptively thin
-    where the quantile is steep.
-
     The grid is arithmetic, ts[k] = ts[0] + k dt, so with step = exp(i dt c)
     each phase factor is exp(i ts[0] c) step^k.  Writing k = k1 + 32 k2, the
     m = n/2 sums over the nodes become one matrix product per chunk of at
@@ -286,7 +258,7 @@ def char_fn_grid(quantile, x_min: float, x_max: float, n: int, eps: float):
     frequencies; for m < 32 the single block is m wide.  The tables hold at
     most 4096 (32 + m/32) complex values, whatever the number of nodes.
     """
-    ts, c_nodes, wts = _char_fn_nodes(quantile, x_min, x_max, n, eps)
+    ts = ift_frequencies(x_min, x_max, n)[n // 2:]
     m = len(ts)
     dt = ts[1] - ts[0] if m > 1 else 0.0
     width = min(_BLOCK, m)
@@ -314,8 +286,8 @@ class IftResult:
     """Output of the discrete characteristic-function inversion.
 
     The pdf is the real part of the inversion and imag_residual its
-    imaginary part, which must be at machine level for conjugate-symmetric
-    input.
+    imaginary part, which must be at machine level: the mirrored input is
+    conjugate-symmetric.
     """
 
     x_grid: np.ndarray
@@ -338,23 +310,25 @@ def _check_grid(x_min, x_max, n):
         raise GridError("x_max must exceed x_min")
 
 
-def ift_density(char_samples, x_min: float, x_max: float, n: int) -> IftResult:
-    """Discrete inverse Fourier transform on the half-integer frequency grid.
+def ift_density(gbar, x_min: float, x_max: float, n: int) -> IftResult:
+    """Density of one perturbation r, by inverting sqrt(gbar) on the half-integer frequency grid.
 
-    ``char_samples`` must hold the n frequency samples (conjugate-symmetric
-    extension included) matching ``ift_frequencies(x_min, x_max, n)``.  The
-    inversion pre/post-modulates an FFT so that entry k approximates the
-    density at x_min + k dx.
+    ``gbar`` is the real characteristic function of r2 - r1 on the upper
+    half grid, ``ift_frequencies(x_min, x_max, n)[n // 2:]``.  For i.i.d.
+    perturbations gbar = |phi_r|^2 >= 0, so a negative value is rounding
+    residue and is projected to 0 before the square root, which is mirrored
+    onto the lower half.  The inversion pre/post-modulates an FFT so that
+    entry k approximates the density at x_min + k dx.
     """
-    cf = np.asarray(char_samples, dtype=complex)
     _check_grid(x_min, x_max, n)
-    if len(cf) != n:
-        raise GridError(f"expected {n} samples, got {len(cf)}")
+    if len(gbar) != n // 2:
+        raise GridError(f"expected {n // 2} samples, got {len(gbar)}")
+    root_upper = np.sqrt(np.maximum(gbar, 0.0))
     k = np.arange(n)
     dx = (x_max - x_min) / n
     pre = np.exp(1j * math.pi * (-2.0 * (x_min / (x_max - x_min))) * k)
     post = np.exp(1j * math.pi * (1.0 - 1.0 / n) * (x_min / dx + k)) / (x_max - x_min)
-    vals = post * np.fft.fft(pre * cf)
+    vals = post * np.fft.fft(pre * np.concatenate([root_upper[::-1], root_upper]))
     pdf = vals.real
     cdf = np.cumsum(pdf) * dx
     return IftResult(
@@ -365,16 +339,27 @@ def ift_density(char_samples, x_min: float, x_max: float, n: int) -> IftResult:
     )
 
 
-def ift_pipeline(gbar, x_min, x_max, n) -> IftResult:
-    """Invert sqrt(gbar), given on the upper half grid, mirrored onto the lower.
+def _tsallis_nodes(beta, t_max, S):
+    """Nodes c and weights of the head 2 integral_{max(eps, 1e-20)}^{1/2} cos(t c(p)) dp, eps = S^(-1/(1-beta)).
 
-    ``gbar`` is the real characteristic function of r2 - r1 at
-    ``ift_frequencies(x_min, x_max, n)[n // 2:]``.  For i.i.d. perturbations
-    gbar = |phi_r|^2 >= 0, so a negative value is rounding residue and is
-    projected to 0 before the square root.
+    With a = 1/(1-beta) and s = p^(beta-1), p = s^-a and dp = -a s^(-a-1) ds,
+    so the head is 2 integral_{s0}^{s1} a s^(-a-1) cos(t c(s^-a)) ds with
+    s0 = 2^(1-beta) and s1 = min(S, 1e20^(1-beta)); ``_tsallis_tail`` carries
+    it on from S.  c falls like -coef s (coef = beta/(1-beta)), so equal
+    panels in s turn the phase evenly, but c has a branch point at s = 1
+    (p = 1): no panel is wider than 8 (s - 1) at its left edge s, and edges
+    1 + (s0 - 1) 9^k grade up to s_u, where the equal panels take over.
+    Below p = 1e-20 (beta above about 0.92) the head would pay for |c(eps)|,
+    about coef S, in panels that weigh less than rounding.
     """
-    root_upper = np.sqrt(np.maximum(gbar, 0.0))
-    return ift_density(np.concatenate([root_upper[::-1], root_upper]), x_min, x_max, n)
+    a, coef = 1.0 / (1.0 - beta), beta / (1.0 - beta)
+    s0, s1 = 2.0 ** (1.0 - beta), min(S, 1e20 ** (1.0 - beta))
+    width = 6.0 / (t_max * coef)  # about 6 radians of phase at t_max
+    s_u = min(max(s0, 1.0 + width / 8.0), s1)
+    graded = 1.0 + (s0 - 1.0) * 9.0 ** np.arange(math.ceil(math.log((s_u - 1.0) / (s0 - 1.0), 9.0)))
+    s, w = _panels(s_u, s1, width, graded)
+    w *= (2.0 * a) * s ** (-a - 1.0)
+    return tsallis_quantile(np.power(s, -a, out=s), beta), w  # p = s^-a, in place
 
 
 def _tsallis_tail(beta, ts, S):
@@ -402,15 +387,13 @@ def _tsallis_tail(beta, ts, S):
 def _tsallis_gbar(beta, x_min, x_max, n, S):
     """gbar(t) = 2 integral_0^{1/2} cos(t c(p)) dp of ``tsallis_quantile`` on the upper half grid.
 
-    ``_tsallis_tail`` gives (0, eps] exactly, eps = S^(-1/(1-beta)), so the
-    sum does not depend on S.  ``char_fn_grid`` starts at max(eps, 1e-20):
-    below 1e-20 (beta above about 0.92) it would pay for |c(eps)|, about
-    coef S, in panels that weigh less than rounding.
+    One integral in s = p^(beta-1), split at S: Gauss-Legendre panels from
+    2^(1-beta) up to S (``_tsallis_nodes``) and the steepest-descent path
+    beyond (``_tsallis_tail``), so the sum does not depend on S.
     """
-    eps = S ** (-1.0 / (1.0 - beta))
     ts = ift_frequencies(x_min, x_max, n)[n // 2:]
-    head = char_fn_grid(lambda p: tsallis_quantile(p, beta), x_min, x_max, n, max(eps, 1e-20))
-    return head + _tsallis_tail(beta, ts, S)
+    c, w = _tsallis_nodes(beta, ts[-1], S)
+    return char_fn_grid(x_min, x_max, n, c, w) + _tsallis_tail(beta, ts, S)
 
 
 def _tail_start(beta, x_min, x_max):
@@ -422,7 +405,7 @@ def _tail_start(beta, x_min, x_max):
 
 
 def tsallis_ift_pipeline(beta=0.5, x_min=-20.0, x_max=20.0, n=2048) -> IftResult:
-    """Density of r2 - r1 for the perturbations inducing the beta-Tsallis policy.
+    """Density of one perturbation r of the i.i.d. pair whose difference induces the beta-Tsallis policy.
 
     gbar has no truncation (``_tsallis_gbar``), its split worked out from
     beta and the grid.  Both are checked before any quadrature.
@@ -431,25 +414,28 @@ def tsallis_ift_pipeline(beta=0.5, x_min=-20.0, x_max=20.0, n=2048) -> IftResult
     if not 0.0 < beta < 1.0:
         raise DomainError("beta must lie in (0, 1)")
     gbar = _tsallis_gbar(beta, x_min, x_max, n, _tail_start(beta, x_min, x_max))
-    return ift_pipeline(gbar, x_min, x_max, n)
+    return ift_density(gbar, x_min, x_max, n)
 
 
-def normal_quantile(p):
-    """Standard normal quantile sqrt(2) erfinv(2p - 1) (evaluated stably via ndtri)."""
-    return ndtri(np.asarray(p, dtype=float))
+def _normal_nodes(t_max):
+    """Nodes c and weights of N(0, 1)'s gbar = 2 integral_{-8.3}^0 cos(t c) phi(c) dc, dp = phi(c) dc."""
+    c, w = _panels(-8.3, 0.0, 6.0 / t_max)  # 6 radians of phase at t_max a panel
+    w *= np.exp(-0.5 * c * c) * (2.0 / math.sqrt(2.0 * math.pi))
+    return c, w
 
 
 def normal_ift_pipeline(n=2048) -> IftResult:
     """Sanity pipeline: gbar of N(0,1), so the inversion must return N(0, 1/sqrt(2)).
 
-    The Gaussian needs a far deeper endpoint cutoff than a heavy-tailed law:
-    the truncated mass leaves oscillations around zero that swamp
-    exp(-t^2/4) after the square root.  The half range resolves p near 0, so
-    eps = 1e-15 on x in [-20, 20] puts the truncation below rounding.
+    The Gaussian needs its cutoff below rounding, unlike a heavy-tailed
+    law: the truncated mass leaves oscillations around zero that swamp
+    exp(-t^2/4) after the square root.  The mass below c = -8.3 is 5e-17;
+    x runs over [-20, 20].
     """
     x_min, x_max = -20.0, 20.0
     _check_grid(x_min, x_max, n)
-    return ift_pipeline(char_fn_grid(normal_quantile, x_min, x_max, n, 1e-15), x_min, x_max, n)
+    c, w = _normal_nodes(ift_frequencies(x_min, x_max, n)[-1])
+    return ift_density(char_fn_grid(x_min, x_max, n, c, w), x_min, x_max, n)
 
 
 # ---------------------------------------------------------------------------

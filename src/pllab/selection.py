@@ -43,6 +43,10 @@ __all__ = [
 ]
 
 _TAIL_CUT = 50.0
+# the kernel evaluates arm i's density at z + gap_i: past this loss spread the
+# ulp of a gap (2^-12 at 2^40) nears the density's scale, the shifted nodes
+# collapse onto a few floats and the K15 - G7 estimate sees a flat integrand
+_MAX_SPREAD = 2.0**40
 _MAX_DEPTH = 40  # bisections of one starting panel before ToleranceNotMet
 _MAX_WORK = 100_000  # panels x distinct gaps in one pass before ToleranceNotMet
 
@@ -176,6 +180,9 @@ def _loss_vector(lam, tol):
         raise DomainError("need a loss vector of length K >= 2")
     if not np.all(np.isfinite(lam)):
         raise DomainError("loss vector must be finite")
+    spread = float(lam.max()) - float(lam.min())  # a Python float overflows to inf quietly
+    if spread > _MAX_SPREAD:
+        raise DomainError(f"loss spread {spread:.3g} exceeds 2^40, beyond what the quadrature resolves")
     if not 0.0 < tol <= 1e-4:
         raise DomainError("tol must lie in (0, 1e-4]")
     return lam

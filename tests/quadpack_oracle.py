@@ -6,8 +6,10 @@ integrand, one point at a time, on the z-line split at every shifted kink
 and at +-cut.  ``phi_quadrature``, ``phi_values`` and ``potential`` here
 return what the library functions of those names returned then, bit for
 bit, together with their error estimates.  The tests hold the kernel to
-this oracle.  ``char_fn`` is the pointwise characteristic function that
-``duality.char_fn_grid`` is held to.  They are slow, so only tests call them.
+this oracle.  ``char_fn`` is the pointwise characteristic function, integrated
+in p, that ``duality.char_fn_grid`` on the Tsallis head's nodes is held to;
+those nodes lie in s = p^(beta-1), so the oracle checks the change of
+variable too.  They are slow, so only tests call them.
 """
 
 import functools

@@ -1,5 +1,7 @@
 """Potential/regularizer duality, quantile laws, and the inversion pipeline."""
 
+import decimal
+import functools
 import math
 
 import numpy as np
@@ -157,6 +159,18 @@ class TestTsallisLaw:
         assert duality.tsallis_quantile(0.5, 0.5) == 0.0
         assert duality.tsallis_quantile(0.25, 0.5) == pytest.approx(-(2.0 - 2.0 / math.sqrt(3.0)), abs=1e-12)
 
+    @pytest.mark.parametrize("beta", [0.5, 0.99, 0.999])
+    def test_quantile_relative_accuracy(self, beta):
+        # near beta = 1 both powers lie near 1; 40-digit decimal reference
+        with decimal.localcontext() as ctx:
+            ctx.prec = 40
+            b = decimal.Decimal(beta)
+            power = lambda x: ((b - 1) * x.ln()).exp()
+            for p in np.linspace(0.01, 0.49, 49):
+                d = decimal.Decimal(p)
+                want = float(-b / (1 - b) * (power(d) - power(1 - d)))
+                assert abs(duality.tsallis_quantile(p, beta) / want - 1.0) <= 1e-14, p
+
     def test_antisymmetry(self):
         ps = np.linspace(0.01, 0.99, 37)
         for beta in (0.3, 0.5, 0.7):
@@ -208,32 +222,44 @@ class TestCharFn:
 
     @pytest.mark.parametrize("n", [2, 16])
     def test_grid_matches_pointwise(self, n):
-        # the upper half of the IFT grid; n = 2 leaves one frequency
-        q = lambda p: duality.tsallis_quantile(p, 0.5)
+        # the Tsallis head's panels in s = p^(beta-1) from eps = 1e-4 against
+        # QUADPACK in p, on the upper half of the IFT grid (n = 2 leaves one
+        # frequency)
         ts = duality.ift_frequencies(-3.0, 3.0, n)[n // 2:]
-        grid = duality.char_fn_grid(q, -3.0, 3.0, n, 1e-4)
-        assert len(grid) == len(ts) == n // 2
-        for t, g in zip(ts, grid):
-            assert abs(g - quadpack_oracle.char_fn(t, q)) <= 1e-9
+        for beta in (0.3, 0.5, 0.8):
+            q = functools.partial(duality.tsallis_quantile, beta=beta)
+            c, w = duality._tsallis_nodes(beta, ts[-1], 1e4 ** (1.0 - beta))
+            grid = duality.char_fn_grid(-3.0, 3.0, n, c, w)
+            assert len(grid) == len(ts) == n // 2
+            for t, g in zip(ts, grid):
+                assert abs(g - quadpack_oracle.char_fn(t, q)) <= 1e-9, beta
 
     @pytest.mark.parametrize("n", [2, 16, 64, 512])
     @pytest.mark.parametrize(
-        "quantile,eps",
-        [(lambda p: duality.tsallis_quantile(p, 0.5), 1e-4), (duality.normal_quantile, 1e-9)],
+        "nodes",
+        [lambda t_max: duality._tsallis_nodes(0.5, t_max, duality._tail_start(0.5, -20.0, 20.0)),
+         duality._normal_nodes],
         ids=["tsallis", "normal"],
     )
-    def test_blocked_product_matches_recursion(self, quantile, eps, n):
+    def test_blocked_product_matches_recursion(self, nodes, n):
         # n = 2 and 16 leave one partial block of frequencies, 512 several
         # blocks and (Tsallis) a last chunk of nodes shorter than the rest
-        grid = duality.char_fn_grid(quantile, -20.0, 20.0, n, eps)
-        oracle = recursion_oracle.char_fn_grid(quantile, -20.0, 20.0, n, eps)
+        c, w = nodes(duality.ift_frequencies(-20.0, 20.0, n)[-1])
+        grid = duality.char_fn_grid(-20.0, 20.0, n, c, w)
+        oracle = recursion_oracle.char_fn_grid(-20.0, 20.0, n, c, w)
         assert len(grid) == n // 2
         assert np.max(np.abs(grid - oracle)) <= 1e-14
+
+    def test_normal_gbar_is_exact(self):
+        # gbar of N(0, 1) is exp(-t^2 / 2); the nodes stop at c = -8.3
+        ts = duality.ift_frequencies(-20.0, 20.0, 2048)[1024:]
+        grid = duality.char_fn_grid(-20.0, 20.0, 2048, *duality._normal_nodes(ts[-1]))
+        assert np.max(np.abs(grid - np.exp(-0.5 * ts**2))) <= 1e-14
 
     @pytest.mark.parametrize("log2n", range(1, 21))
     def test_ift_grids_count_as_arithmetic(self, log2n):
         # char_fn_grid advances the upper half by its first step, and
-        # ift_pipeline fills the lower half by mirroring it; each frequency
+        # ift_density fills the lower half by mirroring it; each frequency
         # is rounded on its own, so the steps drift by up to 4 n eps max|t|
         n = 2**log2n
         ts = duality.ift_frequencies(-20.0, 20.0, n)
@@ -246,8 +272,6 @@ class TestCharFn:
     def test_eps_domain(self):
         with pytest.raises(DomainError):
             quadpack_oracle.char_fn(1.0, lambda p: p, eps=0.01)
-        with pytest.raises(DomainError):
-            duality.char_fn_grid(lambda p: p, -20.0, 20.0, 2, 0.5)
 
     @pytest.mark.parametrize("x_max", [20.0, 200.0])
     @pytest.mark.parametrize("beta", [0.3, 0.5, 0.8])
@@ -259,6 +283,18 @@ class TestCharFn:
         far = duality._tsallis_gbar(beta, -x_max, x_max, 2048, 4.0 * start)
         assert np.max(np.abs(near - far)) <= 1e-12
         assert near.min() >= -1e-14
+
+    @pytest.mark.parametrize(
+        "beta,x_max,n", [(0.1, 2000.0, 16), (0.5, 2000.0, 16), (0.8, 2000.0, 16), (1e-5, 20.0, 2048)]
+    )
+    def test_tsallis_gbar_exact_at_low_phase_rate(self, beta, x_max, n):
+        # a low t_max coef (n = 16 on x in [-2000, 2000], or beta = 1e-5) makes
+        # 6-radian panels wide in s; equal panels from s0 put the first one so
+        # near c's branch point at s = 1 that gbar missed by up to 0.4
+        start = duality._tail_start(beta, -x_max, x_max)
+        near = duality._tsallis_gbar(beta, -x_max, x_max, n, start)
+        far = duality._tsallis_gbar(beta, -x_max, x_max, n, 4.0 * start)
+        assert np.max(np.abs(near - far)) <= 1e-12
 
 
 @pytest.fixture(scope="module")
@@ -272,7 +308,7 @@ class TestIft:
         with pytest.raises(GridError):
             duality.ift_density(np.zeros(100), -20.0, 20.0, 100)
         with pytest.raises(GridError):
-            duality.ift_density(np.zeros(64), -20.0, 20.0, 128)
+            duality.ift_density(np.zeros(128), -20.0, 20.0, 128)  # gbar covers the upper half only
 
     @pytest.mark.parametrize("n,x_max", [(0, 20.0), (-4, 20.0), (1, 20.0), (3000, 20.0), (2048, -20.0)])
     def test_pipeline_checks_grid_before_quadrature(self, monkeypatch, n, x_max):

@@ -387,6 +387,12 @@ class TestCli:
             ["verdict", "--csv", ".", "--envelope", "advlp"],
             SIM + ["--policy", "ftpl:lp:m=0.2", "--env", "bern:0.1,0.2", "--out", "unused.csv"],
             ["duality", "ift", "--beta", "1", "--out", "unused.csv"],
+            ["analyze-phi", "--dist", "splareto:a=0.5", "--lambda", "0,1e16", "--c-grid", "1:1"],
+            ["analyze-phi", "--dist", "splareto", "--lambda", "0,1e306", "--c-grid", "1:1"],
+            ["analyze-phi", "--dist", "lp", "--lambda", "0,-1e308,1e308", "--c-grid", "1:1"],
+            PHI + ["--lambda", "0,c", "--c-grid", "0:1e300:1e-300"],
+            PHI + ["--lambda", "0,c", "--c-grid", "0:5e9"],
+            ["duality", "regscan", "--x", "0.4:0.5", "--points", "1000001", "--out", "unused.csv"],
         ],
         ids=["policy-m", "policy-cap", "tsallis-m-nan", "tsallis-m-inf", "ftpl-m-nan", "shannon-m-nan", "cap-zero",
              "cap-negative", "switch-missing-mu", "bern-number", "sched-number", "sched-short",
@@ -397,7 +403,9 @@ class TestCli:
              "regscan-points-negative", "regscan-points-zero", "ift-n-zero", "ift-n-negative",
              "ift-n-not-power-of-two", "ift-empty-x-range", "sanity-n-zero", "sanity-n-not-power-of-two",
              "ift-n-one", "sanity-n-one", "ift-infinite-x-range", "ift-out-directory", "regscan-out-directory",
-             "simulate-out-directory", "verdict-csv-directory", "simulate-meta-directory", "ift-beta-one"],
+             "simulate-out-directory", "verdict-csv-directory", "simulate-meta-directory", "ift-beta-one",
+             "loss-spread-1e16", "loss-spread-nan-rows", "loss-spread-overflow", "grid-count-overflow",
+             "grid-count-above-cap", "regscan-points-above-cap"],
     )
     def test_bad_input_is_usage_error(self, capsys, tmp_path, monkeypatch, argv):
         monkeypatch.chdir(tmp_path)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from mc_oracle import phi_monte_carlo
 
-from pllab import selection
+from pllab import duality, selection
 from pllab.distributions import (
     AsymmetricPareto,
     Frechet,
@@ -76,6 +76,16 @@ class TestBasics:
             phi_values([0.0, np.inf], SymmetricPareto(2.0))
         with pytest.raises(DomainError):
             phi_values([0.0, 1.0], SymmetricPareto(2.0), tol=1e-3)
+
+    def test_loss_spread_beyond_resolution(self):
+        # past a spread of 2^40 the shifted nodes collapse onto a few floats:
+        # phi at a gap of 1e16 missed by 2.7e-9 under a 4e-10 estimate, and
+        # potential([0, -1e300]) returned NaN
+        lam = [0.0, 2.0**40 * (1.0 + 2.0**-52)]
+        for fn in (phi_quadrature, phi_values, duality.potential):
+            with pytest.raises(DomainError):
+                fn(lam, SymmetricPareto(2.0))
+        assert phi_values([0.0, 2.0**40], SymmetricPareto(2.0))[1] <= 1e-12
 
     def test_ranks_break_ties_by_index(self):
         probe = phi_quadrature([1.0, 0.0, 1.0], SymmetricPareto(2.0), tol=1e-8)
