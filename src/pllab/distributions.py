@@ -2,8 +2,8 @@
 
 Every distribution here is a univariate law used as an i.i.d. perturbation
 source for perturbed-leader policies.  The closed forms matter: the selection
-quadrature integrates f, f' and F directly, so each law evaluates them
-exactly rather than through scipy.stats wrappers.
+quadrature integrates f and F directly, so each law evaluates them exactly
+rather than through scipy.stats wrappers.
 
 The laws are built from a few one-sided primitives on [0, inf) and one
 combinator, ``Hybrid``, which glues a right and a left primitive at 0 with
@@ -24,8 +24,8 @@ composed laws:
 Conventions
 -----------
 * ``pdf_prime`` returns the right-hand derivative at non-differentiable
-  points (two-sided laws typically have a kink at 0); the kink locations are
-  exposed via ``kinks``.
+  points, the kinks (``kinks``, where f may also jump); only the regularity
+  diagnostics read it, as the quadrature needs no f'.
 * ``tail_index_right`` / ``tail_index_left`` give the polynomial decay order
   of each tail; exponential or absent tails are reported as ``math.inf``.
 * All evaluators accept scalars or numpy arrays; scalars give floats.
@@ -109,14 +109,6 @@ class PerturbationDistribution:
         """Inverse survival function for q in (0, 1]; exact where overridden."""
         return self._quantile(1.0 - q)
 
-    def density_jumps(self):
-        """((location, f(loc+) - f(loc-)), ...) where the density is discontinuous.
-
-        Jumps make the distributional derivative of f carry point masses; the
-        selection quadrature needs them to differentiate phi correctly.
-        """
-        return ()
-
     def sample_array(self, shape, rng):
         """Draws by inverse transform; determinism comes from the caller's rng."""
         u = rng.random(shape)
@@ -134,16 +126,14 @@ class PerturbationDistribution:
 class OneSided(PerturbationDistribution):
     """A law on [0, inf) given by raw formulas on the half line y >= 0.
 
-    Subclasses define ``_sf``, ``_pdf`` and ``_pdf_prime`` of y >= 0, the
-    inverse survival function ``_isf`` of a level q in (0, 1] and the exact
-    one-sided density ``density_at_zero`` = f(0+).  ``Hybrid`` calls these
-    raw formulas directly; the public evaluators here extend them by
-    F = f = f' = 0 on x <= 0.
+    Subclasses define ``_sf``, ``_pdf`` and ``_pdf_prime`` of y >= 0 and the
+    inverse survival function ``_isf`` of a level q in (0, 1].  ``Hybrid``
+    calls these raw formulas directly; the public evaluators here extend
+    them by F = f = f' = 0 on x <= 0, so f may jump at 0.
     """
 
     support = (0.0, math.inf)
     kinks = (0.0,)
-    density_at_zero = 0.0
 
     def _cdf(self, y):
         return 1.0 - self._sf(y)
@@ -170,9 +160,6 @@ class OneSided(PerturbationDistribution):
     def _quantile(self, u):
         return self._isf(1.0 - u)
 
-    def density_jumps(self):
-        return ((0.0, self.density_at_zero),) if self.density_at_zero else ()
-
 
 @dataclass(frozen=True, repr=False)
 class GeneralizedPareto(OneSided):
@@ -187,7 +174,6 @@ class GeneralizedPareto(OneSided):
     def __post_init__(self):
         _require_positive(shape=self.beta, scale=self.scale)
         object.__setattr__(self, "tail_index_right", float(self.beta))
-        object.__setattr__(self, "density_at_zero", self.beta / self.scale)
 
     def _sf(self, y):
         if self.scale == 1.0:  # Lomax form: the same law, without a division
@@ -263,7 +249,6 @@ class Exponential(OneSided):
 
     def __post_init__(self):
         _require_positive(rate=self.rate)
-        object.__setattr__(self, "density_at_zero", self.rate)
 
     def _sf(self, y):
         return np.exp(-self.rate * y)
@@ -300,7 +285,6 @@ class Truncated(OneSided):
             raise DomainError("inner law has no mass above 1")
         object.__setattr__(self, "_mass", mass)
         object.__setattr__(self, "tail_index_right", self.inner.tail_index_right)
-        object.__setattr__(self, "density_at_zero", float(self.inner.pdf(1.0)) / mass)
 
     def _sf(self, y):
         return self.inner.sf(y + 1.0) / self._mass
@@ -381,10 +365,6 @@ class Hybrid(PerturbationDistribution):
         high = q < 0.5
         p = 2.0 * np.where(high, q, 1.0 - q)
         return np.where(high, self.right._isf(p), -self.left._isf(p))
-
-    def density_jumps(self):
-        glue = 0.5 * (self.right.density_at_zero - self.left.density_at_zero)
-        return ((0.0, glue),) if glue else ()
 
     def __repr__(self):
         return f"Hybrid(right={self.right!r}, left={self.left!r})"

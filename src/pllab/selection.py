@@ -5,16 +5,17 @@ the probability that arm i attains the perturbed argmin is
 
     phi_i = integral  f(z + gap_i) * prod_{j != i} F(z + gap_j)  dz,
 
-where gap = lambda - min(lambda).  The own-coordinate derivative phi_i' is
-the same integral with f replaced by f', and the potential
-(``duality.potential``) the same with z f(z + gap_i).  All three share one
-kernel, ``_component_integrals``: an adaptive Gauss-Kronrod (G7-K15) rule on
-panels split at every shifted kink and support edge, the tails mapped onto
-(0, 1], which evaluates F and each factor once per refinement pass on an
-array of every panel, node and distinct gap, for just the arms a caller
-reads (the phi_1 inversions in ``duality`` read arm 1 alone).  The tests
-hold it to the scalar QUADPACK loop it replaced and to a Monte-Carlo
-estimate of the argmin frequencies.
+where gap = lambda - min(lambda).  The own-coordinate derivative comes by
+parts, phi_i' = -integral f(z + gap_i) d/dz prod_{j != i} F(z + gap_j) dz,
+so it needs neither f' nor the point masses of a density jump; the
+potential (``duality.potential``) is the phi integral with z f(z + gap_i).
+All three share one kernel, ``_component_integrals``: an adaptive
+Gauss-Kronrod (G7-K15) rule on panels split at every shifted kink and
+support edge, the tails mapped onto (0, 1], which evaluates F and each
+factor once per refinement pass on an array of every panel, node and
+distinct gap, for just the arms a caller reads (the phi_1 inversions in
+``duality`` read arm 1 alone).  The tests hold it to the scalar QUADPACK
+loop it replaced and to a Monte-Carlo estimate of the argmin frequencies.
 
 ``phi_scan`` evaluates a loss family lambda(c) over a grid of c, one row per
 (c, arm); ``counterexample_scan`` and the ``analyze-phi`` command are built
@@ -93,23 +94,38 @@ class SelectionProbe:
         return -self.phi_prime / self.phi**1.5
 
 
-def _others_product(F, mult):
-    """prod_{j != i} F(z + gap_j) for one arm i of each distinct gap, along the last axis.
+def _others_product(F, mult, f=None):
+    """(prod_{j != i} F(z + gap_j), its z-derivative) for one arm i of each distinct gap, along the last axis.
 
-    ``F`` holds the CDF at the distinct gaps, ``mult`` their multiplicities;
-    prefix and suffix products need no division, and underflow to 0 is exact.
+    ``F`` and ``f`` hold the CDF and density at the distinct gaps, ``mult``
+    their multiplicities; without ``f`` the derivative is None.  The prefix
+    and suffix products, with the product rule's derivatives carried along,
+    need no division, and underflow to 0 is exact.
     """
-    Q = np.pad(F**mult, [(0, 0)] * (F.ndim - 1) + [(1, 1)], constant_values=1.0)  # 1, F^m, ..., 1
-    below = np.cumprod(Q[..., :-2], axis=-1)  # the product over the gaps below each one
-    above = np.cumprod(Q[..., :1:-1], axis=-1)[..., ::-1]  # and over those above it
-    return below * above * F ** (mult - 1)
+    Q, own = F**mult, F ** (mult - 1)
+    dQ = None if f is None else mult * f * own
+    below, above = np.ones((2, *F.shape))  # the products over the gaps below and above each one
+    d_below, d_above = np.zeros((2, *F.shape))
+    for k in range(1, F.shape[-1]):
+        below[..., k] = below[..., k - 1] * Q[..., k - 1]
+        above[..., -k - 1] = above[..., -k] * Q[..., -k]
+        if f is not None:
+            d_below[..., k] = d_below[..., k - 1] * Q[..., k - 1] + below[..., k - 1] * dQ[..., k - 1]
+            d_above[..., -k - 1] = d_above[..., -k] * Q[..., -k] + above[..., -k] * dQ[..., -k]
+    if f is None:
+        return below * above * own, None
+    # a tied arm's own factor F^(m-1) has derivative (m-1) f F^(m-2), 0 at m = 1
+    d_own = (mult - 1) * f * F ** np.maximum(mult - 2, 0)
+    return below * above * own, (d_below * above + below * d_above) * own + below * above * d_own
 
 
-def _component_integrals(dist, gap, factors, budget, arms=None, moment=0):
+def _component_integrals(dist, gap, factors, budget, arms=None, moment=0, prime=False):
     """integral g(z, gap_i) prod_{j != i} F(z + gap_j) dz for each arm i and factor g.
 
     Returns a (len(arms), len(factors)) array of integrals (``arms`` defaults
-    to all), each arm's worst summed error estimate, and the integrand
+    to all), with ``prime`` one more column, phi_i' by parts:
+    -integral f(z + gap_i) d/dz prod_{j != i} F(z + gap_j) dz.  Then come
+    each arm's worst summed error estimate, and the integrand
     evaluations and panels evaluated.  Each distinct gap is integrated once;
     g(z, s) takes arrays and grows at most like |z|^moment times the density.
     Refinement stops once every arm's summed |K15 - G7| is within ``budget``;
@@ -145,7 +161,7 @@ def _component_integrals(dist, gap, factors, budget, arms=None, moment=0):
     b = np.concatenate([edges[1:], [1.0, 1.0]])
     power = np.concatenate([np.zeros(len(edges) - 1), [-p_left, p_right]])
     share = np.full(len(a), budget / len(a))
-    values, errs = np.zeros((2, len(cols), len(factors)))
+    values, errs = np.zeros((2, len(cols), len(factors) + prime))
     n_panels = 0
     for _ in range(_MAX_DEPTH):
         half = 0.5 * (b - a)[:, None]
@@ -155,8 +171,14 @@ def _component_integrals(dist, gap, factors, budget, arms=None, moment=0):
         u = np.where(tail, t, 1.0)
         z = np.where(tail, np.sign(power)[:, None] * cut * u**-p, t)
         jac = half * np.where(tail, p * np.abs(z) / u, 1.0)  # |dz| = p cut u^(-p-1) du on a tail
-        weight = (_others_product(dist.cdf(z[..., None] + gaps), mult)[..., cols] * jac[..., None])[..., None]
-        g = np.stack([f(z[..., None], gaps[cols]) for f in factors], axis=-1) * weight
+        x = z[..., None] + gaps
+        f = dist.pdf(x) if prime else None
+        W, dW = _others_product(dist.cdf(x), mult, f)
+        weight = W[..., cols] * jac[..., None]
+        columns = [factor(z[..., None], gaps[cols]) * weight for factor in factors]
+        if prime:
+            columns.append(-f[..., cols] * (dW[..., cols] * jac[..., None]))
+        g = np.stack(columns, axis=-1)
         kronrod = np.einsum("n,pndf->pdf", _KRONROD_WEIGHTS, g)
         err = np.abs(kronrod - np.einsum("n,pndf->pdf", _GAUSS_WEIGHTS, g))
         n_panels += len(a)
@@ -191,15 +213,12 @@ def _loss_vector(lam, tol):
 def _phi(lam, dist, tol, with_prime, arms=None):
     """(lam, gap, integrals, errors, evaluations, panels) at a budget of tol/4.
 
-    The one phi path: the integral columns are phi and, if asked, phi'
-    without the density-jump terms.
+    The one phi path: the integral columns are phi and, if asked, phi'.
     """
     lam = _loss_vector(lam, tol)
     gap = lam - lam.min()
     factors = [lambda z, s: dist.pdf(z + s)]
-    if with_prime:
-        factors.append(lambda z, s: dist.pdf_prime(z + s))
-    return (lam, gap, *_component_integrals(dist, gap, factors, tol / 4.0, arms))
+    return (lam, gap, *_component_integrals(dist, gap, factors, tol / 4.0, arms, prime=with_prime))
 
 
 def phi_quadrature(lam, dist: PerturbationDistribution, tol: float = 1e-8) -> SelectionProbe:
@@ -209,17 +228,12 @@ def phi_quadrature(lam, dist: PerturbationDistribution, tol: float = 1e-8) -> Se
     of every component within ``tol``.
     """
     lam, gap, values, errs, n_evals, n_panels = _phi(lam, dist, tol, with_prime=True)
-    phi, phi_prime = values.T.copy()
-    # density jumps put point masses into the distributional derivative of f
-    gaps, inverse, mult = np.unique(gap, return_inverse=True, return_counts=True)
-    for loc, jump in dist.density_jumps():
-        phi_prime += jump * np.diagonal(_others_product(dist.cdf(loc - gaps[:, None] + gaps), mult))[inverse]
     return SelectionProbe(
         lam=lam,
         lambda_gap=gap,
         rank=np.argsort(np.argsort(lam, kind="stable")) + 1,  # ties broken by index
-        phi=phi,
-        phi_prime=phi_prime,
+        phi=values[:, 0].copy(),
+        phi_prime=values[:, 1].copy(),
         quad_error=float(errs.max()),
         n_evals=n_evals,
         n_panels=n_panels,

@@ -6,7 +6,10 @@ integrand, one point at a time, on the z-line split at every shifted kink
 and at +-cut.  ``phi_quadrature``, ``phi_values`` and ``potential`` here
 return what the library functions of those names returned then, bit for
 bit, together with their error estimates.  The tests hold the kernel to
-this oracle.  ``char_fn`` is the pointwise characteristic function, integrated
+this oracle.  Its phi' stays the old, independent route: the integral of
+f' plus a point mass for each density jump, which ``density_jumps`` reads
+from the one-sided limits of f at the law's kinks, where the kernel takes
+phi' by parts from f alone.  ``char_fn`` is the pointwise characteristic function, integrated
 in p, that ``duality.char_fn_grid`` on the Tsallis head's nodes is held to;
 those nodes lie in s = p^(beta-1), so the oracle checks the change of
 variable too.  They are slow, so only tests call them.
@@ -74,6 +77,17 @@ def component_integrals(dist, gap, factors, budget):
     return values, worst
 
 
+def density_jumps(dist):
+    """((kink, f(kink+) - f(kink-)), ...) for each kink where the density jumps.
+
+    The one-sided limits are f at the floats next to the kink: exact for
+    every law here, none of which moves by an ulp that close to a kink.
+    """
+    jumps = ((k, float(dist.pdf(np.nextafter(k, math.inf)) - dist.pdf(np.nextafter(k, -math.inf))))
+             for k in dist.kinks)
+    return tuple((k, jump) for k, jump in jumps if jump)
+
+
 def _phi(lam, dist, tol, with_prime):
     lam = selection._loss_vector(lam, tol)
     gap = lam - lam.min()
@@ -88,7 +102,7 @@ def phi_quadrature(lam, dist, tol=1e-8):
     """(phi, phi', worst error estimate), the density-jump terms included."""
     gap, values, worst = _phi(lam, dist, tol, with_prime=True)
     phi, phi_prime = values.T.copy()
-    for loc, jump in dist.density_jumps():
+    for loc, jump in density_jumps(dist):
         phi_prime += jump * np.array([_weight(dist, np.delete(gap, i), loc - s) for i, s in enumerate(gap)])
     return phi, phi_prime, worst
 

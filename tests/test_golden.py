@@ -75,17 +75,17 @@ def test_ftrl_regret_csv_hash(tmp_path, policy, env):
 
 
 PHI_GOLDEN = {
-    ("splareto:a=2", "0,c"): "77b93a050395cd7a69e1e2ada2c8bdf4e0d549b5cf175e1b7d3fb6b2a628eca6",
-    ("splareto:a=2", "0,c,c"): "d0a1d697140c6a6881f2b26f3ca5b6c4f6051a1aeb6a703b821a31e4b8a11f90",
-    ("splareto:a=2", "0,0.5c,2c"): "4d0d444d99dc3d9a73ffc1f832cc2d3f8a6510df41c1f99a307cc5b5e4f94840",
-    ("lp", "0,c"): "c00959f4dabce1fa96452a73124c9a8abcc530fe3d8212e34f0e89dd9b0bef06",
-    ("lp", "0,c,c"): "20c0851b518cf207645896cdb03ebba1a219f677975538121f78e68c627453a9",
-    ("gumbel", "0,c"): "7a68bb0fac921445c3d052fe7dd6e3a705ecba7bace3c2e1e1770e2642e0ef40",
-    ("gumbel", "0,c,c"): "54060efec1cbe0b0778360a9f80c9a67c58b587d8d9b0f70d47b108cd686c0f1",
-    ("asp:2,3", "0,c"): "11a26422e641ed2bbf86ad4cb9a0ce80bb566e1c587749c1b7b7868492e0f01f",
-    ("asp:2,3", "0,c,c"): "9d7c5fee8c4405337635fc230a0364b3345636bdc844677e91e9eb2dd0d1e06a",
-    ("trunc(splareto:2)", "0,c"): "a6cd7f19ac7eddfb55d0e2c4e26f9b5b2f897aa04ae12c43f2ef6ab06c1ca2b7",
-    ("trunc(splareto:2)", "0,c,c"): "e733cbc8e5d5c167b5c30fba708120f20a0d95a5a9a1837b224719da6be7e5bc",
+    ("splareto:a=2", "0,c"): "e58553ad150bbe6db9b888acfa662a5bcdbaf4d49704d35f8a26094b685bb71d",
+    ("splareto:a=2", "0,c,c"): "548a0ab2c1f129c845f30a85d11ce1b338af9552de755432c919c54b7ea4beb7",
+    ("splareto:a=2", "0,0.5c,2c"): "3631e0e0f2feef66179da14cd18da2b437fce6efd8855f7b9d81892ab820d427",
+    ("lp", "0,c"): "02a4f7105b3007abd861917fd4384d663167cde8aad647f79aa0501977576fce",
+    ("lp", "0,c,c"): "41500b21237ea9936936df02b9673f49c1c031f5219ee374d212971291dd0245",
+    ("gumbel", "0,c"): "0e9fa720560c16701abdb8b23edcd36bf72d618d576d8fdffb598203fdf7f132",
+    ("gumbel", "0,c,c"): "2a9c2c2565f950037654b8deebc86ddd93f13502c54f0748a9875cde9ec33ed8",
+    ("asp:2,3", "0,c"): "f7a9d07cc6c41d13aaca3a1e8c63679b238fe0d0c2dea98f157ded796fa7b725",
+    ("asp:2,3", "0,c,c"): "044b9b77121ed08d64627f498a483e55b6712c7361902feffa2207652ae8ad5e",
+    ("trunc(splareto:2)", "0,c"): "350d32759fdcd991b6809ec1298f5b3bc03e736f52409cf46128b1ee98568fc0",
+    ("trunc(splareto:2)", "0,c,c"): "3e58d1992510593b0679e0d81e4628d6d553072e4d9d206c0daa2dcc96457e25",
 }
 
 VECTORS = ((0.0, 0.7), (0.3, -0.5, 1.3))

@@ -4,7 +4,9 @@ For every kind of law ``parse_dist`` builds - both density-jump laws and
 tails of index 0.5 and 1.5 included - and loss vectors of K = 2, 3 and 10
 arms with tied gaps, phi, phi' and (where the mean is finite) the potential
 must agree with the oracle to the requested tolerance and to the sum of the
-two error estimates, so that the kernel's estimate is an honest bound.
+two error estimates, so that the kernel's estimate is an honest bound.  The
+two take phi' by different routes: the kernel by parts from f alone, the
+oracle from f' and a point mass at each density jump.
 
 The oracle runs at ``ORACLE_TOL`` whatever the kernel's tolerance: at 1e-8
 and 1e-10 QUADPACK's own estimate understates its error on some of these
