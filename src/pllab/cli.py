@@ -260,7 +260,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (PllabError, OSError) as exc:
+    except (PllabError, OSError, MemoryError) as exc:  # MemoryError: numpy refused an allocation
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -649,6 +649,9 @@ def check_assumptions(dist):
             if a_k <= 0.0:
                 notes.append(f"k={k}: a_k <= 0, block statistic skipped")
                 continue
+            if not math.isfinite(a_k):  # every block maximum over a_k would read 0
+                notes.append(f"k={k}: a_k = {a_k:g} is not finite, block statistic skipped")
+                continue
             block_max = dist.sample_array((N_BLOCKS, k), rng).max(axis=1)
             norm = block_max / a_k
             mu_est.append(float(np.mean(norm)))
@@ -672,7 +675,8 @@ def check_assumptions(dist):
             a_k_fit = (float(min(fits)), float(max(fits)))
         else:
             a_k_fit = (math.nan, math.nan)
-            notes.append("right tail index is inf: a_k k^(-1/alpha) fit not applicable")
+            if not math.isfinite(alpha):
+                notes.append("right tail index is inf: a_k k^(-1/alpha) fit not applicable")
 
         # Assumption: -f'/f bounded almost everywhere (skip kink points)
         near_kink = np.zeros_like(xs, dtype=bool)

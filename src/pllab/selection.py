@@ -50,6 +50,7 @@ _TAIL_CUT = 50.0
 _MAX_SPREAD = 2.0**40
 _MAX_DEPTH = 40  # bisections of one starting panel before ToleranceNotMet
 _MAX_WORK = 100_000  # panels x distinct gaps in one pass before ToleranceNotMet
+_ROUNDING = 4.0 * np.finfo(float).eps  # per arm, in the check that phi sums to 1
 
 # QUADPACK's 15-point Kronrod rule on [-1, 1], nodes ascending; its 7-point
 # Gauss rule uses every other node
@@ -214,18 +215,26 @@ def _phi(lam, dist, tol, with_prime, arms=None):
     """(lam, gap, integrals, errors, evaluations, panels) at a budget of tol/4.
 
     The one phi path: the integral columns are phi and, if asked, phi'.
+    Where it reads every arm, a phi that does not sum to 1 within K times
+    the error estimate, or any non-finite estimate, raises ToleranceNotMet.
     """
     lam = _loss_vector(lam, tol)
     gap = lam - lam.min()
     factors = [lambda z, s: dist.pdf(z + s)]
-    return (lam, gap, *_component_integrals(dist, gap, factors, tol / 4.0, arms, prime=with_prime))
+    values, errs, n_evals, n_panels = _component_integrals(dist, gap, factors, tol / 4.0, arms, prime=with_prime)
+    if arms is None:
+        miss = abs(math.fsum(values[:, 0]) - 1.0) if np.isfinite(values).all() else math.inf
+        if not miss <= len(gap) * (float(errs.max()) + _ROUNDING):
+            raise ToleranceNotMet(miss / len(gap), tol)  # some component is off by at least miss / K
+    return lam, gap, values, errs, n_evals, n_panels
 
 
 def phi_quadrature(lam, dist: PerturbationDistribution, tol: float = 1e-8) -> SelectionProbe:
     """Selection probabilities and own-loss derivatives for every arm.
 
     Raises ToleranceNotMet when the kernel cannot bring the error estimate
-    of every component within ``tol``.
+    of every component within ``tol``, or when phi misses 1 by more than K
+    times that estimate.
     """
     lam, gap, values, errs, n_evals, n_panels = _phi(lam, dist, tol, with_prime=True)
     return SelectionProbe(
@@ -243,7 +252,8 @@ def phi_quadrature(lam, dist: PerturbationDistribution, tol: float = 1e-8) -> Se
 def phi_values(lam, dist, tol: float = 1e-9):
     """Selection probabilities only (no derivatives): the cheap evaluation path.
 
-    Raises ToleranceNotMet when the kernel cannot meet ``tol``.
+    Raises ToleranceNotMet when the kernel cannot meet ``tol``, or when phi
+    misses 1 by more than K times its error estimate.
     """
     return _phi(lam, dist, tol, with_prime=False)[2][:, 0].copy()
 

@@ -6,13 +6,13 @@ integrand, one point at a time, on the z-line split at every shifted kink
 and at +-cut.  ``phi_quadrature``, ``phi_values`` and ``potential`` here
 return what the library functions of those names returned then, bit for
 bit, together with their error estimates.  The tests hold the kernel to
-this oracle.  Its phi' stays the old, independent route: the integral of
-f' plus a point mass for each density jump, which ``density_jumps`` reads
-from the one-sided limits of f at the law's kinks, where the kernel takes
-phi' by parts from f alone.  ``char_fn`` is the pointwise characteristic function, integrated
-in p, that ``duality.char_fn_grid`` on the Tsallis head's nodes is held to;
-those nodes lie in s = p^(beta-1), so the oracle checks the change of
-variable too.  They are slow, so only tests call them.
+this oracle.  Its phi' takes a route independent of the kernel's, which
+works by parts from f alone: the integral of f' plus a point mass for each
+density jump, read by ``density_jumps`` from the one-sided limits of f at
+the law's kinks.  ``char_fn`` is the pointwise characteristic function,
+integrated in p, that ``duality.char_fn_grid`` on the Tsallis head's nodes
+is held to; those nodes lie in s = p^(beta-1), so the oracle checks the
+change of variable too.  They are slow, so only tests call them.
 """
 
 import functools

@@ -290,3 +290,13 @@ class TestAssumptionChecker:
         assert math.isfinite(report.block_max_ml)
         a_lo, a_hi = report.a_k_fit
         assert 0.0 < a_lo <= a_hi < 2.0
+
+    @pytest.mark.parametrize("spec", ["gpd:0.001", "frechet:1e-300"])
+    def test_block_sizes_with_an_infinite_a_k_are_skipped(self, spec):
+        # a_k = quantile(1 - 1/k) overflows, so every block maximum over a_k
+        # read 0 and the reciprocal's interval divided by sqrt(0)
+        report = check_assumptions(parse_dist(spec))
+        assert [n for n in report.notes if "not finite" in n] == [
+            f"k={k}: a_k = inf is not finite, block statistic skipped" for k in (8, 32, 128, 512)
+        ]
+        assert math.isnan(report.block_max_mu) and math.isnan(report.block_max_ml)

@@ -15,10 +15,11 @@ to tolerance.  The scalar hash pins ``cdf`` / ``sf`` / ``pdf`` / ``pdf_prime``
 of four glued laws at Python-float arguments out to |x| = 1e300.  The
 ``check-dist`` hashes pin the regularity diagnostics: the evaluation grid and
 the seeded block-maximum design.  The IFT values pin ``duality ift``'s
-density and the normal sanity figure to 1e-10.  To regenerate after an
-intended change, print ``_digest(tmp_path, policy, env)``,
-``_phi_digest(tmp_path, spec, lam)``, ``_scalar_digest()``,
-``_check_dist_digest(tmp_path, spec)`` and the values for each entry below.
+density and the normal sanity figure to 1e-10, and its gbar at a few
+frequencies to 1e-14.  To regenerate after an intended change, print
+``_digest(tmp_path, policy, env)``, ``_phi_digest(tmp_path, spec, lam)``,
+``_scalar_digest()``, ``_check_dist_digest(tmp_path, spec)`` and the values
+for each entry below.
 """
 
 import hashlib
@@ -169,6 +170,27 @@ def test_ift_pipeline_values():
     normal = duality.normal_ift_pipeline()
     sup = np.max(np.abs(normal.pdf - np.exp(-normal.x_grid**2) / np.sqrt(np.pi)))
     assert abs(sup - NORMAL_SUP_GOLDEN) <= 1e-10
+
+
+# gbar of duality ift's defaults at a few indices of its upper half grid
+# (t = 0.0785, 0.236, 0.864, 1.65, 7.93, 15.8).  It agrees across summation
+# orders to about 1e-15, so where the pdf pins above fail and these hold,
+# the summation order moved, not the method.
+GBAR_GOLDEN = {
+    0: 0.9752158880637126,
+    1: 0.8777998862794162,
+    5: 0.4866779571261103,
+    10: 0.21526443655925465,
+    50: 0.00029309883161483303,
+    100: 8.932815679389105e-08,
+}
+
+
+def test_tsallis_gbar_values():
+    gbar = duality._tsallis_gbar(0.5, -20.0, 20.0, 2048, duality._tail_start(0.5, -20.0, 20.0))
+    for i, want in GBAR_GOLDEN.items():
+        assert abs(gbar[i] - want) <= 1e-14, i
+
 
 # scalar evaluations (Python floats in and out) of glued laws, far tails included
 SCALAR_SPECS = ("splareto:a=2", "lp", "asp:2,3", "hybrid:right=trunc(frechet:2),left=gpd:3,1.5")

@@ -393,6 +393,15 @@ class TestCli:
             PHI + ["--lambda", "0,c", "--c-grid", "0:1e300:1e-300"],
             PHI + ["--lambda", "0,c", "--c-grid", "0:5e9"],
             ["duality", "regscan", "--x", "0.4:0.5", "--points", "1000001", "--out", "unused.csv"],
+            # phi that misses 1 by far more than its error estimate: (0.5, 0) for a true (1, 0) ...
+            ["analyze-phi", "--dist", "laplace:1e4", "--lambda", "0,c", "--c-grid", "0.5:0.5"],
+            # ... (0, 0) under an estimate of 0, and NaN rows
+            ["analyze-phi", "--dist", "splareto:a=1e20", "--lambda", "0,c", "--c-grid", "1:1"],
+            ["analyze-phi", "--dist", "splareto:a=1e300", "--lambda", "0,c", "--c-grid", "1:1"],
+            # TiB requests, which numpy refuses before touching any memory
+            ["duality", "ift", "--n", "1099511627776", "--out", "unused.csv"],
+            ["duality", "sanity-normal", "--n", "1099511627776"],
+            SIM + ["--policy", "ftpl:lp:m=0.2", "--env", "bern:0.1,0.2", "--T", "100000000000", "--threads", "1"],
         ],
         ids=["policy-m", "policy-cap", "tsallis-m-nan", "tsallis-m-inf", "ftpl-m-nan", "shannon-m-nan", "cap-zero",
              "cap-negative", "switch-missing-mu", "bern-number", "sched-number", "sched-short",
@@ -405,7 +414,8 @@ class TestCli:
              "ift-n-one", "sanity-n-one", "ift-infinite-x-range", "ift-out-directory", "regscan-out-directory",
              "simulate-out-directory", "verdict-csv-directory", "simulate-meta-directory", "ift-beta-one",
              "loss-spread-1e16", "loss-spread-nan-rows", "loss-spread-overflow", "grid-count-overflow",
-             "grid-count-above-cap", "regscan-points-above-cap"],
+             "grid-count-above-cap", "regscan-points-above-cap", "phi-misses-one", "phi-all-zero", "phi-nan-rows",
+             "ift-n-allocation", "sanity-n-allocation", "simulate-T-allocation"],
     )
     def test_bad_input_is_usage_error(self, capsys, tmp_path, monkeypatch, argv):
         monkeypatch.chdir(tmp_path)

@@ -157,6 +157,23 @@ class TestStructuralInvariants:
                 ) / (2 * h)
                 assert abs(fd - probe.phi_prime[i]) <= 1e-5, (lam, dist, i)
 
+    @pytest.mark.parametrize("spec", ["pareto:2", "trunc(splareto:2)", "hybrid:right=frechet:2,left=pareto:3"])
+    def test_derivative_matches_finite_difference_at_a_density_jump(self, spec):
+        # phi' by parts carries no jump term: central differences of phi check
+        # it with no help from the QUADPACK oracle's f' and jump masses
+        h = 1e-4
+        dist = parse_dist(spec)
+        rng = np.random.default_rng(78)
+        for k in (2, 3, 3):
+            lam = rng.uniform(0.0, 4.0, size=k)
+            probe = phi_quadrature(lam, dist, tol=1e-9)
+            for i in range(k):
+                e = np.zeros(k)
+                e[i] = h
+                fd = (phi_quadrature(lam + e, dist, tol=1e-10).phi[i]
+                      - phi_quadrature(lam - e, dist, tol=1e-10).phi[i]) / (2 * h)
+                assert abs(fd - probe.phi_prime[i]) <= 1e-5, (lam, i)
+
     def test_monotone_arm_suppression(self):
         rng = np.random.default_rng(99)
         for _ in range(8):
