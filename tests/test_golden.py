@@ -75,6 +75,33 @@ def test_ftrl_regret_csv_hash(tmp_path, policy, env):
     assert _digest(tmp_path, policy, env) == FTRL_GOLDEN[policy, env]
 
 
+# the .meta sidecar's per-run FTPL counters (vectors_drawn, resample_trials,
+# cap_hits) of each GOLDEN config, and of a cap below the first resampling
+# block: they pin how much of the perturbation tape each round reads, which
+# the CSV hashes see only through the arms it changes
+META_GOLDEN = {
+    "ftpl:lp:m=0.23": ((5603, 5379), (1042, 843), (0, 0)),
+    "ftpl:splareto:a=2:m=0.23": ((5417, 5129), (908, 840), (1, 0)),
+    "ftpl:asp:2,3:m=0.23": ((5283, 5199), (976, 917), (0, 0)),
+    "ftpl:laplace:1:m=0.23": ((5414, 5318), (954, 954), (2, 0)),
+    "ftpl:pareto:2:m=0.23": ((5425, 5318), (909, 903), (0, 0)),
+    "ftpl:gpd:3,1.5:m=0.23": ((5289, 5667), (867, 953), (1, 0)),
+    "ftpl:frechet:2:m=0.23": ((5413, 5129), (939, 859), (0, 0)),
+    "ftpl:gumbel:m=0.23": ((5347, 5219), (980, 931), (0, 0)),
+    "ftpl:trunc(splareto:2):m=0.23": ((5146, 5318), (831, 995), (0, 0)),
+    "ftpl:lp:m=0.23:cap=3": ((1200, 1200), (612, 614), (88, 85)),
+}
+
+
+@pytest.mark.parametrize("policy", sorted(META_GOLDEN))
+def test_ftpl_meta_counters(tmp_path, policy):
+    _digest(tmp_path, policy)
+    meta = dict(line.split("=", 1) for line in (tmp_path / "golden.csv.meta").read_text().split())
+    counters = tuple(tuple(map(int, meta[f"run_{key}"].split(",")))
+                     for key in ("vectors_drawn", "resample_trials", "cap_hits"))
+    assert counters == META_GOLDEN[policy]
+
+
 PHI_GOLDEN = {
     ("splareto:a=2", "0,c"): "e58553ad150bbe6db9b888acfa662a5bcdbaf4d49704d35f8a26094b685bb71d",
     ("splareto:a=2", "0,c,c"): "548a0ab2c1f129c845f30a85d11ce1b338af9552de755432c919c54b7ea4beb7",
