@@ -8,10 +8,13 @@ probabilities for the importance-weighted update.
 
 FTPL reads every perturbation from the run's *tape*: a buffer in
 ``PolicyState`` that ``dist.sample_array`` refills from the state's rng in
-chunks of ``TAPE_CHUNK`` draws, handing out K values per selection and b*K
-per resampling block.  ``Generator.random`` is chunk-consistent and the
-quantile transform acts element by element, so the tape yields the same
-bits, in the same order, as drawing each vector afresh.
+chunks of ``TAPE_CHUNK`` draws.  Each round reads (1 + b)*K values in one
+slice, the selection vector and the first resampling block of
+b = min(16, cap) vectors, and takes one argmin over it; only a round whose
+first block holds no win reads further blocks of 64, 256, ... vectors.
+``Generator.random`` is chunk-consistent and the quantile transform acts
+element by element, so the tape yields the same bits, in the same order, as
+drawing each vector afresh.
 
 FTRL with the Tsallis regularizer finds the normalizing constant c of its
 weights by Newton's method on a convex, increasing defect, starting from
@@ -39,7 +42,6 @@ __all__ = [
     "PolicyState",
     "Shannon",
     "Tsallis",
-    "ftpl_select",
     "geometric_resample",
     "ftpl_update",
     "ftrl_select",
@@ -128,10 +130,25 @@ def _perturbations(state: PolicyState, dist, rows: int) -> np.ndarray:
     return tape[pos:pos + n].reshape(rows, k)
 
 
-def ftpl_select(state: PolicyState, dist) -> int:
-    """Play argmin_i lhat_i - r_i / eta_t with fresh perturbations r ~ dist^K."""
-    r = _perturbations(state, dist, 1)[0]
-    return int((state.lhat - r / state.eta).argmin())
+def _resample(state: PolicyState, dist, chosen: int, cap: int, eta: float, drawn: int, block: int) -> int:
+    """Geometric resampling of ``chosen`` after ``drawn`` losing trials; return the count.
+
+    Reads blocks of ``block``, 4 ``block``, ... rows (at most 4096) off the
+    tape until ``chosen`` wins or ``cap`` trials are spent; a call that ends
+    at the cap without a win counts as a cap hit.  The count includes the
+    winning trial.
+    """
+    lhat = state.lhat
+    while drawn < cap:
+        b = min(block, cap - drawn)
+        wins = (lhat - _perturbations(state, dist, b) / eta).argmin(axis=1) == chosen
+        first = int(wins.argmax())
+        if wins[first]:
+            return drawn + first + 1
+        drawn += b
+        block = min(block * 4, 4096)
+    state.cap_hits += 1
+    return cap
 
 
 def geometric_resample(state: PolicyState, dist, chosen: int) -> int:
@@ -142,22 +159,7 @@ def geometric_resample(state: PolicyState, dist, chosen: int) -> int:
     Conditionally on (t, lhat) the uncapped count is geometric with mean
     1/w_chosen.
     """
-    cap = state.cap()
-    lhat, eta = state.lhat, state.eta
-    drawn = 0
-    block = 16
-    while drawn < cap:
-        b = min(block, cap - drawn)
-        r = _perturbations(state, dist, b)
-        wins = (lhat - r / eta).argmin(axis=1) == chosen
-        if wins.any():
-            trials = drawn + int(wins.argmax()) + 1
-            break
-        drawn += b
-        block = min(block * 4, 4096)
-    else:
-        trials = cap
-        state.cap_hits += 1
+    trials = _resample(state, dist, chosen, state.cap(), state.eta, 0, 16)
     state.resample_trials += trials
     return trials
 
@@ -291,8 +293,16 @@ class FtplPolicy:
 
     def step(self, state, loss_row):
         """One round: play the perturbed leader, estimate 1/w, update; return the arm."""
-        arm = ftpl_select(state, self.dist)
-        west = geometric_resample(state, self.dist, arm)
+        # the selection vector and the first resampling block, b = min(16, M)
+        # rows, are one tape slice under one argmin: picks[0] is the arm and
+        # picks[j] the winner of resampling trial j.  Only a block without a
+        # win reads on, from 64 rows, exactly as geometric_resample would
+        cap, eta = state.cap(), state.eta
+        b = min(16, cap)
+        picks = (state.lhat - _perturbations(state, self.dist, 1 + b) / eta).argmin(axis=1).tolist()
+        arm = picks[0]
+        west = picks.index(arm, 1) if picks.count(arm) > 1 else _resample(state, self.dist, arm, cap, eta, b, 64)
+        state.resample_trials += west
         ftpl_update(state, arm, float(loss_row[arm]), west)
         return arm
 

@@ -2,9 +2,11 @@
 
 import math
 
+import ftpl_oracle
 import numpy as np
 import pytest
 from brentq_oracle import kkt_residual
+from ftpl_oracle import ftpl_select
 
 from pllab import duality
 from pllab.distributions import Gumbel, LaplacePareto, PerturbationDistribution, SymmetricPareto, parse_dist
@@ -17,7 +19,6 @@ from pllab.policies import (
     PolicyState,
     Shannon,
     Tsallis,
-    ftpl_select,
     ftpl_update,
     ftrl_select,
     ftrl_update,
@@ -322,25 +323,34 @@ class TestExp3Equivalence:
 
 class TestPolicyStep:
     @pytest.mark.parametrize(
-        "spec", ["ftpl:lp:m=0.23", "ftpl:lp:m=0.23:cap=3", "ftrl:tsallis:beta=0.5:m=0.23", "ftrl:shannon:m=0.1"]
+        "spec,k,tail",
+        [pytest.param(spec, 3, False, id=spec) for spec in
+         ["ftpl:lp:m=0.23", "ftpl:lp:m=0.23:cap=3", "ftrl:tsallis:beta=0.5:m=0.23", "ftrl:shannon:m=0.1"]]
+        # caps at and around the first resampling block's 16 rows, one arm,
+        # and a large m, whose played non-leaders have a w low enough that the
+        # first block misses and the 64-row tail runs
+        + [pytest.param(f"ftpl:lp:m=0.23:cap={cap}", 3, False, id=f"ftpl:lp:m=0.23:cap={cap}") for cap in (1, 16, 17)]
+        + [pytest.param("ftpl:lp:m=0.23", 1, False, id="ftpl:lp:m=0.23-K=1"),
+           pytest.param("ftpl:lp:m=8", 3, True, id="ftpl:lp:m=8-low-w")],
     )
-    def test_step_equals_explicit_round(self, spec):
+    def test_step_equals_explicit_round(self, spec, k, tail):
         policy = parse_policy(spec)
-        loss_rows = (np.random.default_rng(12).random((200, 3)) < [0.1, 0.4, 0.5]).astype(float)
-        state = policy.fresh_state(3, np.random.default_rng(13))
-        twin = policy.fresh_state(3, np.random.default_rng(13))
-        arms, twin_arms = [], []
+        loss_rows = (np.random.default_rng(12).random((200, k)) < [0.1, 0.4, 0.5][:k]).astype(float)
+        state = policy.fresh_state(k, np.random.default_rng(13))
+        twin = policy.fresh_state(k, np.random.default_rng(13))
+        arms, twin_arms, tails = [], [], 0
         for row in loss_rows:
             arms.append(policy.step(state, row))
             if isinstance(policy, FtplPolicy):
-                arm = ftpl_select(twin, policy.dist)
-                west = geometric_resample(twin, policy.dist, arm)
-                ftpl_update(twin, arm, float(row[arm]), west)
+                drawn = twin.vectors_drawn
+                arm = ftpl_oracle.explicit_round(twin, policy.dist, row)
+                tails += twin.vectors_drawn - drawn > 1 + 16
             else:
                 arm, p = ftrl_select(twin, policy.regularizer)
                 ftrl_update(twin, arm, float(row[arm]), p)
             twin_arms.append(arm)
-        assert arms == twin_arms and len(set(arms)) > 1
+        assert arms == twin_arms and len(set(arms)) == k
+        assert tails > 0 or not tail
         assert state.lhat.tobytes() == twin.lhat.tobytes()
         assert (state.t, state.last_c) == (twin.t, twin.last_c) and state.t == 201
         assert [getattr(state, key) for key in COUNTERS] == [getattr(twin, key) for key in COUNTERS]

@@ -21,6 +21,7 @@ TEST_ONLY = {
     "selection.counterexample_scan": "criterion 4: the paper's K = 3 counterexample",
     "duality.two_arm_quantile": "golden pin: the exact two-arm roots",
     "duality.regularizer_value": "north-star number: the Legendre-dual regularizer",
+    "policies.geometric_resample": "criterion 10: the resampling estimator alone, without a selection",
 }
 
 # every settable public value: a defaulted parameter of an __all__ function or
