@@ -129,6 +129,8 @@ def _component_integrals(dist, gap, factors, budget, arms=None, moment=0, prime=
     each arm's worst summed error estimate, and the integrand
     evaluations and panels evaluated.  Each distinct gap is integrated once;
     g(z, s) takes arrays and grows at most like |z|^moment times the density.
+    With ``prime``, a factor of None is the density f(z + gap_i) itself,
+    read off the evaluation the phi' column already makes.
     Refinement stops once every arm's summed |K15 - G7| is within ``budget``;
     until then a panel whose estimate exceeds its share of ``budget`` for any
     arm is bisected, each half taking half the share.  The tails
@@ -176,7 +178,8 @@ def _component_integrals(dist, gap, factors, budget, arms=None, moment=0, prime=
         f = dist.pdf(x) if prime else None
         W, dW = _others_product(dist.cdf(x), mult, f)
         weight = W[..., cols] * jac[..., None]
-        columns = [factor(z[..., None], gaps[cols]) * weight for factor in factors]
+        columns = [(f[..., cols] if factor is None else factor(z[..., None], gaps[cols])) * weight
+                   for factor in factors]
         if prime:
             columns.append(-f[..., cols] * (dW[..., cols] * jac[..., None]))
         g = np.stack(columns, axis=-1)
@@ -220,7 +223,7 @@ def _phi(lam, dist, tol, with_prime, arms=None):
     """
     lam = _loss_vector(lam, tol)
     gap = lam - lam.min()
-    factors = [lambda z, s: dist.pdf(z + s)]
+    factors = [None if with_prime else lambda z, s: dist.pdf(z + s)]
     values, errs, n_evals, n_panels = _component_integrals(dist, gap, factors, tol / 4.0, arms, prime=with_prime)
     if arms is None:
         miss = abs(math.fsum(values[:, 0]) - 1.0) if np.isfinite(values).all() else math.inf
