@@ -667,6 +667,10 @@ def check_assumptions(dist):
             ml_ci.append(1.96 * float(np.std(rec)) / math.sqrt(len(rec)))
             if math.isfinite(alpha):
                 fits.append(a_k * k ** (-1.0 / alpha))
+        # block maxima that overflow make a mean inf and its interval nan
+        if not np.all(np.isfinite([*mu_est, *mu_ci, *ml_est, *ml_ci])):
+            flags.add("block_maxima")
+            flags.add("NonFiniteEstimate")
         block_max_mu = max(mu_est) if mu_est else math.nan
         block_max_mu_ci = max(mu_ci) if mu_ci else math.nan
         block_max_ml = max(ml_est) if ml_est else math.nan

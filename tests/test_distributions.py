@@ -291,6 +291,13 @@ class TestAssumptionChecker:
         a_lo, a_hi = report.a_k_fit
         assert 0.0 < a_lo <= a_hi < 2.0
 
+    def test_overflowing_block_maxima_are_flagged(self):
+        # draws reach (1 - u)^(-100) = inf, so the mean over a_k is inf and
+        # its interval nan
+        report = check_assumptions(parse_dist("gpd:0.01"))
+        assert report.block_max_mu == math.inf and math.isnan(report.block_max_mu_ci)
+        assert {"block_maxima", "NonFiniteEstimate"} <= report.flags
+
     @pytest.mark.parametrize("spec", ["gpd:0.001", "frechet:1e-300"])
     def test_block_sizes_with_an_infinite_a_k_are_skipped(self, spec):
         # a_k = quantile(1 - 1/k) overflows, so every block maximum over a_k
