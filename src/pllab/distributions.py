@@ -172,8 +172,17 @@ class GeneralizedPareto(OneSided):
     scale: float = 1.0
 
     def __post_init__(self):
-        _require_positive(shape=self.beta, scale=self.scale)
-        object.__setattr__(self, "tail_index_right", float(self.beta))
+        b, s = self.beta, self.scale
+        _require_positive(shape=b, scale=s)
+        try:
+            power = s**b
+        except OverflowError:
+            power = math.inf
+        # the constant factors of f and -f', neither 0 nor inf in floats
+        object.__setattr__(self, "_f_factor", b * power)
+        object.__setattr__(self, "_df_factor", b * (b + 1.0) * power)
+        _require_positive(**{"shape*scale^shape": self._f_factor, "shape*(shape+1)*scale^shape": self._df_factor})
+        object.__setattr__(self, "tail_index_right", float(b))
 
     def _sf(self, y):
         if self.scale == 1.0:  # Lomax form: the same law, without a division
@@ -181,12 +190,10 @@ class GeneralizedPareto(OneSided):
         return (self.scale / (self.scale + y)) ** self.beta
 
     def _pdf(self, y):
-        b, s = self.beta, self.scale
-        return b * s**b * (s + y) ** (-b - 1.0)
+        return self._f_factor * (self.scale + y) ** (-self.beta - 1.0)
 
     def _pdf_prime(self, y):
-        b, s = self.beta, self.scale
-        return -b * (b + 1.0) * s**b * (s + y) ** (-b - 2.0)
+        return -self._df_factor * (self.scale + y) ** (-self.beta - 2.0)
 
     def _isf(self, q):
         return self.scale * (q ** (-1.0 / self.beta) - 1.0)
@@ -469,7 +476,7 @@ def parse_dist(spec: str) -> PerturbationDistribution:
       ``asp:A,B``                Hybrid(GPD(A,1), GPD(B,B/A))
       ``laplace[:R]``            Hybrid(Exponential(R), Exponential(R)), R defaults to 1
       ``gumbel``                 Gumbel()
-    A malformed number or an out-of-domain parameter raises ``DomainError``.
+    A malformed number, or an out-of-domain or unread parameter, raises ``DomainError``.
     """
     s = spec.strip()
     low = s.lower()
@@ -492,15 +499,15 @@ def parse_dist(spec: str) -> PerturbationDistribution:
         left = parse_dist(body[marker + len(",left="):])
         return Hybrid(right=right, left=left)
 
-    head, _, rest = low.partition(":")
-    if head == "lp":
+    head, colon, rest = low.partition(":")
+    if low == "lp":
         return LaplacePareto()
-    if head == "gumbel":
+    if low == "gumbel":
         return Gumbel()
     if head == "laplace":
-        return Laplace(_number(rest, spec)) if rest else Laplace()
+        return Laplace(_number(rest, spec)) if colon else Laplace()
     if head == "splareto":
-        return SymmetricPareto(_number(rest.removeprefix("a="), spec)) if rest else SymmetricPareto()
+        return SymmetricPareto(_number(rest.removeprefix("a="), spec)) if colon else SymmetricPareto()
     if head == "asp":
         a, _, b = rest.partition(",")
         return AsymmetricPareto(_number(a, spec), _number(b, spec))
@@ -509,8 +516,8 @@ def parse_dist(spec: str) -> PerturbationDistribution:
     if head == "pareto":
         return GeneralizedPareto(_number(rest, spec))
     if head == "gpd":
-        b, _, sc = rest.partition(",")
-        return GeneralizedPareto(_number(b, spec), _number(sc, spec) if sc else 1.0)
+        b, comma, sc = rest.partition(",")
+        return GeneralizedPareto(_number(b, spec), _number(sc, spec) if comma else 1.0)
     raise DomainError(f"unknown distribution spec {spec!r}")
 
 

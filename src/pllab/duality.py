@@ -26,7 +26,6 @@ from . import selection
 from .errors import (
     DomainError,
     GridError,
-    NonIntegrable,
     RootFindFailed,
     SupportError,
 )
@@ -59,20 +58,15 @@ def potential(nu, dist, tol: float = 1e-9) -> float:
 
     Computed as sum_i integral z f(z - nu_i) prod_{j != i} F(z - nu_j) dz
     after shifting by max(nu) for conditioning.  Takes the checks of
-    ``selection.phi_quadrature`` (K >= 2 finite entries, tol in (0, 1e-4])
-    and requires both tail indices above 1 so the mean exists.
+    ``selection.phi_quadrature`` (K >= 2 finite entries, tol in (0, 1e-4]);
+    a tail index of 1 or less, where the mean does not exist, raises
+    NonIntegrable.
     """
     nu = selection._loss_vector(nu, tol)
-    if min(dist.tail_index_left, dist.tail_index_right) <= 1.0:
-        raise NonIntegrable("potential needs tail indices > 1 (finite mean)")
     mu = float(nu.max())
-    gap = mu - nu  # loss-form gaps, min entry 0
-    # each arm's error stays within tol/(2K), so their sum within tol
-    values = selection._component_integrals(
-        dist, gap, (lambda z, s: z * dist.pdf(z + s),), tol / (2.0 * len(nu)), moment=1
-    )[0]
-    # the constant shift integrates against sum_i phi_i = 1
-    return mu + float(values[:, 0].sum())
+    # at the loss-form gaps mu - nu, each arm's error within tol/(2K), so their
+    # sum within tol; the constant shift integrates against sum_i phi_i = 1
+    return mu + float(selection._component_integrals(dist, mu - nu, tol / (2.0 * len(nu)), moment=1)[0].sum())
 
 
 @dataclass(frozen=True)

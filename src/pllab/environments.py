@@ -187,8 +187,8 @@ def parse_environment(spec: str):
         return FixedSchedule(losses=mat)
     if head == "switch":
         fields = dict(item.partition("=")[::2] for item in rest.split(","))
-        if not {"phase", "mu1", "mu2"} <= fields.keys():
-            raise DomainError(f"switch spec {spec!r} must set phase=, mu1= and mu2=")
+        if sorted(fields) != ["mu1", "mu2", "phase"] or rest.count(",") != 2:  # three items: no key twice
+            raise DomainError(f"switch spec {spec!r} must set phase=, mu1= and mu2=, each once, and nothing else")
         return SwitchingAdversary(
             phase=_number(fields["phase"], spec, int),
             mu1=tuple(_number(v, spec) for v in fields["mu1"].split("|")),

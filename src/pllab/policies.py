@@ -335,23 +335,25 @@ def parse_policy(spec: str):
 
     Trailing ``key=value`` tokens are policy parameters (``m``, ``cap``,
     ``beta``); for FTPL everything between the head and those tokens is a
-    distribution spec (which may itself contain colons).
+    distribution spec (which may itself contain colons).  A parameter set
+    twice or one the policy does not take raises ``DomainError``.
     """
     from .distributions import _number, parse_dist
 
     tokens = spec.strip().split(":")
-    head = tokens[0].lower()
-    params = {}
-    body = tokens[1:]
-    while body and "=" in body[-1]:
-        key, _, val = body[-1].partition("=")
-        if key.lower() not in {"m", "cap", "beta"}:
-            break
-        params[key.lower()] = val
-        body = body[:-1]
+    head, body, params = tokens[0].lower(), tokens[1:], {}
+    while body and body[-1].lower().partition("=")[0] in {"m", "cap", "beta"}:
+        key, _, val = body.pop().lower().partition("=")
+        if key in params:
+            raise DomainError(f"policy spec {spec!r} sets {key}= twice")
+        params[key] = val
     if "m" not in params:
         raise DomainError(f"policy spec {spec!r} must set m=<scale>")
     m = _number(params["m"], spec)
+    name = body[0].lower() if head == "ftrl" and body else head
+    extra = sorted(params.keys() - {"m", {"ftpl": "cap", "tsallis": "beta"}.get(name)})
+    if extra:
+        raise DomainError(f"policy spec {spec!r}: {'=, '.join(extra)}= does not apply to {name}")
 
     if head == "ftpl":
         if not body:
@@ -359,17 +361,15 @@ def parse_policy(spec: str):
         cap = _number(params["cap"], spec, int) if "cap" in params else None
         if cap is not None and cap < 1:
             raise DomainError(f"policy spec {spec!r}: the resampling cap must be at least 1")
-        dist_spec = ":".join(body)
-        return FtplPolicy(dist=parse_dist(dist_spec), m=m, resample_cap=cap)
+        return FtplPolicy(dist=parse_dist(":".join(body)), m=m, resample_cap=cap)
     if head == "ftrl":
-        if not body:
-            raise DomainError(f"ftrl spec {spec!r} needs a regularizer")
-        reg_name = body[0].lower()
-        if reg_name == "shannon":
+        if len(body) != 1:
+            raise DomainError(f"ftrl spec {spec!r} needs one regularizer, shannon or tsallis")
+        if name == "shannon":
             reg = Shannon()
-        elif reg_name == "tsallis":
+        elif name == "tsallis":
             reg = Tsallis(tsallis_beta=_number(params.get("beta", "0.5"), spec))
         else:
-            raise DomainError(f"unknown regularizer {reg_name!r}")
+            raise DomainError(f"unknown regularizer {name!r}")
         return FtrlPolicy(regularizer=reg, m=m)
     raise DomainError(f"unknown policy head {head!r}")

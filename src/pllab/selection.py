@@ -9,13 +9,15 @@ where gap = lambda - min(lambda).  The own-coordinate derivative comes by
 parts, phi_i' = -integral f(z + gap_i) d/dz prod_{j != i} F(z + gap_j) dz,
 so it needs neither f' nor the point masses of a density jump; the
 potential (``duality.potential``) is the phi integral with z f(z + gap_i).
-All three share one kernel, ``_component_integrals``: an adaptive
-Gauss-Kronrod (G7-K15) rule on panels split at every shifted kink and
-support edge, the tails mapped onto (0, 1], which evaluates F and each
-factor once per refinement pass on an array of every panel, node and
-distinct gap, for just the arms a caller reads (the phi_1 inversions in
-``duality`` read arm 1 alone).  The tests hold it to the scalar QUADPACK
-loop it replaced and to a Monte-Carlo estimate of the argmin frequencies.
+One kernel, ``_component_integrals``, integrates z^moment times phi's
+integrand (moment 0 for phi, 1 for the potential) and phi' beside it: an
+adaptive Gauss-Kronrod (G7-K15) rule on panels split at every shifted kink
+and support edge, the tails mapped onto (0, 1], evaluating F and f once per
+refinement pass on an array of every panel, node and distinct gap, f for
+just the arms a caller reads unless phi' needs every gap (the phi_1
+inversions in ``duality`` read arm 1 alone).  The tests hold it to the
+scalar QUADPACK loop it replaced and to a Monte-Carlo estimate of the
+argmin frequencies.
 
 ``phi_scan`` evaluates a loss family lambda(c) over a grid of c, one row per
 (c, arm); ``counterexample_scan`` and the ``analyze-phi`` command are built
@@ -33,7 +35,7 @@ import numpy as np
 from scipy.integrate import quad  # noqa: F401
 
 from .distributions import PerturbationDistribution
-from .errors import DomainError, ToleranceNotMet
+from .errors import DomainError, NonIntegrable, ToleranceNotMet
 
 __all__ = [
     "SelectionProbe",
@@ -120,23 +122,21 @@ def _others_product(F, mult, f=None):
     return below * above * own, (d_below * above + below * d_above) * own + below * above * d_own
 
 
-def _component_integrals(dist, gap, factors, budget, arms=None, moment=0, prime=False):
-    """integral g(z, gap_i) prod_{j != i} F(z + gap_j) dz for each arm i and factor g.
+def _component_integrals(dist, gap, budget, arms=None, moment=0, prime=False):
+    """integral z^moment f(z + gap_i) prod_{j != i} F(z + gap_j) dz for each arm i.
 
-    Returns a (len(arms), len(factors)) array of integrals (``arms`` defaults
-    to all), with ``prime`` one more column, phi_i' by parts:
-    -integral f(z + gap_i) d/dz prod_{j != i} F(z + gap_j) dz.  Then come
-    each arm's worst summed error estimate, and the integrand
-    evaluations and panels evaluated.  Each distinct gap is integrated once;
-    g(z, s) takes arrays and grows at most like |z|^moment times the density.
-    With ``prime``, a factor of None is the density f(z + gap_i) itself,
-    read off the evaluation the phi' column already makes.
-    Refinement stops once every arm's summed |K15 - G7| is within ``budget``;
-    until then a panel whose estimate exceeds its share of ``budget`` for any
-    arm is bisected, each half taking half the share.  The tails
-    z = +-cut u^-p run over u in (0, 1].  Past a depth or work cap, or for a
-    tail index below moment + 1/9, this raises ToleranceNotMet.
+    Returns a (len(arms), 1 + prime) array of integrals (``arms`` defaults to
+    all), with ``prime`` phi_i' by parts in the second column, then each arm's
+    worst summed error estimate, and the integrand evaluations and panels
+    evaluated.  Each distinct gap is integrated once.  Refinement stops once
+    every arm's summed |K15 - G7| is within ``budget``; until then a panel
+    whose estimate exceeds its share of ``budget`` for any arm is bisected,
+    each half taking half the share.  The tails z = +-cut u^-p run over u in
+    (0, 1].  A tail index at or below moment raises NonIntegrable; one below
+    moment + 1/9, or a depth or work cap, raises ToleranceNotMet.
     """
+    if min(dist.tail_index_left, dist.tail_index_right) <= moment:
+        raise NonIntegrable(f"the integral of z^{moment} f needs tail indices above {moment}")
     gaps, inverse, mult = np.unique(gap, return_inverse=True, return_counts=True)
     cols, rows = np.unique(inverse[list(range(len(gap)) if arms is None else arms)], return_inverse=True)
     cut = max(_TAIL_CUT, 10.0 * float(gaps[-1]))
@@ -164,7 +164,7 @@ def _component_integrals(dist, gap, factors, budget, arms=None, moment=0, prime=
     b = np.concatenate([edges[1:], [1.0, 1.0]])
     power = np.concatenate([np.zeros(len(edges) - 1), [-p_left, p_right]])
     share = np.full(len(a), budget / len(a))
-    values, errs = np.zeros((2, len(cols), len(factors) + prime))
+    values, errs = np.zeros((2, len(cols), 1 + prime))
     n_panels = 0
     for _ in range(_MAX_DEPTH):
         half = 0.5 * (b - a)[:, None]
@@ -177,11 +177,10 @@ def _component_integrals(dist, gap, factors, budget, arms=None, moment=0, prime=
         x = z[..., None] + gaps
         f = dist.pdf(x) if prime else None
         W, dW = _others_product(dist.cdf(x), mult, f)
-        weight = W[..., cols] * jac[..., None]
-        columns = [(f[..., cols] if factor is None else factor(z[..., None], gaps[cols])) * weight
-                   for factor in factors]
+        own = f[..., cols] if prime else dist.pdf(z[..., None] + gaps[cols])
+        columns = [(z[..., None] ** moment * own if moment else own) * (W[..., cols] * jac[..., None])]
         if prime:
-            columns.append(-f[..., cols] * (dW[..., cols] * jac[..., None]))
+            columns.append(-own * (dW[..., cols] * jac[..., None]))
         g = np.stack(columns, axis=-1)
         kronrod = np.einsum("n,pndf->pdf", _KRONROD_WEIGHTS, g)
         err = np.abs(kronrod - np.einsum("n,pndf->pdf", _GAUSS_WEIGHTS, g))
@@ -223,8 +222,7 @@ def _phi(lam, dist, tol, with_prime, arms=None):
     """
     lam = _loss_vector(lam, tol)
     gap = lam - lam.min()
-    factors = [None if with_prime else lambda z, s: dist.pdf(z + s)]
-    values, errs, n_evals, n_panels = _component_integrals(dist, gap, factors, tol / 4.0, arms, prime=with_prime)
+    values, errs, n_evals, n_panels = _component_integrals(dist, gap, tol / 4.0, arms, prime=with_prime)
     if arms is None:
         miss = abs(math.fsum(values[:, 0]) - 1.0) if np.isfinite(values).all() else math.inf
         if not miss <= len(gap) * (float(errs.max()) + _ROUNDING):

@@ -402,6 +402,22 @@ class TestCli:
             ["duality", "ift", "--n", "1099511627776", "--out", "unused.csv"],
             ["duality", "sanity-normal", "--n", "1099511627776"],
             SIM + ["--policy", "ftpl:lp:m=0.2", "--env", "bern:0.1,0.2", "--T", "100000000000", "--threads", "1"],
+            # a generalized Pareto scale^shape beyond the float range, raised or underflowed to 0
+            ["analyze-phi", "--dist", "gpd:2,1e308", "--lambda", "0,c", "--c-grid", "1:1"],
+            ["analyze-phi", "--dist", "asp:2,1e300", "--lambda", "0,c", "--c-grid", "1:1"],
+            ["check-dist", "--dist", "gpd:2,1e308"],
+            ["check-dist", "--dist", "gpd:2,1e-200"],
+            # spec tokens that no parser reads
+            SIM + ["--policy", "ftrl:shannon:extra:m=1", "--env", "bern:0.1,0.2"],
+            SIM + ["--policy", "ftpl:lp:m=1:beta=0.3", "--env", "bern:0.1,0.2"],
+            SIM + ["--policy", "ftrl:tsallis:m=1:cap=5", "--env", "bern:0.1,0.2"],
+            SIM + ["--policy", "ftrl:shannon:beta=0.3:m=1", "--env", "bern:0.1,0.2"],
+            SIM + ["--policy", "ftpl:lp:m=1:m=2", "--env", "bern:0.1,0.2"],
+            SIM + ["--policy", "ftpl:lp:m=0.2", "--env", "switch:phase=2,mu1=0.1|0.2,mu2=0.2|0.1,foo=3"],
+            SIM + ["--policy", "ftpl:lp:m=0.2", "--env", "switch:phase=2,mu1=0.1|0.2,mu2=0.2|0.1,x"],
+            ["analyze-phi", "--dist", "lp:5", "--lambda", "0,c", "--c-grid", "1:1"],
+            ["analyze-phi", "--dist", "gumbel:3", "--lambda", "0,c", "--c-grid", "1:1"],
+            ["analyze-phi", "--dist", "gpd:2,", "--lambda", "0,c", "--c-grid", "1:1"],
         ],
         ids=["policy-m", "policy-cap", "tsallis-m-nan", "tsallis-m-inf", "ftpl-m-nan", "shannon-m-nan", "cap-zero",
              "cap-negative", "switch-missing-mu", "bern-number", "sched-number", "sched-short",
@@ -415,7 +431,10 @@ class TestCli:
              "simulate-out-directory", "verdict-csv-directory", "simulate-meta-directory", "ift-beta-one",
              "loss-spread-1e16", "loss-spread-nan-rows", "loss-spread-overflow", "grid-count-overflow",
              "grid-count-above-cap", "regscan-points-above-cap", "phi-misses-one", "phi-all-zero", "phi-nan-rows",
-             "ift-n-allocation", "sanity-n-allocation", "simulate-T-allocation"],
+             "ift-n-allocation", "sanity-n-allocation", "simulate-T-allocation", "gpd-scale-overflow",
+             "asp-scale-overflow", "check-dist-gpd-overflow", "check-dist-gpd-underflow", "ftrl-extra-token",
+             "ftpl-beta", "tsallis-cap", "shannon-beta", "policy-m-twice", "switch-unknown-key",
+             "switch-bare-token", "lp-parameter", "gumbel-parameter", "gpd-empty-scale"],
     )
     def test_bad_input_is_usage_error(self, capsys, tmp_path, monkeypatch, argv):
         monkeypatch.chdir(tmp_path)

@@ -18,7 +18,7 @@ from pllab.distributions import (
     Truncated,
     parse_dist,
 )
-from pllab.errors import DomainError
+from pllab.errors import DomainError, NonIntegrable
 from pllab.selection import (
     counterexample_scan,
     phi_quadrature,
@@ -86,6 +86,16 @@ class TestBasics:
             with pytest.raises(DomainError):
                 fn(lam, SymmetricPareto(2.0))
         assert phi_values([0.0, 2.0**40], SymmetricPareto(2.0))[1] <= 1e-12
+
+    @pytest.mark.parametrize("spec", ["frechet:1", "splareto:a=1", "frechet:0.5", "splareto:a=0.8",
+                                      "hybrid:right=frechet:3,left=pareto:1"])
+    def test_kernel_needs_a_tail_index_above_its_moment(self, spec):
+        # at a tail index equal to the moment the tail's map u^-p had p = 2 / 0
+        dist = parse_dist(spec)
+        for prime in (False, True):
+            with pytest.raises(NonIntegrable):
+                selection._component_integrals(dist, np.array([0.0, 1.0]), 1e-9, moment=1, prime=prime)
+        assert selection._component_integrals(dist, np.array([0.0, 1.0]), 1e-9)[0].shape == (2, 1)
 
     def test_ranks_break_ties_by_index(self):
         probe = phi_quadrature([1.0, 0.0, 1.0], SymmetricPareto(2.0), tol=1e-8)
