@@ -351,7 +351,7 @@ def parse_policy(spec: str):
         raise DomainError(f"policy spec {spec!r} must set m=<scale>")
     m = _number(params["m"], spec)
     name = body[0].lower() if head == "ftrl" and body else head
-    extra = sorted(params.keys() - {"m", {"ftpl": "cap", "tsallis": "beta"}.get(name)})
+    extra = sorted(params.keys() - {"ftpl": {"m", "cap"}, "tsallis": {"m", "beta"}}.get(name, {"m"}))
     if extra:
         raise DomainError(f"policy spec {spec!r}: {'=, '.join(extra)}= does not apply to {name}")
 
