@@ -28,7 +28,10 @@ Conventions
   diagnostics read it, as the quadrature needs no f'.
 * ``tail_index_right`` / ``tail_index_left`` give the polynomial decay order
   of each tail; exponential or absent tails are reported as ``math.inf``.
-* All evaluators accept scalars or numpy arrays; scalars give floats.
+* A law writes its formulas once, as private methods; the base class turns
+  them into the public evaluators.  These take scalars or numpy arrays, give
+  floats for scalars, extend one-sided laws by F = f = f' = 0 on x <= 0 and
+  emit no numpy warnings (an overflow reads inf or nan).
 """
 
 from __future__ import annotations
@@ -61,14 +64,6 @@ __all__ = [
 _TINY_U = 0.5 / 2.0**53  # remap for the measure-zero event rng.random() == 0
 
 
-def _is_scalar(x):
-    return isinstance(x, (float, int)) or getattr(x, "ndim", 1) == 0
-
-
-def _scalarize(x, out):
-    return float(out) if _is_scalar(x) else out
-
-
 def _require_positive(**params):
     for name, value in params.items():
         if not (math.isfinite(value) and value > 0.0):
@@ -76,7 +71,16 @@ def _require_positive(**params):
 
 
 class PerturbationDistribution:
-    """Base class: an evaluable and sampleable law on (a subset of) the reals."""
+    """Base class: an evaluable and sampleable law on (a subset of) the reals.
+
+    A law writes its formulas once, as the private ``_cdf``, ``_sf``,
+    ``_pdf``, ``_pdf_prime``, ``_quantile`` and ``_isf``.  The public
+    ``cdf``, ``sf``, ``pdf``, ``pdf_prime`` and ``quantile`` are defined here
+    only, through ``_evaluate``: they take scalars or arrays, give floats for
+    scalars, set F = f = f' = 0 and S = 1 at or below a finite lower support
+    edge, and emit no numpy warnings; an overflow reads inf or nan, which the
+    callers test.
+    """
 
     support: tuple[float, float] = (-math.inf, math.inf)
     tail_index_right: float = math.inf
@@ -84,26 +88,41 @@ class PerturbationDistribution:
     kinks: tuple[float, ...] = ()
 
     def cdf(self, x):
-        raise NotImplementedError
+        return self._evaluate(self._cdf, x, 0.0)
 
     def sf(self, x):
-        raise NotImplementedError
+        return self._evaluate(self._sf, x, 1.0)
 
     def pdf(self, x):
-        raise NotImplementedError
+        return self._evaluate(self._pdf, x, 0.0)
 
     def pdf_prime(self, x):
-        raise NotImplementedError
+        return self._evaluate(self._pdf_prime, x, 0.0)
 
     def quantile(self, u):
         """Inverse CDF for u in (0, 1); validates its domain."""
         u_arr = np.asarray(u, dtype=float)
         if np.any(u_arr <= 0.0) or np.any(u_arr >= 1.0):
             raise DomainError(f"quantile level must lie in (0, 1), got {u!r}")
-        return _scalarize(u, self._quantile(u_arr))
+        return self._evaluate(self._quantile, u_arr)
 
-    def _quantile(self, u):
-        raise NotImplementedError
+    def _evaluate(self, formula, x, below=None):
+        """``formula`` at x as a public evaluator; ``below`` is its value at or
+        below a finite lower support edge, where the formula is not called."""
+        x = np.asarray(x, dtype=float)
+        lo = self.support[0]
+        # [()] hands 0-d input to the formula as a numpy scalar, whose arithmetic
+        # (unlike a 0-d array's) rounds as the laws' scalar evaluators always have
+        with np.errstate(all="ignore"):
+            if below is None or lo == -math.inf:
+                out = formula(x[()])
+            else:
+                inside = x > lo
+                out = np.where(inside, formula(np.where(inside, x, lo + 1.0)[()]), below)
+        return float(out) if x.ndim == 0 else out
+
+    def _cdf(self, x):
+        return 1.0 - self._sf(x)
 
     def _isf(self, q):
         """Inverse survival function for q in (0, 1]; exact where overridden."""
@@ -113,7 +132,8 @@ class PerturbationDistribution:
         """Draws by inverse transform; determinism comes from the caller's rng."""
         u = rng.random(shape)
         u = np.where(u == 0.0, _TINY_U, u)
-        return self._quantile(u)
+        with np.errstate(all="ignore"):
+            return self._quantile(u)
 
     def __repr__(self):
         return f"{type(self).__name__}()"
@@ -124,38 +144,17 @@ class PerturbationDistribution:
 # ---------------------------------------------------------------------------
 
 class OneSided(PerturbationDistribution):
-    """A law on [0, inf) given by raw formulas on the half line y >= 0.
+    """A law on [0, inf) given by raw formulas of the half line.
 
-    Subclasses define ``_sf``, ``_pdf`` and ``_pdf_prime`` of y >= 0 and the
-    inverse survival function ``_isf`` of a level q in (0, 1].  ``Hybrid``
-    calls these raw formulas directly; the public evaluators here extend
-    them by F = f = f' = 0 on x <= 0, so f may jump at 0.
+    Subclasses define ``_sf``, ``_pdf`` and ``_pdf_prime`` of y and the
+    inverse survival function ``_isf`` of a level q in (0, 1].  The public
+    evaluators call these raw formulas at y > 0 only and read F = f = f' = 0
+    on x <= 0, so f may jump at 0; ``Hybrid`` calls them at y = |x|, which
+    may be 0.
     """
 
     support = (0.0, math.inf)
     kinks = (0.0,)
-
-    def _cdf(self, y):
-        return 1.0 - self._sf(y)
-
-    def _on_half_line(self, raw, x0, below):
-        x = np.asarray(x0, dtype=float)
-        pos = x > 0.0
-        # [()] turns 0-d input into a numpy scalar, whose arithmetic (unlike a
-        # 0-d array's) rounds as the laws' scalar evaluators always have
-        return _scalarize(x0, np.where(pos, raw(np.where(pos, x, 1.0)[()]), below))
-
-    def cdf(self, x):
-        return self._on_half_line(self._cdf, x, 0.0)
-
-    def sf(self, x):
-        return self._on_half_line(self._sf, x, 1.0)
-
-    def pdf(self, x):
-        return self._on_half_line(self._pdf, x, 0.0)
-
-    def pdf_prime(self, x):
-        return self._on_half_line(self._pdf_prime, x, 0.0)
 
     def _quantile(self, u):
         return self._isf(1.0 - u)
@@ -174,14 +173,19 @@ class GeneralizedPareto(OneSided):
     def __post_init__(self):
         b, s = self.beta, self.scale
         _require_positive(shape=b, scale=s)
-        try:
-            power = s**b
-        except OverflowError:
-            power = math.inf
+
+        def power(e):
+            try:
+                return s**e
+            except OverflowError:
+                return math.inf
+
         # the constant factors of f and -f', neither 0 nor inf in floats
-        object.__setattr__(self, "_f_factor", b * power)
-        object.__setattr__(self, "_df_factor", b * (b + 1.0) * power)
+        object.__setattr__(self, "_f_factor", b * power(b))
+        object.__setattr__(self, "_df_factor", b * (b + 1.0) * power(b))
         _require_positive(**{"shape*scale^shape": self._f_factor, "shape*(shape+1)*scale^shape": self._df_factor})
+        if power(-b - 2.0) == math.inf:  # (scale + y)^-(shape+2) in f' at y = 0
+            raise DomainError(f"scale^-(shape+2) must be finite, got scale {s!r} and shape {b!r}")
         object.__setattr__(self, "tail_index_right", float(b))
 
     def _sf(self, y):
@@ -216,30 +220,23 @@ class Frechet(OneSided):
         object.__setattr__(self, "tail_index_right", float(self.alpha))
 
     def _cdf(self, y):
-        with np.errstate(divide="ignore", over="ignore"):
-            return np.exp(-(y ** -self.alpha))
+        return np.exp(-(y ** -self.alpha))
 
     def _sf(self, y):
-        with np.errstate(divide="ignore", over="ignore"):
-            return -np.expm1(-(y ** -self.alpha))
+        return -np.expm1(-(y ** -self.alpha))
 
     def _pdf(self, y):
         a = self.alpha
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            e = np.exp(-(y ** -a))  # 0 where y^-a overflows or y = 0; so are f, f'
-            return np.where(e > 0.0, a * y ** (-a - 1.0) * e, 0.0)
+        e = np.exp(-(y ** -a))  # 0 where y^-a overflows or y = 0; so are f, f'
+        return np.where(e > 0.0, a * y ** (-a - 1.0) * e, 0.0)
 
     def _pdf_prime(self, y):
         a = self.alpha
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            e = np.exp(-(y ** -a))
-            return np.where(
-                e > 0.0, a * e * (a * y ** (-2 * a - 2.0) - (a + 1.0) * y ** (-a - 2.0)), 0.0
-            )
+        e = np.exp(-(y ** -a))
+        return np.where(e > 0.0, a * e * (a * y ** (-2 * a - 2.0) - (a + 1.0) * y ** (-a - 2.0)), 0.0)
 
     def _isf(self, q):
-        with np.errstate(divide="ignore"):
-            return (-np.log1p(-q)) ** (-1.0 / self.alpha)
+        return (-np.log1p(-q)) ** (-1.0 / self.alpha)
 
     def _quantile(self, u):
         return (-np.log(u)) ** (-1.0 / self.alpha)  # exact for tiny u, unlike _isf(1 - u)
@@ -256,6 +253,8 @@ class Exponential(OneSided):
 
     def __post_init__(self):
         _require_positive(rate=self.rate)
+        if not math.isfinite(self.rate * self.rate):  # the factor of f'
+            raise DomainError(f"rate^2 must be finite, got rate {self.rate!r}")
 
     def _sf(self, y):
         return np.exp(-self.rate * y)
@@ -337,29 +336,26 @@ class Hybrid(PerturbationDistribution):
     def _glue(self, x, raw):
         """(x < 0, h): h is half the left half's raw formula ``raw`` at -x
         where x < 0 and half the right half's at x elsewhere."""
-        x = np.asarray(x, dtype=float)
-        # [()] hands 0-d input to the halves as a numpy scalar, as in
-        # OneSided._on_half_line, so scalars round as they always have
-        y = np.abs(x)[()]
+        y = np.abs(x)
         left = getattr(self.left, raw)(y)
         right = left if self.left is self.right else getattr(self.right, raw)(y)
         neg = x < 0.0
         return neg, 0.5 * np.where(neg, left, right)
 
-    def cdf(self, x):
+    def _cdf(self, x):
         neg, h = self._glue(x, "_sf")
-        return _scalarize(x, np.where(neg, h, 1.0 - h))
+        return np.where(neg, h, 1.0 - h)
 
-    def sf(self, x):
+    def _sf(self, x):
         neg, h = self._glue(x, "_sf")
-        return _scalarize(x, np.where(neg, 1.0 - h, h))
+        return np.where(neg, 1.0 - h, h)
 
-    def pdf(self, x):
-        return _scalarize(x, self._glue(x, "_pdf")[1])
+    def _pdf(self, x):
+        return self._glue(x, "_pdf")[1]
 
-    def pdf_prime(self, x):
+    def _pdf_prime(self, x):
         neg, h = self._glue(x, "_pdf_prime")
-        return _scalarize(x, np.where(neg, -h, h))
+        return np.where(neg, -h, h)
 
     def _quantile(self, u):
         low = u < 0.5
@@ -418,32 +414,21 @@ def Laplace(rate=1.0):
 class Gumbel(PerturbationDistribution):
     """Standard Gumbel law; selection probabilities reduce to the softmax."""
 
-    def cdf(self, x):
-        x_arr = np.asarray(x, dtype=float)
-        with np.errstate(over="ignore", under="ignore"):
-            out = np.exp(-np.exp(-x_arr))
-        return _scalarize(x, out)
+    def _cdf(self, x):
+        return np.exp(-np.exp(-x))
 
-    def sf(self, x):
-        x_arr = np.asarray(x, dtype=float)
-        with np.errstate(over="ignore", under="ignore"):
-            out = -np.expm1(-np.exp(-x_arr))
-        return _scalarize(x, out)
+    def _sf(self, x):
+        return -np.expm1(-np.exp(-x))
 
-    def pdf(self, x):
-        x_arr = np.asarray(x, dtype=float)
-        with np.errstate(over="ignore", under="ignore"):
-            out = np.exp(-x_arr - np.exp(-x_arr))
-        return _scalarize(x, out)
+    def _pdf(self, x):
+        return np.exp(-x - np.exp(-x))
 
-    def pdf_prime(self, x):
+    def _pdf_prime(self, x):
         # below -700 f' underflows to 0; the clamp keeps e finite there, so
         # the product is 0 * e rather than 0 * inf
-        x_arr = np.maximum(x, -700.0)
-        with np.errstate(over="ignore", under="ignore"):
-            e = np.exp(-x_arr)
-            out = np.exp(-x_arr - e) * (e - 1.0)
-        return _scalarize(x, out)
+        x = np.maximum(x, -700.0)
+        e = np.exp(-x)
+        return np.exp(-x - e) * (e - 1.0)
 
     def _quantile(self, u):
         return -np.log(-np.log(u))

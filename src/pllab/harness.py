@@ -386,20 +386,33 @@ class VerdictReport:
 
 
 def _envelope(metadata, kind):
-    """The envelope ``kind`` (advlp, stolp or tsallisref) at the table's own K, m and gaps."""
+    """The envelope ``kind`` (advlp, stolp or tsallisref) at the table's own K, m and gaps;
+    as that metadata is outside input, an m that is not positive and finite, a K below 1
+    or a gap that is negative or not finite raises ``DomainError``."""
 
-    def field(key):
+    def field(key, valid, rule, kind=float, many=False):
         if key not in metadata:
             raise DomainError(f"regret table has no '# {key}=' metadata line")
-        return str(metadata[key])
+        text = str(metadata[key])
+        values = [_number(v, key, kind) for v in (text.split(",") if many else [text])]
+        if not all(valid(v) for v in values):
+            raise DomainError(f"regret table metadata {key}={text} must be {rule}")
+        return tuple(values) if many else values[0]
+
+    def m():
+        return field("m", lambda v: math.isfinite(v) and v > 0.0, "positive and finite")
+
+    def k():
+        return field("K", lambda v: v >= 1, "at least 1", int)
 
     kind = kind.lower()
     if kind == "advlp":
-        return AdvLP(m=_number(field("m"), "m"), k=_number(field("K"), "K", int))
+        return AdvLP(m=m(), k=k())
     if kind == "stolp":
-        return StoLP(m=_number(field("m"), "m"), gaps=tuple(_number(g, "gaps") for g in field("gaps").split(",")))
+        gaps = field("gaps", lambda v: math.isfinite(v) and v >= 0.0, "finite and nonnegative", many=True)
+        return StoLP(m=m(), gaps=gaps)
     if kind == "tsallisref":
-        return TsallisRef(k=_number(field("K"), "K", int))
+        return TsallisRef(k=k())
     raise DomainError(f"unknown envelope {kind!r}; expected advlp, stolp or tsallisref")
 
 

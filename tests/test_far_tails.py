@@ -1,23 +1,25 @@
 """Far-tail robustness of every law the spec language can build.
 
-Each evaluator must stay finite out to |x| = 1e300 and return a Python
-float for a float argument, and the separately computed CDF and survival
-function must still add up to 1.
+Shapes, generalized Pareto scales and Laplace rates are drawn
+log-uniformly on [1e-3, 1e3]; specs a constructor refuses are skipped.
+Each evaluator of the rest must stay finite out to |x| = 1e300, without a
+numpy warning, and return a Python float for a float argument, and the
+separately computed CDF and survival function must still add up to 1.
 """
 
 import warnings
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pllab.distributions import parse_dist
+from pllab.errors import DomainError
 
 _G = np.geomspace(1e-6, 1e300, 241)
 XS = np.concatenate([-_G[::-1], [0.0], _G])
 
-shape = st.floats(0.5, 8.0).map(lambda v: round(v, 3))
-scale = st.floats(0.25, 4.0).map(lambda v: round(v, 3))
+shape = scale = st.floats(-3.0, 3.0).map(lambda e: repr(10.0**e))
 
 two_sided = st.one_of(
     st.sampled_from(["lp", "gumbel", "splareto", "laplace"]),
@@ -39,8 +41,12 @@ any_law = st.one_of(two_sided, one_sided, hybrid, hybrid.map(lambda s: f"trunc({
 
 @settings(max_examples=80, deadline=None)
 @given(any_law)
+@example("laplace:1e154")  # rate^2 is finite, but rate * y overflows in the far tail
 def test_evaluators_finite_and_cdf_plus_sf_is_one(spec):
-    dist = parse_dist(spec)
+    try:
+        dist = parse_dist(spec)
+    except DomainError:
+        assume(False)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         values = {m: np.asarray(getattr(dist, m)(XS)) for m in ("cdf", "sf", "pdf", "pdf_prime")}

@@ -418,6 +418,21 @@ class TestCli:
             ["analyze-phi", "--dist", "lp:5", "--lambda", "0,c", "--c-grid", "1:1"],
             ["analyze-phi", "--dist", "gumbel:3", "--lambda", "0,c", "--c-grid", "1:1"],
             ["analyze-phi", "--dist", "gpd:2,", "--lambda", "0,c", "--c-grid", "1:1"],
+            # regret-table metadata that would divide by zero, raise, or make any curve pass or fail
+            ["verdict", "--csv", "m_zero.csv", "--envelope", "advlp"],
+            ["verdict", "--csv", "m_zero.csv", "--envelope", "stolp"],
+            ["verdict", "--csv", "k_negative.csv", "--envelope", "advlp"],
+            ["verdict", "--csv", "k_negative.csv", "--envelope", "tsallisref"],
+            ["verdict", "--csv", "m_inf.csv", "--envelope", "advlp"],
+            ["verdict", "--csv", "m_nan.csv", "--envelope", "advlp"],
+            ["verdict", "--csv", "gap_nan.csv", "--envelope", "stolp"],
+            ["verdict", "--csv", "gap_negative.csv", "--envelope", "stolp"],
+            # a Laplace rate whose rate^2, the factor of f', overflows
+            ["check-dist", "--dist", "laplace:1e155"],
+            ["analyze-phi", "--dist", "laplace:1e308", "--lambda", "0,c", "--c-grid", "1:1"],
+            SIM + ["--policy", "ftpl:laplace:1e155:m=1", "--env", "bern:0.1,0.2"],
+            # a generalized Pareto scale^-(shape+2), the power in f' at 0, beyond the float range
+            ["check-dist", "--dist", "gpd:320,0.1"],
         ],
         ids=["policy-m", "policy-cap", "tsallis-m-nan", "tsallis-m-inf", "ftpl-m-nan", "shannon-m-nan", "cap-zero",
              "cap-negative", "switch-missing-mu", "bern-number", "sched-number", "sched-short",
@@ -434,7 +449,11 @@ class TestCli:
              "ift-n-allocation", "sanity-n-allocation", "simulate-T-allocation", "gpd-scale-overflow",
              "asp-scale-overflow", "check-dist-gpd-overflow", "check-dist-gpd-underflow", "ftrl-extra-token",
              "ftpl-beta", "tsallis-cap", "shannon-beta", "policy-m-twice", "switch-unknown-key",
-             "switch-bare-token", "lp-parameter", "gumbel-parameter", "gpd-empty-scale"],
+             "switch-bare-token", "lp-parameter", "gumbel-parameter", "gpd-empty-scale", "verdict-m-zero-advlp",
+             "verdict-m-zero-stolp", "verdict-K-negative-advlp", "verdict-K-negative-tsallisref",
+             "verdict-m-inf", "verdict-m-nan", "verdict-gap-nan", "verdict-gap-negative",
+             "check-dist-laplace-rate-squared-overflow", "phi-laplace-rate-squared-overflow",
+             "ftpl-laplace-rate-squared-overflow", "check-dist-gpd-density-overflow"],
     )
     def test_bad_input_is_usage_error(self, capsys, tmp_path, monkeypatch, argv):
         monkeypatch.chdir(tmp_path)
@@ -446,6 +465,10 @@ class TestCli:
         (tmp_path / "short_row.csv").write_text("# K=2\n# m=0.2\nt,mean,stderr,run0\n1,0.5,0\n")
         (tmp_path / "no_run.csv").write_text("# K=2\n# m=0.2\nt,mean,stderr\n1,0.5,0\n")
         (tmp_path / "nan.csv").write_text("0.1,0.2\n0.3,nan\n")
+        for name, meta in [("m_zero", "K=2\n# m=0\n# gaps=0,0.1"), ("k_negative", "K=-3\n# m=0.2"),
+                           ("m_inf", "K=2\n# m=inf"), ("m_nan", "K=2\n# m=nan"),
+                           ("gap_nan", "K=2\n# m=0.2\n# gaps=0.2,nan"), ("gap_negative", "K=2\n# m=0.2\n# gaps=0.2,-0.1")]:
+            (tmp_path / f"{name}.csv").write_text(f"# {meta}\nt,mean,stderr,run0\n1,0.5,0,0.5\n")
         (tmp_path / "unused.csv.meta").mkdir()
         # a key this version does not read; 2.0 keeps the grid finite where it was still read
         (tmp_path / "old.ini").write_text(
