@@ -103,19 +103,16 @@ def _cmd_verdict(args):
 def _cmd_analyze_phi(args):
     dist = parse_dist(args.dist)
     grid = _parse_grid(args.c_grid)
-
-    def stats(c, probe):
-        print(f"stats: c={c:.17g} evals={probe.n_evals} panels={probe.n_panels} quad_error={probe.quad_error:.3g}",
-              file=sys.stderr)
-
-    rows = selection.phi_scan(dist, _lambda_template(args.lam), grid, tol=args.tol,
-                              on_probe=stats if args.stats else None)
+    lam = _lambda_template(args.lam)
     lines = ["c,i,sigma_i,phi,phi_prime,ratio_1,ratio_32,quad_error"]
-    lines += [
-        "{c:.17g},{i},{sigma_i},{phi:.17g},{phi_prime:.17g},{ratio_1:.17g},{ratio_32:.17g},"
-        "{quad_error:.3g}".format(**row)
-        for row in rows
-    ]
+    for c in grid:
+        probe = selection.phi_quadrature(lam(c), dist, args.tol)
+        if args.stats:
+            print(f"stats: c={c:.17g} evals={probe.n_evals} panels={probe.n_panels} "
+                  f"quad_error={probe.quad_error:.3g}", file=sys.stderr)
+        arms = zip(probe.rank, probe.phi, probe.phi_prime, probe.ratio_1, probe.ratio_32)
+        lines += [f"{c:.17g},{i},{rank},{phi:.17g},{phi_prime:.17g},{ratio_1:.17g},{ratio_32:.17g},"
+                  f"{probe.quad_error:.3g}" for i, (rank, phi, phi_prime, ratio_1, ratio_32) in enumerate(arms, 1)]
     text = "\n".join(lines) + "\n"
     if args.out:
         harness._write_text(args.out, text)

@@ -19,9 +19,8 @@ inversions in ``duality`` read arm 1 alone).  The tests hold it to the
 scalar QUADPACK loop it replaced and to a Monte-Carlo estimate of the
 argmin frequencies.
 
-``phi_scan`` evaluates a loss family lambda(c) over a grid of c, one row per
-(c, arm); ``counterexample_scan`` and the ``analyze-phi`` command are built
-on it.
+``counterexample_scan`` returns one probe per c of the family (0, c, ..., c);
+the ``analyze-phi`` command writes its CSV rows straight from the probes.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ __all__ = [
     "SelectionProbe",
     "phi_quadrature",
     "phi_values",
-    "phi_scan",
     "counterexample_scan",
 ]
 
@@ -53,6 +51,7 @@ _MAX_SPREAD = 2.0**40
 _MAX_DEPTH = 40  # bisections of one starting panel before ToleranceNotMet
 _MAX_WORK = 100_000  # panels x distinct gaps in one pass before ToleranceNotMet
 _ROUNDING = 4.0 * np.finfo(float).eps  # per arm, in the check that phi sums to 1
+_TINY = np.finfo(float).tiny
 
 # QUADPACK's 15-point Kronrod rule on [-1, 1], nodes ascending; its 7-point
 # Gauss rule uses every other node
@@ -73,10 +72,11 @@ class SelectionProbe:
 
     ``rank[i]`` is the 1-based rank of lambda_i in nondecreasing order (ties
     broken by index), ``ratio_1 = -phi'/phi`` and ``ratio_32 = -phi'/phi^1.5``
-    are the stability ratios, and ``quad_error`` bounds the absolute
-    quadrature error of any single component.  ``n_evals`` counts integrand
-    evaluations (one per node and distinct gap) and ``n_panels`` the
-    Gauss-Kronrod panels evaluated, over every refinement pass.
+    are the stability ratios (nan where phi underflows to 0), and
+    ``quad_error`` bounds the absolute quadrature error of any single
+    component.  ``n_evals`` counts integrand evaluations (one per node and
+    distinct gap) and ``n_panels`` the Gauss-Kronrod panels evaluated, over
+    every refinement pass.
     """
 
     lam: np.ndarray
@@ -90,11 +90,15 @@ class SelectionProbe:
 
     @property
     def ratio_1(self):
-        return -self.phi_prime / self.phi
+        with np.errstate(all="ignore"):
+            return -self.phi_prime / self.phi
 
     @property
     def ratio_32(self):
-        return -self.phi_prime / self.phi**1.5
+        # phi^1.5 underflows while phi does not: there divide by phi and sqrt(phi) in turn
+        with np.errstate(all="ignore"):
+            power = self.phi**1.5
+            return np.where(power < _TINY, self.ratio_1 / np.sqrt(self.phi), -self.phi_prime / power)
 
 
 def _others_product(F, mult, f=None):
@@ -259,38 +263,8 @@ def phi_values(lam, dist, tol: float = 1e-9):
     return _phi(lam, dist, tol, with_prime=False)[2][:, 0].copy()
 
 
-def phi_scan(dist, lambda_of_c, c_grid, tol=1e-8, on_probe=None):
-    """``phi_quadrature`` at lambda_of_c(c) for each c of a grid.
-
-    Returns one row per (c, arm) with the keys c, i (1-based), sigma_i (the
-    rank), lambda_gap, phi, phi_prime, ratio_1, ratio_32 and quad_error.
-    ``on_probe(c, probe)``, if given, is called with each probe.
-    """
-    rows = []
-    for c in c_grid:
-        probe = phi_quadrature(lambda_of_c(c), dist, tol)
-        if on_probe is not None:
-            on_probe(c, probe)
-        ratio_1, ratio_32 = probe.ratio_1, probe.ratio_32
-        for i in range(len(probe.phi)):
-            rows.append(
-                {
-                    "c": float(c),
-                    "i": i + 1,
-                    "sigma_i": int(probe.rank[i]),
-                    "lambda_gap": float(probe.lambda_gap[i]),
-                    "phi": float(probe.phi[i]),
-                    "phi_prime": float(probe.phi_prime[i]),
-                    "ratio_1": float(ratio_1[i]),
-                    "ratio_32": float(ratio_32[i]),
-                    "quad_error": probe.quad_error,
-                }
-            )
-    return rows
-
-
 def counterexample_scan(dist, K, c_grid):
-    """Stability ratios at lambda = (0, c, ..., c) over a grid of c (rows of ``phi_scan``).
+    """``phi_quadrature`` at lambda = (0, c, ..., c) for each c of a grid, one probe per c.
 
     For K >= 3 the grid must start at 2*sqrt(K) (the regime where the
     linear-growth lower bound applies); K = 2 may scan from 0.
@@ -298,6 +272,6 @@ def counterexample_scan(dist, K, c_grid):
     if K < 2:
         raise DomainError("need K >= 2")
     c_grid = np.asarray(list(c_grid), dtype=float)
-    if K >= 3 and c_grid.min() < 2.0 * math.sqrt(K) - 1e-12:
+    if K >= 3 and np.any(c_grid < 2.0 * math.sqrt(K) - 1e-12):
         raise DomainError(f"for K >= 3 the grid must start at 2 sqrt(K) = {2*math.sqrt(K):.4f}")
-    return phi_scan(dist, lambda c: np.concatenate([[0.0], np.full(K - 1, c)]), c_grid)
+    return [phi_quadrature(np.concatenate([[0.0], np.full(K - 1, c)]), dist) for c in c_grid]

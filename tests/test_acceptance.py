@@ -103,12 +103,13 @@ def test_criterion_03_two_arm_upper_constants():
 def test_criterion_04_three_arm_counterexample():
     t0 = time.time()
     grid = np.arange(2.0 * math.sqrt(3.0), 100.0 + 1e-9, 1.0)
-    rows = selection.counterexample_scan(SymmetricPareto(2.0), 3, grid)
-    sub = [r for r in rows if r["i"] == 2]
-    ok_r1 = all(r["ratio_1"] >= 1.0 / 31.0 for r in sub)
-    ok_r32 = all(r["ratio_32"] >= (r["c"] + 1.0) / 11.0 for r in sub)
-    slope = np.polyfit([r["c"] for r in sub], [r["ratio_32"] for r in sub], 1)[0]
-    increasing = np.all(np.diff([r["ratio_32"] for r in sub]) > 0.0)
+    probes = selection.counterexample_scan(SymmetricPareto(2.0), 3, grid)
+    ratio_1 = np.array([p.ratio_1[1] for p in probes])  # arm 2
+    ratio_32 = np.array([p.ratio_32[1] for p in probes])
+    ok_r1 = bool(np.all(ratio_1 >= 1.0 / 31.0))
+    ok_r32 = bool(np.all(ratio_32 >= (grid + 1.0) / 11.0))
+    slope = np.polyfit(grid, ratio_32, 1)[0]
+    increasing = np.all(np.diff(ratio_32) > 0.0)
     elapsed = time.time() - t0
     ok = ok_r1 and ok_r32 and slope >= 1.0 / 11.0 and increasing
     report(4, ok, f"lower bounds hold={ok_r1 and ok_r32}, slope={slope:.4f}>=1/11, increasing={increasing}", elapsed, 60)

@@ -1,6 +1,7 @@
 """Each module's ``__all__`` names every public function and class it defines,
-every public function has a caller outside the tests, and the public values a
-caller can set are the listed ones."""
+every public function has a caller outside the tests, the public values a
+caller can set are the listed ones, and the benchmark's tracer finds every
+name it wraps."""
 
 import ast
 import dataclasses
@@ -63,8 +64,6 @@ SETTABLE = {
     "policies.Tsallis.tsallis_beta",
     "policies.tsallis_weights.start",
     "selection.phi_quadrature.tol",
-    "selection.phi_scan.on_probe",
-    "selection.phi_scan.tol",
     "selection.phi_values.tol",
 }
 
@@ -125,3 +124,19 @@ def test_public_settable_values():
                     if inspect.isfunction(fn) and not meth.startswith("_"):
                         settable |= _defaulted(fn, f"{prefix}.{meth}")
     assert settable == SETTABLE
+
+
+def test_bench_tracer_installs_and_restores(monkeypatch):
+    # bench/tracing.py wraps pllab's functions, law methods and imported scipy
+    # entry points by name: a renamed or deleted one raises KeyError at install
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    tracing = importlib.import_module("tracing")
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        patches = list(tracer._patches)
+        assert len(patches) > 50
+        assert all(vars(owner)[attr] is not original for owner, attr, original in patches)
+    finally:
+        tracer.uninstall()
+    assert all(vars(owner)[attr] is original for owner, attr, original in patches)

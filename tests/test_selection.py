@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from mc_oracle import phi_monte_carlo
 
-from pllab import duality, selection
+from pllab import cli, duality, selection
 from pllab.distributions import (
     AsymmetricPareto,
     Frechet,
@@ -19,12 +19,7 @@ from pllab.distributions import (
     parse_dist,
 )
 from pllab.errors import DomainError, NonIntegrable
-from pllab.selection import (
-    counterexample_scan,
-    phi_quadrature,
-    phi_scan,
-    phi_values,
-)
+from pllab.selection import counterexample_scan, phi_quadrature, phi_values
 
 
 def softmax_neg(lam):
@@ -239,58 +234,79 @@ class TestMonteCarlo:
 
 
 class TestScans:
-    def test_phi_scan_rows_are_probe_components(self):
-        dist = LaplacePareto()
-        rows = phi_scan(dist, lambda c: [c, 0.0, 2.0 * c], [0.0, 1.5], tol=1e-8)
-        assert [(r["c"], r["i"]) for r in rows] == [(0.0, 1), (0.0, 2), (0.0, 3), (1.5, 1), (1.5, 2), (1.5, 3)]
-        probe = phi_quadrature([1.5, 0.0, 3.0], dist, tol=1e-8)
-        for i, r in enumerate(rows[3:]):
-            assert r["sigma_i"] == probe.rank[i] and r["lambda_gap"] == probe.lambda_gap[i]
-            assert (r["phi"], r["phi_prime"]) == (probe.phi[i], probe.phi_prime[i])
-            assert (r["ratio_1"], r["ratio_32"]) == (probe.ratio_1[i], probe.ratio_32[i])
-            assert r["quad_error"] == probe.quad_error
+    def test_analyze_phi_rows_are_probe_fields(self, tmp_path):
+        # unequal gaps, so rank, phi and both ratios differ arm by arm; .17g round-trips a float
+        out = tmp_path / "scan.csv"
+        argv = ["analyze-phi", "--dist", "lp", "--lambda", "c,0,2c", "--c-grid", "0:1.5:1.5", "--out", str(out)]
+        assert cli.main(argv) == 0
+        header, *lines = out.read_text().splitlines()
+        assert header == "c,i,sigma_i,phi,phi_prime,ratio_1,ratio_32,quad_error"
+        rows = [line.split(",") for line in lines]
+        assert [(float(r[0]), int(r[1])) for r in rows] == [(0.0, 1), (0.0, 2), (0.0, 3), (1.5, 1), (1.5, 2), (1.5, 3)]
+        for c, arms in ((0.0, rows[:3]), (1.5, rows[3:])):
+            probe = phi_quadrature([c, 0.0, 2.0 * c], LaplacePareto(), tol=1e-8)
+            fields = (probe.rank, probe.phi, probe.phi_prime, probe.ratio_1, probe.ratio_32)
+            assert [[int(r[2]), *map(float, r[3:7])] for r in arms] == [list(arm) for arm in zip(*fields)]
+            assert {r[7] for r in arms} == {f"{probe.quad_error:.3g}"}
 
-    def test_counterexample_scan_rows_are_phi_scan_rows(self):
+    def test_counterexample_scan_probes_are_phi_quadrature(self):
         dist, grid = LaplacePareto(), [2.0 * math.sqrt(3.0), 5.0]
-        assert counterexample_scan(dist, 3, grid) == phi_scan(dist, lambda c: [0.0, c, c], grid)
+        for c, probe in zip(grid, counterexample_scan(dist, 3, grid), strict=True):
+            direct = phi_quadrature([0.0, c, c], dist)
+            assert np.array_equal(probe.lam, direct.lam)
+            assert np.array_equal(probe.phi, direct.phi) and np.array_equal(probe.phi_prime, direct.phi_prime)
+
+    def test_counterexample_scan_takes_an_empty_grid(self):
+        assert counterexample_scan(SymmetricPareto(2.0), 3, []) == []
 
     def test_laplace_pareto_ratio_within_rank_and_gap_envelope(self):
         # light left tail: -phi'/phi <= C min(rank^(-1/alpha), 1/gap) with one
         # constant C across the scan, alpha the right tail index
         dist = LaplacePareto()
-        rows = phi_scan(dist, lambda c: np.array([0.0, c, c, c]), np.arange(1.0, 51.0, 7.0))
+        probes = [phi_quadrature([0.0, c, c, c], dist) for c in np.arange(1.0, 51.0, 7.0)]
+        ratio_1, gap, rank = (np.concatenate([getattr(p, f) for p in probes])
+                              for f in ("ratio_1", "lambda_gap", "rank"))
         # gap-branch product ratio_1 * gap stays bounded across the scan
-        prods = [r["ratio_1"] * r["lambda_gap"] for r in rows if r["lambda_gap"] > 0]
-        assert max(prods) < 10.0
-        bounds = [min(r["sigma_i"] ** (-1.0 / dist.tail_index_right),
-                      1.0 / r["lambda_gap"] if r["lambda_gap"] > 0.0 else math.inf) for r in rows]
-        assert max(r["ratio_1"] / bound for r, bound in zip(rows, bounds)) < 10.0
+        assert max((ratio_1 * gap)[gap > 0]) < 10.0
+        with np.errstate(divide="ignore"):
+            bounds = np.minimum(rank ** (-1.0 / dist.tail_index_right), np.where(gap > 0.0, 1.0 / gap, math.inf))
+        assert max(ratio_1 / bounds) < 10.0
 
     def test_all_ratios_equal_at_zero(self):
-        rows = phi_scan(LaplacePareto(), lambda c: np.array([c, c, c]), [0.0])
-        vals = [r["ratio_1"] for r in rows]
+        vals = phi_quadrature([0.0, 0.0, 0.0], LaplacePareto()).ratio_1
         assert np.allclose(vals, vals[0], atol=1e-9)
-        assert all(math.isfinite(v) for v in vals)
+        assert np.all(np.isfinite(vals))
+
+    def test_ratio_32_where_phi_to_the_1_5_underflows(self):
+        probe = phi_quadrature([0.0, 600.0], Gumbel())
+        assert 0.0 < probe.phi[1] < 1e-200 and probe.phi[1] ** 1.5 == 0.0
+        # -phi'/phi^1.5 = phi^(-1/2) for the logit: phi_2' = -phi_1 phi_2
+        assert probe.ratio_32[1] == pytest.approx(probe.phi[0] / math.sqrt(probe.phi[1]), rel=1e-12)
+        assert probe.ratio_32[1] == pytest.approx(1.94e130, rel=1e-2)
+
+    def test_ratios_read_nan_without_a_warning_where_phi_underflows(self):
+        probe = phi_quadrature([0.0, 800.0], Gumbel())  # warnings are errors under the suite's filter
+        assert probe.phi[1] == 0.0
+        assert math.isnan(probe.ratio_1[1]) and math.isnan(probe.ratio_32[1])
+        assert (probe.ratio_1[0], probe.ratio_32[0]) == (0.0, 0.0)
 
     def test_counterexample_grid_restriction(self):
         with pytest.raises(DomainError):
             counterexample_scan(SymmetricPareto(2.0), 3, [1.0, 10.0])
 
     def test_counterexample_k3_lower_bounds(self):
-        rows = counterexample_scan(SymmetricPareto(2.0), 3, [2 * math.sqrt(3.0), 10.0, 40.0])
-        sub = [r for r in rows if r["i"] >= 2]
-        for r in sub:
-            assert r["ratio_1"] >= 1.0 / 31.0
-            assert r["ratio_32"] >= (r["c"] + 1.0) / 11.0
+        grid = [2 * math.sqrt(3.0), 10.0, 40.0]
+        for c, probe in zip(grid, counterexample_scan(SymmetricPareto(2.0), 3, grid)):
+            assert np.all(probe.ratio_1[1:] >= 1.0 / 31.0)
+            assert np.all(probe.ratio_32[1:] >= (c + 1.0) / 11.0)
 
     def test_counterexample_k2_allows_zero_and_stays_bounded(self):
-        rows = counterexample_scan(SymmetricPareto(2.0), 2, np.linspace(0.0, 50.0, 11))
-        assert max(r["ratio_32"] for r in rows) <= 125.0
+        probes = counterexample_scan(SymmetricPareto(2.0), 2, np.linspace(0.0, 50.0, 11))
+        assert max(float(p.ratio_32.max()) for p in probes) <= 125.0
 
     def test_laplace_pareto_ratio32_no_linear_growth(self):
         grid = np.linspace(2 * math.sqrt(3.0), 80.0, 12)
-        rows = counterexample_scan(LaplacePareto(), 3, grid)
-        sub = np.array([r["ratio_32"] for r in rows if r["i"] == 2])
+        sub = [p.ratio_32[1] for p in counterexample_scan(LaplacePareto(), 3, grid)]
         slope = np.polyfit(grid, sub, 1)[0]
         assert abs(slope) < 0.01  # bounded, in contrast with the symmetric case
 
