@@ -11,13 +11,15 @@ so it needs neither f' nor the point masses of a density jump; the
 potential (``duality.potential``) is the phi integral with z f(z + gap_i).
 One kernel, ``_component_integrals``, integrates z^moment times phi's
 integrand (moment 0 for phi, 1 for the potential) and phi' beside it: an
-adaptive Gauss-Kronrod (G7-K15) rule on panels split at every shifted kink
-and support edge, the tails mapped onto (0, 1], evaluating F and f once per
-refinement pass on an array of every panel, node and distinct gap, f for
-just the arms a caller reads unless phi' needs every gap (the phi_1
-inversions in ``duality`` read arm 1 alone).  The tests hold it to the
-scalar QUADPACK loop it replaced and to a Monte-Carlo estimate of the
-argmin frequencies.
+adaptive Gauss-Kronrod (G7-K15) rule on starting panels split at every
+shifted kink and support edge, the tails mapped onto (0, 1].  Its set-up,
+``_starting_panels``, finds the distinct gaps and lays out those panels in
+Python floats; each refinement pass then evaluates F and f once on an
+array of every panel, node and distinct gap, f for just the arms a caller
+reads unless phi' needs every gap (the phi_1 inversions in ``duality``
+read arm 1 alone).  The tests hold it to the scalar QUADPACK loop it
+replaced and to a Monte-Carlo estimate of the argmin frequencies, and its
+set-up to the numpy set-up it replaced.
 
 ``counterexample_scan`` returns one probe per c of the family (0, c, ..., c);
 the ``analyze-phi`` command writes its CSV rows straight from the probes.
@@ -126,6 +128,60 @@ def _others_product(F, mult, f=None):
     return below * above * own, (d_below * above + below * d_above) * own + below * above * d_own
 
 
+def _starting_panels(dist, gap, arms, moment, budget):
+    """The kernel's set-up: distinct gaps and starting panels for ``_component_integrals``.
+
+    Returns (gaps, mult, cols, rows, cut, a, b, power, share): the sorted
+    distinct gaps and their multiplicities, the distinct-gap columns of the
+    read arms and each read arm's row among them, the tail cut, and the
+    starting panels with their shares of ``budget``.  The panel layout is
+    a few dozen edges, so it is built in Python floats and converted once.
+    """
+    if min(dist.tail_index_left, dist.tail_index_right) <= moment:
+        raise NonIntegrable(f"the integral of z^{moment} f needs tail indices above {moment}")
+    gap = gap.tolist()
+    gaps = sorted(set(gap))
+    position = {g: k for k, g in enumerate(gaps)}
+    inverse = [position[g] for g in gap]
+    mult = [0] * len(gaps)
+    for k in inverse:
+        mult[k] += 1
+    read = inverse if arms is None else [inverse[i] for i in arms]
+    cols = sorted(set(read))
+    row = {k: r for r, k in enumerate(cols)}
+    rows = [row[k] for k in read]
+    cut = max(_TAIL_CUT, 10.0 * gaps[-1])
+    # each arm's mass sits at its shifted kinks, support edges and location;
+    # starting panels widen geometrically away from these centers up to the
+    # next one, so none is much wider than its distance to a center and no
+    # bump of mass hides between its nodes
+    centers = sorted({min(max(k - s, -cut), cut) for k in (0.0, *dist.kinks, *dist.support) if math.isfinite(k)
+                      for s in gaps})
+    steps = [2.0**j for j in range(math.ceil(math.log2(cut)) + 1)]
+    edges = {-cut, cut, *centers}
+    for lower, center, upper in zip([-cut, *centers], centers, [*centers[1:], cut]):
+        below, above = center - lower, upper - center
+        edges.update(center - step for step in steps if step < below)
+        edges.update(center + step for step in steps if step < above)
+    edges = sorted(edges)
+    # a panel is [a, b] on the z-line (power 0) or in u on a tail (power -p or
+    # +p).  A tail of index alpha leaves an integrand ~ u^(p (alpha - moment) - 1)
+    # in u; p >= 2 / (alpha - moment) makes it vanish at u = 0, so that the
+    # error of the panel next to 0 falls faster than its share.  Past p = 18,
+    # cut u^-p overflows at the depth cap and much of the tail's mass lies
+    # where the density underflows: no estimate bounds the error there
+    p_left, p_right = (max(1.0, 2.0 / (index - moment))
+                       for index in (dist.tail_index_left, dist.tail_index_right))
+    if max(p_left, p_right) > 18.0:
+        raise ToleranceNotMet(math.inf, budget)
+    a = np.array([*edges[:-1], 0.0, 0.0])
+    b = np.array([*edges[1:], 1.0, 1.0])
+    power = np.array([0.0] * (len(edges) - 1) + [-p_left, p_right])
+    share = np.full(len(a), budget / len(a))
+    mult, cols, rows = (np.array(v, dtype=np.intp) for v in (mult, cols, rows))
+    return np.array(gaps), mult, cols, rows, cut, a, b, power, share
+
+
 def _component_integrals(dist, gap, budget, arms=None, moment=0, prime=False):
     """integral z^moment f(z + gap_i) prod_{j != i} F(z + gap_j) dz for each arm i.
 
@@ -139,35 +195,7 @@ def _component_integrals(dist, gap, budget, arms=None, moment=0, prime=False):
     (0, 1].  A tail index at or below moment raises NonIntegrable; one below
     moment + 1/9, or a depth or work cap, raises ToleranceNotMet.
     """
-    if min(dist.tail_index_left, dist.tail_index_right) <= moment:
-        raise NonIntegrable(f"the integral of z^{moment} f needs tail indices above {moment}")
-    gaps, inverse, mult = np.unique(gap, return_inverse=True, return_counts=True)
-    cols, rows = np.unique(inverse[list(range(len(gap)) if arms is None else arms)], return_inverse=True)
-    cut = max(_TAIL_CUT, 10.0 * float(gaps[-1]))
-    # each arm's mass sits at its shifted kinks, support edges and location;
-    # starting panels widen geometrically away from these centers up to the
-    # next one, so none is much wider than its distance to a center and no
-    # bump of mass hides between its nodes
-    centers = np.unique(np.clip([k - s for k in (0.0, *dist.kinks, *dist.support) if math.isfinite(k)
-                                 for s in gaps], -cut, cut))
-    below, above = np.diff(centers, prepend=-cut)[:, None], np.diff(centers, append=cut)[:, None]
-    steps = 2.0 ** np.arange(math.ceil(math.log2(cut)) + 1)
-    edges = np.unique(np.concatenate([[-cut, cut], centers, (centers[:, None] - steps)[steps < below],
-                                      (centers[:, None] + steps)[steps < above]]))
-    # a panel is [a, b] on the z-line (power 0) or in u on a tail (power -p or
-    # +p).  A tail of index alpha leaves an integrand ~ u^(p (alpha - moment) - 1)
-    # in u; p >= 2 / (alpha - moment) makes it vanish at u = 0, so that the
-    # error of the panel next to 0 falls faster than its share.  Past p = 18,
-    # cut u^-p overflows at the depth cap and much of the tail's mass lies
-    # where the density underflows: no estimate bounds the error there
-    p_left, p_right = (max(1.0, 2.0 / (index - moment))
-                       for index in (dist.tail_index_left, dist.tail_index_right))
-    if max(p_left, p_right) > 18.0:
-        raise ToleranceNotMet(math.inf, budget)
-    a = np.concatenate([edges[:-1], [0.0, 0.0]])
-    b = np.concatenate([edges[1:], [1.0, 1.0]])
-    power = np.concatenate([np.zeros(len(edges) - 1), [-p_left, p_right]])
-    share = np.full(len(a), budget / len(a))
+    gaps, mult, cols, rows, cut, a, b, power, share = _starting_panels(dist, gap, arms, moment, budget)
     values, errs = np.zeros((2, len(cols), 1 + prime))
     n_panels = 0
     for _ in range(_MAX_DEPTH):

@@ -3,8 +3,12 @@
 import math
 
 import numpy as np
+import panels_oracle
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from mc_oracle import phi_monte_carlo
+from test_far_tails import any_law
 
 from pllab import cli, duality, selection
 from pllab.distributions import (
@@ -18,8 +22,19 @@ from pllab.distributions import (
     Truncated,
     parse_dist,
 )
-from pllab.errors import DomainError, NonIntegrable
+from pllab.errors import DomainError, NonIntegrable, ToleranceNotMet
 from pllab.selection import counterexample_scan, phi_quadrature, phi_values
+
+
+@st.composite
+def gap_vectors(draw):
+    """lam - min(lam) for K in [2, 12] arms on a few levels (ties and all-zero gaps), spread up to 2^40."""
+    K = draw(st.integers(2, 12))
+    n = draw(st.integers(1, K))  # distinct levels, each on at least one arm
+    levels = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    picks = draw(st.permutations([*range(n), *draw(st.lists(st.integers(0, n - 1), min_size=K - n, max_size=K - n))]))
+    lam = 2.0 ** draw(st.floats(-10.0, 40.0)) * np.array(levels)[picks]
+    return lam - lam.min()
 
 
 def softmax_neg(lam):
@@ -334,3 +349,28 @@ class TestWork:
     def test_probe_reports_its_work(self):
         probe = phi_quadrature([0.0, 1.0, 1.0, 3.0], SymmetricPareto(2.0), tol=1e-8)
         assert probe.n_panels > 0 and probe.n_evals == 3 * 15 * probe.n_panels
+
+    @settings(max_examples=400, deadline=None)
+    @given(any_law, gap_vectors(), st.sampled_from([None, 0, -1]), st.sampled_from([0, 1]))
+    @example("lp", np.zeros(3), None, 0)
+    @example("splareto:a=2", np.array([2.0**40, 0.0, 2.0**40]), -1, 1)
+    def test_starting_panels_match_the_numpy_set_up(self, spec, gap, arm, moment):
+        try:
+            dist = parse_dist(spec)
+        except DomainError:
+            assume(False)
+        arms = None if arm is None else (arm % len(gap),)  # (0,) or (K - 1,)
+        outcomes = []
+        for setup in (panels_oracle.starting_panels, selection._starting_panels):
+            try:
+                outcomes.append(setup(dist, gap, arms, moment, 2.5e-9))
+            except (NonIntegrable, ToleranceNotMet) as exc:
+                outcomes.append(type(exc))
+        want, got = outcomes
+        if isinstance(want, type):
+            assert got is want
+            return
+        assert type(got[4]) is type(want[4])  # cut
+        for w, g in zip(map(np.asarray, want), map(np.asarray, got), strict=True):
+            assert w.dtype == g.dtype and np.array_equal(w, g), (spec, gap, w, g)
+            assert np.array_equal(np.signbit(w), np.signbit(g)), (spec, gap, w, g)
