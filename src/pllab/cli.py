@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import math
 import sys
 
@@ -22,7 +21,7 @@ from .errors import PllabError
 __all__ = ["build_parser", "main"]
 
 
-_MAX_GRID_POINTS = 10**6  # at about 1 ms a probe (K = 2 to 10, 2-vCPU VM), 10^6 probes already take some 17 minutes
+_MAX_GRID_POINTS = 10**6  # at about 0.4-0.6 ms a grid point (K = 2 to 10, 2-vCPU VM), 10^6 points already take some 8 minutes
 
 
 def _parse_grid(text):
@@ -192,13 +191,7 @@ def _cmd_duality_sanity(args):
     return 0 if sup <= 1e-3 else 1
 
 
-@functools.cache
 def build_parser():
-    """The ``pllab`` argument parser: one shared instance per process, which callers must not modify.
-
-    argparse keeps no state between ``parse_args`` calls (each fills a fresh
-    namespace), so ``main`` builds the parser once and reuses it.
-    """
     p = argparse.ArgumentParser(prog="pllab", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 

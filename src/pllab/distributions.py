@@ -116,11 +116,9 @@ class PerturbationDistribution:
         with np.errstate(all="ignore"):
             if below is None or lo == -math.inf:
                 out = formula(x[()])
-            elif x.ndim == 0:  # a Python comparison, not 0-d np.where calls
-                return float(formula(x[()])) if float(x) > lo else below
             else:
                 inside = x > lo
-                out = np.where(inside, formula(np.where(inside, x, lo + 1.0)), below)
+                out = np.where(inside, formula(np.where(inside, x, lo + 1.0)[()]), below)
         return float(out) if x.ndim == 0 else out
 
     def _cdf(self, x):

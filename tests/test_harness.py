@@ -325,44 +325,6 @@ class TestCli:
         assert [line.split()[1] for line in err] == ["c=1", "c=3"]
         assert all(line.startswith("stats: ") and "evals=" in line and "panels=" in line for line in err)
 
-    def test_parser_is_built_once(self):
-        assert cli.build_parser() is cli.build_parser()
-
-    def test_shared_parser_keeps_no_values_between_calls(self, tmp_path, capsys):
-        argv = ["analyze-phi", "--dist", "lp", "--lambda", "0,c,c", "--c-grid", "1:3:2"]
-        assert cli.main(argv + ["--out", str(tmp_path / "first.csv")]) == 0
-        assert cli.main(argv + ["--out", str(tmp_path / "stats.csv"), "--stats", "--tol", "1e-10"]) == 0
-        capsys.readouterr()
-        assert cli.main(argv + ["--out", str(tmp_path / "again.csv")]) == 0
-        assert "stats:" not in capsys.readouterr().err
-        assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "first.csv").read_bytes()
-
-    def test_usage_error_leaves_the_parser_usable(self, tmp_path, capsys):
-        argv = ["analyze-phi", "--dist", "lp", "--lambda", "0,c", "--c-grid", "1:2"]
-        assert cli.main(argv + ["--out", str(tmp_path / "first.csv")]) == 0
-        with pytest.raises(SystemExit) as exc:
-            cli.main(argv + ["--tol", "x", "--out", str(tmp_path / "unused.csv")])
-        assert exc.value.code == 2
-        assert cli.main(argv + ["--out", str(tmp_path / "again.csv")]) == 0
-        assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "first.csv").read_bytes()
-
-    def test_flag_of_one_call_does_not_override_the_next_config(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        (tmp_path / "x.ini").write_text(
-            "[experiment]\npolicy = ftpl:lp:m=0.1\nenv = bern:0.1,0.2\nT = 10\nruns = 1\nseed = 0\nthreads = 2\n"
-        )
-        seen = []
-
-        def fake_run(config):
-            seen.append(config)
-            return harness.RegretTable(checkpoints=np.array([1]), curves=np.zeros((1, 1)), metadata={})
-
-        monkeypatch.setattr(harness, "run_experiment", fake_run)
-        flags = ["--policy", "ftpl:lp:m=0.1", "--env", "bern:0.1,0.2", "--T", "10", "--runs", "1", "--seed", "0"]
-        assert cli.main(["simulate", "--threads", "1", *flags]) == 0
-        assert cli.main(["simulate", "--config", "x.ini"]) == 0
-        assert [config.threads for config in seen] == [1, 2]
-
     @pytest.mark.parametrize("bad", ["frechet:abc", "asp:2", "splareto:a=x", "gpd:"])
     def test_bad_dist_spec_is_usage_error(self, capsys, bad):
         assert cli.main(["check-dist", "--dist", bad]) == 2
