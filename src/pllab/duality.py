@@ -20,9 +20,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, root
 
 from . import selection
+from ._scipy import brentq
 from .errors import (
     DomainError,
     GridError,
@@ -114,6 +114,8 @@ def regularizer_value(p, dist):
         raise DomainError("p must be a strictly interior simplex point")
     if dist.support != _FULL_LINE:
         raise SupportError("regularizer requires a law fully supported on the reals")
+    from scipy.optimize import root
+
     K = len(p)
 
     def phi_of(y):

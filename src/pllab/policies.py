@@ -32,10 +32,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
 # no solver here calls brentq; the name stays because bench/tracing.py wraps
 # ``policies.brentq`` and looks it up in this module's namespace
-from scipy.optimize import brentq  # noqa: F401
-
+from ._scipy import brentq  # noqa: F401
 from .errors import DomainError, SolverDiverged
 
 __all__ = [

@@ -33,8 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # not called here: bench/tracing.py wraps ``selection.quad`` by name
-from scipy.integrate import quad  # noqa: F401
-
+from ._scipy import quad  # noqa: F401
 from .distributions import PerturbationDistribution
 from .errors import DomainError, NonIntegrable, ToleranceNotMet
 

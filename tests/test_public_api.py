@@ -1,18 +1,24 @@
 """Each module's ``__all__`` names every public function and class it defines,
 every public function has a caller outside the tests, the public values a
-caller can set are the listed ones, and the benchmark's tracer finds every
-name it wraps."""
+caller can set are the listed ones, the benchmark's tracer finds every name
+it wraps, and importing pllab loads no scipy module."""
 
 import ast
 import dataclasses
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+from test_golden import TWO_ARM_GOLDEN
 
 import pllab
+from pllab import duality
+from pllab.distributions import parse_dist
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(pllab.__path__))
 ROOT = Path(__file__).resolve().parents[1]
@@ -127,8 +133,9 @@ def test_public_settable_values():
 
 
 def test_bench_tracer_installs_and_restores(monkeypatch):
-    # bench/tracing.py wraps pllab's functions, law methods and imported scipy
-    # entry points by name: a renamed or deleted one raises KeyError at install
+    # bench/tracing.py wraps pllab's functions, law methods and the scipy entry
+    # points (now pllab._scipy's lazy functions, bound under the names scipy's
+    # had) by name: a renamed or deleted one raises KeyError at install
     monkeypatch.syspath_prepend(str(ROOT / "bench"))
     tracing = importlib.import_module("tracing")
     tracer = tracing.Tracer()
@@ -140,3 +147,50 @@ def test_bench_tracer_installs_and_restores(monkeypatch):
     finally:
         tracer.uninstall()
     assert all(vars(owner)[attr] is original for owner, attr, original in patches)
+
+
+def test_bench_tracer_counts_root_evaluations_through_the_lazy_shim(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    tracer = importlib.import_module("tracing").Tracer()
+    try:
+        tracer.install()
+        c = duality.two_arm_quantile(0.3, parse_dist("splareto:a=2"))
+    finally:
+        tracer.uninstall()
+    assert c == TWO_ARM_GOLDEN[0.3]
+    span = tracer.stats()[0]["duality.brentq"]
+    assert span["calls"] == 1 and span["count"] > 0
+
+
+# other test modules import scipy into this process, so the check runs in a
+# fresh interpreter: the import, a phi scan and a short simulation load no
+# scipy module; the exact phi_1 inversion then loads scipy.optimize
+NO_SCIPY_SCRIPT = """
+import sys
+import pllab, pllab.cli
+from pllab import cli, duality
+from pllab.distributions import parse_dist
+out = sys.argv[1]
+assert cli.main(["analyze-phi", "--dist", "splareto:a=2", "--lambda", "0,c,c",
+                 "--c-grid", "0:1:0.5", "--out", out + "/phi.csv"]) == 0
+assert cli.main(["simulate", "--policy", "ftpl:lp:m=0.23", "--env", "bern:0.1,0.3,0.3",
+                 "--T", "50", "--runs", "2", "--seed", "1", "--threads", "1",
+                 "--out", out + "/regret.csv"]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+print(repr(duality.two_arm_quantile(0.3, parse_dist("splareto:a=2"))))
+print("scipy.optimize" in sys.modules)
+"""
+
+
+def test_import_and_phi_scan_and_simulation_load_no_scipy(tmp_path):
+    path = [str(ROOT / "src"), *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_SCRIPT, str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
+        capture_output=True, text=True, check=True,
+    )
+    # the commands print their own lines first
+    loaded, root, optimize_loaded = proc.stdout.splitlines()[-3:]
+    assert loaded == "[]"
+    assert float(root) == TWO_ARM_GOLDEN[0.3]
+    assert optimize_loaded == "True"
