@@ -1,9 +1,9 @@
 """scipy's ``quad`` and ``brentq``, imported on their first call.
 
-Importing scipy costs a process about half a second and 45 MB, and most
-pllab commands never call it.  Each function here imports scipy's function
-of the same name when it is first called and forwards every argument, so
-``import pllab`` loads no scipy module.  They are functions bound in the
+Importing scipy costs a process about 0.5 s and 45 MB (2-vCPU VM, scipy
+1.17), and most pllab commands never call it.  Each function here imports
+scipy's function of the same name when it is first called and forwards
+every argument, so ``import pllab`` loads no scipy module.  They are functions bound in the
 importing module's namespace, not a lazy module attribute, because
 ``bench/tracing.py`` wraps ``selection.quad``, ``policies.brentq`` and
 ``duality.brentq`` by looking each name up in that module's dict.

@@ -134,8 +134,8 @@ def test_public_settable_values():
 
 def test_bench_tracer_installs_and_restores(monkeypatch):
     # bench/tracing.py wraps pllab's functions, law methods and the scipy entry
-    # points (now pllab._scipy's lazy functions, bound under the names scipy's
-    # had) by name: a renamed or deleted one raises KeyError at install
+    # points (pllab._scipy's lazy functions, bound under scipy's names) by
+    # name: a renamed or deleted one raises KeyError at install
     monkeypatch.syspath_prepend(str(ROOT / "bench"))
     tracing = importlib.import_module("tracing")
     tracer = tracing.Tracer()
@@ -167,7 +167,6 @@ def test_bench_tracer_counts_root_evaluations_through_the_lazy_shim(monkeypatch)
 # scipy module; the exact phi_1 inversion then loads scipy.optimize
 NO_SCIPY_SCRIPT = """
 import sys
-import pllab, pllab.cli
 from pllab import cli, duality
 from pllab.distributions import parse_dist
 out = sys.argv[1]
