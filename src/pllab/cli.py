@@ -105,8 +105,7 @@ def _cmd_analyze_phi(args):
     grid = _parse_grid(args.c_grid)
     lam = _lambda_template(args.lam)
     lines = ["c,i,sigma_i,phi,phi_prime,ratio_1,ratio_32,quad_error"]
-    for c in grid:
-        probe = selection.phi_quadrature(lam(c), dist, args.tol)
+    for c, probe in zip(grid, selection._scan((lam(c) for c in grid), dist, args.tol)):
         if args.stats:
             print(f"stats: c={c:.17g} evals={probe.n_evals} panels={probe.n_panels} "
                   f"quad_error={probe.quad_error:.3g}", file=sys.stderr)

@@ -26,6 +26,7 @@ from ._scipy import brentq
 from .errors import (
     DomainError,
     GridError,
+    PllabError,
     RootFindFailed,
     SupportError,
 )
@@ -62,11 +63,25 @@ def potential(nu, dist, tol: float = 1e-9) -> float:
     a tail index of 1 or less, where the mean does not exist, raises
     NonIntegrable.
     """
-    nu = selection._loss_vector(nu, tol)
-    mu = float(nu.max())
-    # at the loss-form gaps mu - nu, each arm's error within tol/(2K), so their
-    # sum within tol; the constant shift integrates against sum_i phi_i = 1
-    return mu + float(selection._component_integrals(dist, mu - nu, tol / (2.0 * len(nu)), moment=1)[0].sum())
+    return _potentials([nu], dist, tol)[0]
+
+
+def _potentials(nus, dist, tol):
+    """``potential`` at each of several reward vectors of one length K, in one kernel call.
+
+    Raises what the first vector that fails raises on its own.
+    """
+    nus = selection._checked(nus, tol)
+    gaps = [nu if isinstance(nu, PllabError) else float(nu.max()) - nu for nu in nus]
+    K = max((len(gap) for gap in gaps if not isinstance(gap, PllabError)), default=1)
+    # at the loss-form gaps max(nu) - nu, each arm's error within tol/(2K), so
+    # their sum within tol; the constant shift integrates against sum_i phi_i = 1
+    values = []
+    for nu, result in zip(nus, selection._component_integrals(dist, gaps, tol / (2.0 * K), moment=1)):
+        if isinstance(result, PllabError):
+            raise result
+        values.append(float(nu.max()) + float(result[0].sum()))
+    return values
 
 
 @dataclass(frozen=True)
@@ -92,12 +107,11 @@ def duality_probe(nu, dist) -> DualityProbe:
     nu = np.asarray(nu, dtype=float)
     nu = nu - nu[-1]  # location normalization, last coordinate 0
     phi = selection.phi_values(-nu, dist, tol=1e-9)
-    base = potential(nu, dist, tol)
+    steps = np.eye(len(nu)) * h
+    base, *shifted = _potentials([nu, *(v for e in steps for v in (nu + e, nu - e))], dist, tol)
     worst = 0.0
     for i in range(len(nu)):
-        e = np.zeros_like(nu)
-        e[i] = h
-        fd = (potential(nu + e, dist, tol) - potential(nu - e, dist, tol)) / (2.0 * h)
+        fd = (shifted[2 * i] - shifted[2 * i + 1]) / (2.0 * h)
         worst = max(worst, abs(fd - phi[i]))
     return DualityProbe(nu=nu, phi=phi, potential_value=base, grad_check=worst)
 

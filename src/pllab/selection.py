@@ -27,6 +27,7 @@ the ``analyze-phi`` command writes its CSV rows straight from the probes.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -35,7 +36,7 @@ import numpy as np
 # not called here: bench/tracing.py wraps ``selection.quad`` by name
 from ._scipy import quad  # noqa: F401
 from .distributions import PerturbationDistribution
-from .errors import DomainError, NonIntegrable, ToleranceNotMet
+from .errors import DomainError, NonIntegrable, PllabError, ToleranceNotMet
 
 __all__ = [
     "SelectionProbe",
@@ -53,6 +54,9 @@ _MAX_DEPTH = 40  # bisections of one starting panel before ToleranceNotMet
 _MAX_WORK = 100_000  # panels x distinct gaps in one pass before ToleranceNotMet
 _ROUNDING = 4.0 * np.finfo(float).eps  # per arm, in the check that phi sums to 1
 _TINY = np.finfo(float).tiny
+# loss-vector entries to a kernel call in a scan: a pass's arrays grow with the
+# distinct gaps of its vectors, about 30 kB each, so a chunk stays within 4 MB
+_SCAN_ENTRIES = 128
 
 # QUADPACK's 15-point Kronrod rule on [-1, 1], nodes ascending; its 7-point
 # Gauss rule uses every other node
@@ -62,9 +66,9 @@ _WK = (0.022935322010529225, 0.063092092629978553, 0.104790010322250184, 0.14065
        0.169004726639267903, 0.190350578064785410, 0.204432940075298892, 0.209482141084727828)
 _WG = (0.129484966168869693, 0.279705391489276668, 0.381830050505118945, 0.417959183673469388)
 _KRONROD_NODES = np.r_[np.negative(_XK), 0.0, _XK[::-1]]
-_KRONROD_WEIGHTS = np.r_[_WK, _WK[-2::-1]]
-_GAUSS_WEIGHTS = np.zeros(15)
-_GAUSS_WEIGHTS[1::2] = np.r_[_WG, _WG[-2::-1]]
+_WEIGHTS = np.zeros((2, 15))  # Kronrod's, then Gauss's
+_WEIGHTS[0] = np.r_[_WK, _WK[-2::-1]]
+_WEIGHTS[1, 1::2] = np.r_[_WG, _WG[-2::-1]]
 
 
 @dataclass(frozen=True)
@@ -106,12 +110,17 @@ def _others_product(F, mult, f=None):
     """(prod_{j != i} F(z + gap_j), its z-derivative) for one arm i of each distinct gap, along the last axis.
 
     ``F`` and ``f`` hold the CDF and density at the distinct gaps, ``mult``
-    their multiplicities; without ``f`` the derivative is None.  The prefix
-    and suffix products, with the product rule's derivatives carried along,
-    need no division, and underflow to 0 is exact.
+    their multiplicities m as the exponents (m, m - 1, max(m - 2, 0)), or
+    None where every m is 1; without ``f`` the derivative is None.  The prefix and suffix products, with the product
+    rule's derivatives carried along, need no division, and underflow to 0
+    is exact.
     """
-    Q, own = F**mult, F ** (mult - 1)
-    dQ = None if f is None else mult * f * own
+    if mult is None:  # F^1 is F, F^0 is 1 and 1 f is f, exactly: no power to raise
+        Q, own, dQ = F, None, f
+    else:
+        m, m1, m2 = mult
+        Q, own = F**m, F**m1
+        dQ = None if f is None else m * f * own
     below, above = np.ones((2, *F.shape))  # the products over the gaps below and above each one
     d_below, d_above = np.zeros((2, *F.shape))
     for k in range(1, F.shape[-1]):
@@ -121,9 +130,13 @@ def _others_product(F, mult, f=None):
             d_below[..., k] = d_below[..., k - 1] * Q[..., k - 1] + below[..., k - 1] * dQ[..., k - 1]
             d_above[..., -k - 1] = d_above[..., -k] * Q[..., -k] + above[..., -k] * dQ[..., -k]
     if f is None:
-        return below * above * own, None
-    # a tied arm's own factor F^(m-1) has derivative (m-1) f F^(m-2), 0 at m = 1
-    d_own = (mult - 1) * f * F ** np.maximum(mult - 2, 0)
+        return (below * above if own is None else below * above * own), None
+    # a tied arm's own factor F^(m-1) has derivative (m-1) f F^(m-2): 0 f at m = 1, which
+    # keeps a non-finite f non-finite
+    if own is None:
+        W = below * above
+        return W, d_below * above + below * d_above + W * (0.0 * f)
+    d_own = m1 * f * F**m2
     return below * above * own, (d_below * above + below * d_above) * own + below * above * d_own
 
 
@@ -133,8 +146,9 @@ def _starting_panels(dist, gap, arms, moment, budget):
     Returns (gaps, mult, cols, rows, cut, a, b, power, share): the sorted
     distinct gaps and their multiplicities, the distinct-gap columns of the
     read arms and each read arm's row among them, the tail cut, and the
-    starting panels with their shares of ``budget``.  The panel layout is
-    a few dozen edges, so it is built in Python floats and converted once.
+    starting panels with their shares of ``budget``, each a list.  The panel
+    layout is a few dozen edges, so it is built in Python floats, and
+    ``_refine`` converts the lists of every vector it integrates at once.
     """
     if min(dist.tail_index_left, dist.tail_index_right) <= moment:
         raise NonIntegrable(f"the integral of z^{moment} f needs tail indices above {moment}")
@@ -173,60 +187,137 @@ def _starting_panels(dist, gap, arms, moment, budget):
                        for index in (dist.tail_index_left, dist.tail_index_right))
     if max(p_left, p_right) > 18.0:
         raise ToleranceNotMet(math.inf, budget)
-    a = np.array([*edges[:-1], 0.0, 0.0])
-    b = np.array([*edges[1:], 1.0, 1.0])
-    power = np.array([0.0] * (len(edges) - 1) + [-p_left, p_right])
-    share = np.full(len(a), budget / len(a))
-    mult, cols, rows = (np.array(v, dtype=np.intp) for v in (mult, cols, rows))
-    return np.array(gaps), mult, cols, rows, cut, a, b, power, share
+    a = [*edges[:-1], 0.0, 0.0]
+    b = [*edges[1:], 1.0, 1.0]
+    power = [0.0] * (len(edges) - 1) + [-p_left, p_right]
+    share = [budget / len(a)] * len(a)
+    return gaps, mult, cols, rows, cut, a, b, power, share
 
 
-def _component_integrals(dist, gap, budget, arms=None, moment=0, prime=False):
-    """integral z^moment f(z + gap_i) prod_{j != i} F(z + gap_j) dz for each arm i.
+def _sums(x, counts):
+    """The rows of ``x``, a run of ``counts[g]`` for each vector g in turn, summed per run as numpy sums a run alone."""
+    if len(counts) == 1:
+        return x.sum(axis=0)[None]
+    if math.prod(x.shape[1:]) == 1:  # numpy sums a single column pairwise, so each run keeps its own length
+        return np.stack([run.sum(axis=0) for run in np.split(x, np.cumsum(counts[:-1]))])
+    # rows of several columns numpy adds in order, so zeros padded after a run leave its sum as it was
+    # (but for the sign of a zero sum, which no running total keeps)
+    probe = np.repeat(np.arange(len(counts)), counts)
+    padded = np.zeros((len(counts), counts.max(), *x.shape[1:]))
+    padded[probe, np.arange(len(x)) - (np.cumsum(counts) - counts)[probe]] = x
+    return padded.sum(axis=1)
 
-    Returns a (len(arms), 1 + prime) array of integrals (``arms`` defaults to
-    all), with ``prime`` phi_i' by parts in the second column, then each arm's
-    worst summed error estimate, and the integrand evaluations and panels
-    evaluated.  Each distinct gap is integrated once.  Refinement stops once
+
+def _component_integrals(dist, gaps, budget, arms=None, moment=0, prime=False):
+    """integral z^moment f(z + gap_i) prod_{j != i} F(z + gap_j) dz for each arm i of each gap vector.
+
+    Returns one entry per entry of ``gaps``, in order: a (len(arms), 1 + prime)
+    array of integrals (``arms`` defaults to all), with ``prime`` phi_i' by
+    parts in the second column, then each arm's worst summed error estimate,
+    and the integrand evaluations and panels evaluated; or, for a vector that
+    fails, the error it raises.  An entry that is already an error passes
+    through.  Each distinct gap is integrated once.  Refinement stops once
     every arm's summed |K15 - G7| is within ``budget``; until then a panel
     whose estimate exceeds its share of ``budget`` for any arm is bisected,
     each half taking half the share.  The tails z = +-cut u^-p run over u in
     (0, 1].  A tail index at or below moment raises NonIntegrable; one below
     moment + 1/9, or a depth or work cap, raises ToleranceNotMet.
     """
-    gaps, mult, cols, rows, cut, a, b, power, share = _starting_panels(dist, gap, arms, moment, budget)
-    values, errs = np.zeros((2, len(cols), 1 + prime))
-    n_panels = 0
-    for _ in range(_MAX_DEPTH):
+    out = list(gaps)
+    # one loop for the vectors whose distinct gaps have the same multiplicities and
+    # read columns as many: they raise F to the same powers as alone (numpy squares
+    # rather than calls pow for a lone exponent of 2)
+    groups = {}
+    for i, gap in enumerate(gaps):
+        if isinstance(gap, PllabError):
+            continue
+        try:
+            setup = _starting_panels(dist, gap, arms, moment, budget)
+        except (NonIntegrable, ToleranceNotMet) as exc:
+            out[i] = exc
+        else:
+            groups.setdefault((tuple(setup[1]), tuple(setup[2])), []).append((i, setup))
+    for members in groups.values():
+        index, setups = zip(*members)
+        for i, result in zip(index, _refine(dist, setups, budget, moment, prime, arms is None)):
+            out[i] = result
+    return out
+
+
+def _refine(dist, setups, budget, moment, prime, every_arm):
+    """The adaptive loop of ``_component_integrals`` for the set-ups of vectors with D distinct gaps and C read columns.
+
+    The panels of every vector form one array, grouped by vector, so that each
+    pass evaluates F and f once for all of them.  Each vector keeps its own
+    panel order, running sums, error test, caps and counts, so its numbers
+    are those of a loop on it alone.
+    """
+    gaps, mult, cols, rows, cut, a, b, power, share = zip(*setups)
+    G, D, C = len(setups), len(gaps[0]), len(cols[0])
+    counts = np.array([len(v) for v in a])  # each vector's panels in this pass
+    probe = np.arange(G).repeat(counts)  # the vector of each panel
+    a, b, power, share = (np.concatenate(v) for v in (a, b, power, share))
+    gaps, cut = np.array(gaps), np.array(cut)
+    m = np.array(mult[0])
+    mult = None if max(mult[0]) == 1 else (m, m - 1, np.maximum(m - 2, 0))
+    cols = None if every_arm else np.array(cols[0])
+    values, errs = np.zeros((2, G, C, 1 + prime))
+    n_panels = np.zeros(G, dtype=np.intp)
+    out = [None] * G
+    for depth in range(_MAX_DEPTH):
         half = 0.5 * (b - a)[:, None]
-        t = 0.5 * (a + b)[:, None] + half * _KRONROD_NODES
-        p = np.abs(power)[:, None]
-        tail = p != 0.0
-        u = np.where(tail, t, 1.0)
-        z = np.where(tail, np.sign(power)[:, None] * cut * u**-p, t)
-        jac = half * np.where(tail, p * np.abs(z) / u, 1.0)  # |dz| = p cut u^(-p-1) du on a tail
-        x = z[..., None] + gaps
+        z = 0.5 * (a + b)[:, None] + half * _KRONROD_NODES
+        jac = half.repeat(len(_KRONROD_NODES), axis=1)
+        tails = power.nonzero()[0]
+        if len(tails):  # z = +-cut u^-p, and |dz| = p cut u^(-p-1) du
+            u, sign, p = z[tails], np.sign(power[tails]), np.abs(power[tails])[:, None]
+            z[tails] = zt = (sign * cut[probe[tails]])[:, None] * np.power(u, -p)
+            jac[tails] *= p * np.abs(zt) / u
+        x = z[..., None] + gaps[probe][:, None]
         f = dist.pdf(x) if prime else None
         W, dW = _others_product(dist.cdf(x), mult, f)
-        own = f[..., cols] if prime else dist.pdf(z[..., None] + gaps[cols])
-        columns = [(z[..., None] ** moment * own if moment else own) * (W[..., cols] * jac[..., None])]
+        if cols is None:
+            own = f if prime else dist.pdf(x)
+        else:
+            own = f[..., cols] if prime else dist.pdf(z[..., None] + gaps[:, cols][probe][:, None])
+            W, dW = W[..., cols], (dW[..., cols] if prime else None)
+        g = np.empty((*own.shape, 1 + prime))
+        np.multiply(z[..., None] ** moment * own if moment else own, W * jac[..., None], out=g[..., 0])
         if prime:
-            columns.append(-own * (dW[..., cols] * jac[..., None]))
-        g = np.stack(columns, axis=-1)
-        kronrod = np.einsum("n,pndf->pdf", _KRONROD_WEIGHTS, g)
-        err = np.abs(kronrod - np.einsum("n,pndf->pdf", _GAUSS_WEIGHTS, g))
-        n_panels += len(a)
-        bad = np.any(err > share[:, None, None], axis=(1, 2)) & np.any(errs + err.sum(axis=0) > budget)
-        values += kronrod[~bad].sum(axis=0)
-        errs += err[~bad].sum(axis=0)
-        if not bad.any():
-            return values[rows], errs.max(axis=1)[rows], n_panels * len(_KRONROD_NODES) * len(cols), n_panels
-        a, b, power, share = a[bad], b[bad], power[bad], share[bad] / 2.0
-        mid = 0.5 * (a + b)
-        a, b, power, share = np.r_[a, mid], np.r_[mid, b], np.r_[power, power], np.r_[share, share]
-        if len(a) * len(gaps) > _MAX_WORK:
+            np.multiply(-own, dW * jac[..., None], out=g[..., 1])
+        kronrod, gauss = np.einsum("wn,pndf->wpdf", _WEIGHTS, g)
+        err = np.abs(kronrod - gauss)
+        n_panels += counts
+        over = (errs + _sums(err, counts) > budget).any(axis=(1, 2))
+        bad = (err > share[:, None, None]).any(axis=(1, 2)) & over[probe]
+        last = not bad.any()
+        split = 0 if last else np.bincount(probe[bad], minlength=G)
+        kept = slice(None) if last else ~bad
+        values += _sums(kronrod[kept], counts - split)
+        errs += _sums(err[kept], counts - split)
+        if last:
             break
-    raise ToleranceNotMet(float((errs + err[bad].sum(axis=0)).max()), budget)
+        # a vector whose halves would pass the work cap, or that is still refining at the depth cap, stops here
+        if depth == _MAX_DEPTH - 1 or 2 * D * split.max() > _MAX_WORK:
+            stop = (split > 0) & ((2 * D * split > _MAX_WORK) | (depth == _MAX_DEPTH - 1))
+            worst = (errs + _sums(err[bad], split)).max(axis=(1, 2))
+            for i in np.flatnonzero(stop):
+                out[i] = ToleranceNotMet(float(worst[i]), budget)
+            bad &= ~stop[probe]
+            split[stop] = 0
+        if not bad.any():
+            break
+        a, b, power, share, probe = a[bad], b[bad], power[bad], share[bad] / 2.0, probe[bad]
+        mid = 0.5 * (a + b)
+        # each vector's lefts, then its rights
+        order = np.argsort(np.concatenate([probe, probe]), kind="stable") if G > 1 else slice(None)
+        a, b, power, share, probe = (np.concatenate(pair)[order] for pair in
+                                     ((a, mid), (mid, b), (power, power), (share, share), (probe, probe)))
+        counts = 2 * split
+    vector = np.arange(G)[:, None]
+    values, errs, n_panels = values[vector, rows], errs.max(axis=2)[vector, rows], n_panels.tolist()
+    return [out[i] if out[i] is not None else (values[i], errs[i], n_panels[i] * len(_KRONROD_NODES) * C, n_panels[i])
+            for i in range(G)]
 
 
 def _loss_vector(lam, tol):
@@ -234,7 +325,7 @@ def _loss_vector(lam, tol):
     lam = np.asarray(lam, dtype=float)
     if lam.ndim != 1 or len(lam) < 2:
         raise DomainError("need a loss vector of length K >= 2")
-    if not np.all(np.isfinite(lam)):
+    if not np.isfinite(lam).all():
         raise DomainError("loss vector must be finite")
     spread = float(lam.max()) - float(lam.min())  # a Python float overflows to inf quietly
     if spread > _MAX_SPREAD:
@@ -244,21 +335,68 @@ def _loss_vector(lam, tol):
     return lam
 
 
-def _phi(lam, dist, tol, with_prime, arms=None):
-    """(lam, gap, integrals, errors, evaluations, panels) at a budget of tol/4.
+def _checked(vectors, tol):
+    """Each vector through ``_loss_vector``, or the DomainError it raises there."""
+    out = []
+    for v in vectors:
+        try:
+            out.append(_loss_vector(v, tol))
+        except DomainError as exc:
+            out.append(exc)
+    return out
 
-    The one phi path: the integral columns are phi and, if asked, phi'.
-    Where it reads every arm, a phi that does not sum to 1 within K times
-    the error estimate, or any non-finite estimate, raises ToleranceNotMet.
+
+def _phis(lams, dist, tol, with_prime, arms=None):
+    """Per loss vector, (lam, gap, integrals, errors, evaluations, panels) at a budget of tol/4, or the error it raises.
+
+    The one phi path, one kernel call for every vector: the integral columns
+    are phi and, if asked, phi'.  Where it reads every arm, a phi that does
+    not sum to 1 within K times the error estimate, or any non-finite
+    estimate, raises ToleranceNotMet.
     """
-    lam = _loss_vector(lam, tol)
-    gap = lam - lam.min()
-    values, errs, n_evals, n_panels = _component_integrals(dist, gap, tol / 4.0, arms, prime=with_prime)
-    if arms is None:
-        miss = abs(math.fsum(values[:, 0]) - 1.0) if np.isfinite(values).all() else math.inf
-        if not miss <= len(gap) * (float(errs.max()) + _ROUNDING):
-            raise ToleranceNotMet(miss / len(gap), tol)  # some component is off by at least miss / K
-    return lam, gap, values, errs, n_evals, n_panels
+    lams = _checked(lams, tol)
+    gaps = [lam if isinstance(lam, DomainError) else lam - lam.min() for lam in lams]
+    out = []
+    for lam, gap, result in zip(lams, gaps, _component_integrals(dist, gaps, tol / 4.0, arms, prime=with_prime)):
+        if not isinstance(result, PllabError) and arms is None:
+            values, errs = result[:2]
+            miss = abs(math.fsum(values[:, 0]) - 1.0) if np.isfinite(values).all() else math.inf
+            if not miss <= len(gap) * (float(errs.max()) + _ROUNDING):
+                result = ToleranceNotMet(miss / len(gap), tol)  # some component is off by at least miss / K
+        out.append(result if isinstance(result, PllabError) else (lam, gap, *result))
+    return out
+
+
+def _phi(lam, dist, tol, with_prime, arms=None):
+    """``_phis`` of one loss vector: its tuple, or the error raised."""
+    (result,) = _phis([lam], dist, tol, with_prime, arms)
+    if isinstance(result, PllabError):
+        raise result
+    return result
+
+
+def _scan(lams, dist, tol):
+    """``phi_quadrature`` at each loss vector in turn, in chunks of ``_SCAN_ENTRIES`` entries to a kernel call.
+
+    Yields the probes in order and raises the first vector's error there.
+    """
+    lams = iter(lams)
+    for lam in lams:
+        chunk = [lam, *itertools.islice(lams, max(_SCAN_ENTRIES // np.size(lam), 1) - 1)]
+        for result in _phis(chunk, dist, tol, with_prime=True):
+            if isinstance(result, PllabError):
+                raise result
+            lam, gap, values, errs, n_evals, n_panels = result
+            yield SelectionProbe(
+                lam=lam,
+                lambda_gap=gap,
+                rank=np.argsort(np.argsort(lam, kind="stable")) + 1,  # ties broken by index
+                phi=values[:, 0].copy(),
+                phi_prime=values[:, 1].copy(),
+                quad_error=float(errs.max()),
+                n_evals=n_evals,
+                n_panels=n_panels,
+            )
 
 
 def phi_quadrature(lam, dist: PerturbationDistribution, tol: float = 1e-8) -> SelectionProbe:
@@ -268,17 +406,8 @@ def phi_quadrature(lam, dist: PerturbationDistribution, tol: float = 1e-8) -> Se
     of every component within ``tol``, or when phi misses 1 by more than K
     times that estimate.
     """
-    lam, gap, values, errs, n_evals, n_panels = _phi(lam, dist, tol, with_prime=True)
-    return SelectionProbe(
-        lam=lam,
-        lambda_gap=gap,
-        rank=np.argsort(np.argsort(lam, kind="stable")) + 1,  # ties broken by index
-        phi=values[:, 0].copy(),
-        phi_prime=values[:, 1].copy(),
-        quad_error=float(errs.max()),
-        n_evals=n_evals,
-        n_panels=n_panels,
-    )
+    (probe,) = _scan([lam], dist, tol)
+    return probe
 
 
 def phi_values(lam, dist, tol: float = 1e-9):
@@ -301,4 +430,4 @@ def counterexample_scan(dist, K, c_grid):
     c_grid = np.asarray(list(c_grid), dtype=float)
     if K >= 3 and np.any(c_grid < 2.0 * math.sqrt(K) - 1e-12):
         raise DomainError(f"for K >= 3 the grid must start at 2 sqrt(K) = {2*math.sqrt(K):.4f}")
-    return [phi_quadrature(np.concatenate([[0.0], np.full(K - 1, c)]), dist) for c in c_grid]
+    return list(_scan((np.concatenate([[0.0], np.full(K - 1, c)]) for c in c_grid), dist, 1e-8))

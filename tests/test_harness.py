@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from pllab import cli, harness
+from pllab import cli, harness, selection
 from pllab.distributions import PerturbationDistribution
 from pllab.environments import checkpoint_grid
 from pllab.errors import DomainError, ScheduleExhausted
@@ -324,6 +324,45 @@ class TestCli:
         assert (tmp_path / "stats.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
         assert [line.split()[1] for line in err] == ["c=1", "c=3"]
         assert all(line.startswith("stats: ") and "evals=" in line and "panels=" in line for line in err)
+
+    @staticmethod
+    def _one_point_calls(capsys, tmp_path, argv, grid):
+        """(exit code, CSV rows, stderr) of ``argv`` at each c of ``grid`` as a one-point grid."""
+        calls = []
+        for c in grid:
+            out = tmp_path / "point.csv"
+            out.unlink(missing_ok=True)
+            rc = cli.main([*argv, f"--c-grid={float(c)!r}:{float(c)!r}", "--out", str(out)])
+            rows = out.read_text().splitlines()[1:] if rc == 0 else None
+            calls.append((rc, rows, capsys.readouterr().err))
+        return calls
+
+    def test_analyze_phi_grid_is_its_one_point_calls(self, capsys, tmp_path):
+        # the grid spans several kernel calls, and its c = 0 point has one distinct gap where the others have two
+        argv = ["analyze-phi", "--dist", "lp", "--lambda", "0,c,c", "--stats"]
+        grid = cli._parse_grid("-0.5:0.49:0.01")
+        assert 0.0 in grid and len(grid) > 2 * (selection._SCAN_ENTRIES // 3)
+        calls = self._one_point_calls(capsys, tmp_path, argv, grid)
+        assert all(rc == 0 for rc, _, _ in calls)
+        out = tmp_path / "grid.csv"
+        assert cli.main([*argv, "--c-grid=-0.5:0.49:0.01", "--out", str(out)]) == 0
+        header, *rows = out.read_text().splitlines()
+        assert header == "c,i,sigma_i,phi,phi_prime,ratio_1,ratio_32,quad_error"
+        assert rows == [row for _, point_rows, _ in calls for row in point_rows]
+        assert capsys.readouterr().err == "".join(err for _, _, err in calls)
+
+    @pytest.mark.parametrize("argv,spec", [
+        (["--dist", "gumbel", "--lambda", "0,c", "--tol", "4e-17"], "0:2:1"),  # the kernel's work cap at c = 1
+        (["--dist", "lp", "--lambda", "0,c"], "0:3e12:1e12"),  # a loss spread past 2^40 at c = 2e12
+    ])
+    def test_analyze_phi_grid_fails_at_its_first_failing_point(self, capsys, tmp_path, argv, spec):
+        argv = ["analyze-phi", *argv]
+        calls = self._one_point_calls(capsys, tmp_path, argv, cli._parse_grid(spec))
+        k = next(i for i, (rc, _, _) in enumerate(calls) if rc != 0)
+        assert k >= 1 and calls[k][0] == 2 and len(calls[k][2].splitlines()) == 1
+        out = tmp_path / "grid.csv"
+        assert cli.main([*argv, "--c-grid", spec, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == calls[k][2] and not out.exists()
 
     @pytest.mark.parametrize("bad", ["frechet:abc", "asp:2", "splareto:a=x", "gpd:"])
     def test_bad_dist_spec_is_usage_error(self, capsys, bad):

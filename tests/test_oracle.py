@@ -68,7 +68,8 @@ def test_kernel_agrees_with_quadpack(spec, lam, tol):
     nu = -lam
     value, err = quadpack_oracle.potential(nu, dist, ORACLE_TOL)
     # the kernel's summed estimate at the budget ``duality.potential`` uses
-    kernel_errs = selection._component_integrals(dist, nu.max() - nu, tol / (2.0 * len(nu)), moment=1)[1]
+    (result,) = selection._component_integrals(dist, [nu.max() - nu], tol / (2.0 * len(nu)), moment=1)
+    kernel_errs = result[1]
     assert abs(duality.potential(nu, dist, tol) - value) <= min(tol, kernel_errs.sum() + err)
 
 

@@ -26,6 +26,7 @@ ROOT = Path(__file__).resolve().parents[1]
 # public functions that only tests call, each with the reason it stays in src/
 TEST_ONLY = {
     "selection.counterexample_scan": "criterion 4: the paper's K = 3 counterexample",
+    "selection.phi_quadrature": "the one-vector probe; analyze-phi and counterexample_scan batch its kernel call",
     "duality.two_arm_quantile": "golden pin: the exact two-arm roots",
     "duality.regularizer_value": "north-star number: the Legendre-dual regularizer",
     "policies.geometric_resample": "criterion 10: the resampling estimator alone, without a selection",

@@ -37,6 +37,27 @@ def gap_vectors(draw):
     return lam - lam.min()
 
 
+@st.composite
+def gap_batches(draw):
+    """One to five gap vectors of one length K in [2, 10], each on a few levels (ties and all-zero gaps included)."""
+    K = draw(st.integers(2, 10))
+    batch = []
+    for _ in range(draw(st.integers(1, 5))):
+        levels = draw(st.lists(st.floats(0.0, 1.0), min_size=K, max_size=K, unique=False))
+        picks = draw(st.lists(st.integers(0, draw(st.integers(0, K - 1))), min_size=K, max_size=K))
+        lam = 2.0 ** draw(st.floats(-6.0, 8.0)) * np.array(levels)[picks]
+        batch.append(lam - lam.min())
+    return batch
+
+
+def _outcome_bits(outcome):
+    """A kernel outcome as comparable bits: each array's shape and bytes, or the error's type and fields."""
+    if isinstance(outcome, Exception):
+        return type(outcome), str(outcome), repr(vars(outcome))
+    values, errs, n_evals, n_panels = outcome
+    return values.shape, values.tobytes(), errs.shape, errs.tobytes(), n_evals, n_panels
+
+
 def softmax_neg(lam):
     z = -np.asarray(lam, dtype=float)
     z -= z.max()
@@ -103,9 +124,9 @@ class TestBasics:
         # at a tail index equal to the moment the tail's map u^-p had p = 2 / 0
         dist = parse_dist(spec)
         for prime in (False, True):
-            with pytest.raises(NonIntegrable):
-                selection._component_integrals(dist, np.array([0.0, 1.0]), 1e-9, moment=1, prime=prime)
-        assert selection._component_integrals(dist, np.array([0.0, 1.0]), 1e-9)[0].shape == (2, 1)
+            (result,) = selection._component_integrals(dist, [np.array([0.0, 1.0])], 1e-9, moment=1, prime=prime)
+            assert isinstance(result, NonIntegrable)
+        assert selection._component_integrals(dist, [np.array([0.0, 1.0])], 1e-9)[0][0].shape == (2, 1)
 
     def test_ranks_break_ties_by_index(self):
         probe = phi_quadrature([1.0, 0.0, 1.0], SymmetricPareto(2.0), tol=1e-8)
@@ -349,6 +370,27 @@ class TestWork:
     def test_probe_reports_its_work(self):
         probe = phi_quadrature([0.0, 1.0, 1.0, 3.0], SymmetricPareto(2.0), tol=1e-8)
         assert probe.n_panels > 0 and probe.n_evals == 3 * 15 * probe.n_panels
+
+    @settings(max_examples=150, deadline=None)
+    @given(any_law, gap_batches(), st.sampled_from([0, 1]), st.booleans(), st.sampled_from([None, (0,)]),
+           st.just(2.5e-9))
+    @example("splareto:a=2", [np.array([0.0, c, c]) for c in (1.0, 0.0, 4.0)], 0, True, None, 2.5e-9)
+    @example("gumbel", [np.array([0.0, c]) for c in (0.0, 1.0, 20.0, 0.5)], 0, False, None, 1e-18)
+    @example("frechet:1", [np.array([0.0, 1.0]), np.array([0.0, 0.0])], 1, False, None, 2.5e-9)
+    @example("lp", [np.array([0.0, 0.5, 3.0]), np.array([0.0, 4.0, 1.5])], 0, False, (0,), 2.5e-9)
+    def test_batched_kernel_is_each_vector_alone(self, spec, gaps, moment, prime, arms, budget):
+        # one refinement loop for many gap vectors changes no bit of any vector's
+        # integrals, error estimates, counts or error.  The examples mix distinct-gap
+        # counts, put vectors that hit the work cap beside two that converge, take a
+        # tail index at the moment, and sum a single column, which numpy sums pairwise
+        try:
+            dist = parse_dist(spec)
+        except DomainError:
+            assume(False)
+        batched = selection._component_integrals(dist, gaps, budget, arms, moment, prime)
+        for gap, got in zip(gaps, batched, strict=True):
+            (alone,) = selection._component_integrals(dist, [gap], budget, arms, moment, prime)
+            assert _outcome_bits(got) == _outcome_bits(alone), (spec, gap)
 
     @settings(max_examples=400, deadline=None)
     @given(any_law, gap_vectors(), st.sampled_from([None, 0, -1]), st.sampled_from([0, 1]))
