@@ -12,17 +12,22 @@ potential (``duality.potential``) is the phi integral with z f(z + gap_i).
 One kernel, ``_component_integrals``, integrates z^moment times phi's
 integrand (moment 0 for phi, 1 for the potential) and phi' beside it: an
 adaptive Gauss-Kronrod (G7-K15) rule on starting panels split at every
-shifted kink and support edge, the tails mapped onto (0, 1].  Its set-up,
-``_starting_panels``, finds the distinct gaps and lays out those panels in
-Python floats; each refinement pass then evaluates F and f once on an
-array of every panel, node and distinct gap, f for just the arms a caller
-reads unless phi' needs every gap (the phi_1 inversions in ``duality``
-read arm 1 alone).  The tests hold it to the scalar QUADPACK loop it
-replaced and to a Monte-Carlo estimate of the argmin frequencies, and its
-set-up to the numpy set-up it replaced.
+shifted kink and support edge, the tails mapped onto (0, 1].  It takes
+many gap vectors at once.  Its set-up, ``_starting_panels``, finds each
+vector's distinct gaps and lays out its panels in Python floats; the
+vectors whose distinct gaps have the same multiplicities then share one
+refinement loop, ``_refine``, whose passes evaluate F and f once on an
+array of every panel, node and distinct gap of them all, f for just the
+arms a caller reads unless phi' needs every gap (the phi_1 inversions in
+``duality`` read arm 1 alone).  Each vector keeps its own panels, error
+test, caps and counts, so its numbers are bit for bit those of a call on
+it alone.  The tests hold the kernel to the scalar QUADPACK loop it
+replaced, to a Monte-Carlo estimate of the argmin frequencies and to its
+own one-vector calls, and its set-up to the numpy set-up it replaced.
 
 ``counterexample_scan`` returns one probe per c of the family (0, c, ..., c);
 the ``analyze-phi`` command writes its CSV rows straight from the probes.
+Both run their grids through ``_scan``, a chunk of vectors to a kernel call.
 """
 
 from __future__ import annotations
@@ -111,9 +116,9 @@ def _others_product(F, mult, f=None):
 
     ``F`` and ``f`` hold the CDF and density at the distinct gaps, ``mult``
     their multiplicities m as the exponents (m, m - 1, max(m - 2, 0)), or
-    None where every m is 1; without ``f`` the derivative is None.  The prefix and suffix products, with the product
-    rule's derivatives carried along, need no division, and underflow to 0
-    is exact.
+    None where every m is 1; without ``f`` the derivative is None.  The
+    prefix and suffix products, with the product rule's derivatives carried
+    along, need no division, and underflow to 0 is exact.
     """
     if mult is None:  # F^1 is F, F^0 is 1 and 1 f is f, exactly: no power to raise
         Q, own, dQ = F, None, f
@@ -129,15 +134,14 @@ def _others_product(F, mult, f=None):
         if f is not None:
             d_below[..., k] = d_below[..., k - 1] * Q[..., k - 1] + below[..., k - 1] * dQ[..., k - 1]
             d_above[..., -k - 1] = d_above[..., -k] * Q[..., -k] + above[..., -k] * dQ[..., -k]
+    W = below * above if own is None else below * above * own
     if f is None:
-        return (below * above if own is None else below * above * own), None
-    # a tied arm's own factor F^(m-1) has derivative (m-1) f F^(m-2): 0 f at m = 1, which
-    # keeps a non-finite f non-finite
+        return W, None
+    # a tied arm's own factor F^(m-1) has derivative (m-1) f F^(m-2): 0 f at m = 1,
+    # which keeps a non-finite f non-finite
     if own is None:
-        W = below * above
         return W, d_below * above + below * d_above + W * (0.0 * f)
-    d_own = m1 * f * F**m2
-    return below * above * own, (d_below * above + below * d_above) * own + below * above * d_own
+    return W, (d_below * above + below * d_above) * own + below * above * (m1 * f * F**m2)
 
 
 def _starting_panels(dist, gap, arms, moment, budget):
@@ -202,9 +206,9 @@ def _sums(x, counts):
         return np.stack([run.sum(axis=0) for run in np.split(x, np.cumsum(counts[:-1]))])
     # rows of several columns numpy adds in order, so zeros padded after a run leave its sum as it was
     # (but for the sign of a zero sum, which no running total keeps)
-    probe = np.repeat(np.arange(len(counts)), counts)
+    run = np.arange(len(counts)).repeat(counts)
     padded = np.zeros((len(counts), counts.max(), *x.shape[1:]))
-    padded[probe, np.arange(len(x)) - (np.cumsum(counts) - counts)[probe]] = x
+    padded[run, np.arange(len(x)) - (np.cumsum(counts) - counts)[run]] = x
     return padded.sum(axis=1)
 
 
@@ -245,7 +249,7 @@ def _component_integrals(dist, gaps, budget, arms=None, moment=0, prime=False):
 
 
 def _refine(dist, setups, budget, moment, prime, every_arm):
-    """The adaptive loop of ``_component_integrals`` for the set-ups of vectors with D distinct gaps and C read columns.
+    """The adaptive loop of ``_component_integrals`` for vectors whose distinct gaps have the same multiplicities.
 
     The panels of every vector form one array, grouped by vector, so that each
     pass evaluates F and f once for all of them.  Each vector keeps its own
@@ -258,8 +262,8 @@ def _refine(dist, setups, budget, moment, prime, every_arm):
     probe = np.arange(G).repeat(counts)  # the vector of each panel
     a, b, power, share = (np.concatenate(v) for v in (a, b, power, share))
     gaps, cut = np.array(gaps), np.array(cut)
-    m = np.array(mult[0])
-    mult = None if max(mult[0]) == 1 else (m, m - 1, np.maximum(m - 2, 0))
+    m = np.array(mult[0])  # the multiplicities of every vector here
+    mult = None if (m == 1).all() else (m, m - 1, np.maximum(m - 2, 0))
     cols = None if every_arm else np.array(cols[0])
     values, errs = np.zeros((2, G, C, 1 + prime))
     n_panels = np.zeros(G, dtype=np.intp)
@@ -298,8 +302,9 @@ def _refine(dist, setups, budget, moment, prime, every_arm):
         if last:
             break
         # a vector whose halves would pass the work cap, or that is still refining at the depth cap, stops here
-        if depth == _MAX_DEPTH - 1 or 2 * D * split.max() > _MAX_WORK:
-            stop = (split > 0) & ((2 * D * split > _MAX_WORK) | (depth == _MAX_DEPTH - 1))
+        cap = 0 if depth == _MAX_DEPTH - 1 else _MAX_WORK // (2 * D)  # the panels a vector may bisect
+        if split.max() > cap:
+            stop = split > cap
             worst = (errs + _sums(err[bad], split)).max(axis=(1, 2))
             for i in np.flatnonzero(stop):
                 out[i] = ToleranceNotMet(float(worst[i]), budget)
