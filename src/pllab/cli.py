@@ -21,7 +21,7 @@ from .errors import PllabError
 __all__ = ["build_parser", "main"]
 
 
-_MAX_GRID_POINTS = 10**6  # at 0.3 to 0.5 ms a grid point (K = 2 to 10, 2-vCPU VM), 10^6 points already take 5 to 8 minutes
+_MAX_GRID_POINTS = 10**6  # at 0.14 to 0.23 ms a grid point (K = 2 to 10, 2-vCPU VM), 10^6 points already take 2.5 to 4 minutes
 
 
 def _parse_grid(text):
