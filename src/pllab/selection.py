@@ -229,8 +229,8 @@ def _component_integrals(dist, gaps, budget, arms=None, moment=0, prime=False):
     """
     out = list(gaps)
     # one loop for the vectors whose distinct gaps have the same multiplicities and
-    # read columns as many: they raise F to the same powers as alone (numpy squares
-    # rather than calls pow for a lone exponent of 2)
+    # whose read arms sit on the same columns: each raises F to the very exponent
+    # array it would alone (numpy squares a lone exponent of 2 rather than call pow)
     groups = {}
     for i, gap in enumerate(gaps):
         if isinstance(gap, PllabError):
@@ -387,7 +387,7 @@ def _scan(lams, dist, tol):
     """
     lams = iter(lams)
     for lam in lams:
-        chunk = [lam, *itertools.islice(lams, max(_SCAN_ENTRIES // np.size(lam), 1) - 1)]
+        chunk = [lam, *itertools.islice(lams, max(_SCAN_ENTRIES // max(np.size(lam), 1), 1) - 1)]
         for result in _phis(chunk, dist, tol, with_prime=True):
             if isinstance(result, PllabError):
                 raise result

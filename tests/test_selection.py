@@ -43,7 +43,7 @@ def gap_batches(draw):
     K = draw(st.integers(2, 10))
     batch = []
     for _ in range(draw(st.integers(1, 5))):
-        levels = draw(st.lists(st.floats(0.0, 1.0), min_size=K, max_size=K, unique=False))
+        levels = draw(st.lists(st.floats(0.0, 1.0), min_size=K, max_size=K))
         picks = draw(st.lists(st.integers(0, draw(st.integers(0, K - 1))), min_size=K, max_size=K))
         lam = 2.0 ** draw(st.floats(-6.0, 8.0)) * np.array(levels)[picks]
         batch.append(lam - lam.min())
@@ -95,8 +95,9 @@ class TestBasics:
         np.testing.assert_allclose(probe.phi, [2.0 / 3.0, 1.0 / 3.0], atol=1e-8)
 
     def test_preconditions(self):
-        with pytest.raises(DomainError):
-            phi_quadrature([1.0], SymmetricPareto(2.0))
+        for short in ([], [1.0]):
+            with pytest.raises(DomainError):
+                phi_quadrature(short, SymmetricPareto(2.0))
         with pytest.raises(DomainError):
             phi_quadrature([0.0, np.inf], SymmetricPareto(2.0))
         with pytest.raises(DomainError):
