@@ -352,7 +352,8 @@ class TestCli:
         assert capsys.readouterr().err == "".join(err for _, _, err in calls)
 
     @pytest.mark.parametrize("argv,spec", [
-        (["--dist", "gumbel", "--lambda", "0,c", "--tol", "4e-17"], "0:2:1"),  # the kernel's work cap at c = 1
+        # c = 0 meets its 1.75e-17 budget down to about 5e-18; c = 1 hits the work cap at about 5e-17
+        (["--dist", "splareto:a=2", "--lambda", "0,c,c", "--tol", "7e-17"], "0:2:1"),
         (["--dist", "lp", "--lambda", "0,c"], "0:3e12:1e12"),  # a loss spread past 2^40 at c = 2e12
     ])
     def test_analyze_phi_grid_fails_at_its_first_failing_point(self, capsys, tmp_path, argv, spec):
