@@ -105,13 +105,15 @@ def _cmd_analyze_phi(args):
     grid = _parse_grid(args.c_grid)
     lam = _lambda_template(args.lam)
     lines = ["c,i,sigma_i,phi,phi_prime,ratio_1,ratio_32,quad_error"]
-    for c, probe in zip(grid, selection._scan((lam(c) for c in grid), dist, args.tol)):
+    for c, probe in zip(grid.tolist(), selection._scan((lam(c) for c in grid), dist, args.tol)):
         if args.stats:
             print(f"stats: c={c:.17g} evals={probe.n_evals} panels={probe.n_panels} "
                   f"quad_error={probe.quad_error:.3g}", file=sys.stderr)
-        arms = zip(probe.rank, probe.phi, probe.phi_prime, probe.ratio_1, probe.ratio_32)
+        # Python floats format as numpy's do, without a numpy scalar made for each value
+        columns = (probe.rank, probe.phi, probe.phi_prime, probe.ratio_1, probe.ratio_32)
         lines += [f"{c:.17g},{i},{rank},{phi:.17g},{phi_prime:.17g},{ratio_1:.17g},{ratio_32:.17g},"
-                  f"{probe.quad_error:.3g}" for i, (rank, phi, phi_prime, ratio_1, ratio_32) in enumerate(arms, 1)]
+                  f"{probe.quad_error:.3g}"
+                  for i, (rank, phi, phi_prime, ratio_1, ratio_32) in enumerate(zip(*(v.tolist() for v in columns)), 1)]
     text = "\n".join(lines) + "\n"
     if args.out:
         harness._write_text(args.out, text)

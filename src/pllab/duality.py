@@ -11,18 +11,26 @@ inverse-FFT pipeline used to identify the law behind the 1/2-Tsallis
 regularizer (a real cosine transform over half the quantile's range, its
 nodes placed in closed form, with the Tsallis tail near p = 0 integrated
 exactly).
+
+The two-arm quantile and the three-arm scan invert phi_1 by a bracketed
+Newton iteration on the phi_1' the selection kernel returns beside it
+(``_phi_1_roots``); a scan's grid points iterate in lockstep, one batched
+kernel call a step, and each gets the root of its one-point solve.  Only
+``regularizer_value`` loads scipy.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import selection
-from ._scipy import brentq
+
+# not called here: bench/tracing.py wraps ``duality.brentq`` by name, until
+# ROADMAP item 1 keys the bench on the program's own counts and deletes it
+from ._scipy import brentq  # noqa: F401
 from .errors import (
     DomainError,
     GridError,
@@ -155,32 +163,88 @@ def regularizer_value(p, dist):
     return value, nu
 
 
-def _phi_1_root(lam_of_c, x, dist, lo):
-    """The c with phi_1(lam_of_c(c)) = x, for a loss family along which phi_1 increases.
+# steps of one phi_1 inversion before RootFindFailed; the inversions the tests
+# and the default regscan make take 1 to 16
+_NEWTON_STEPS = 100
 
-    Integrates arm 1 only.  The bracket [lo, 4] doubles until g = phi_1 - x
-    changes sign on it (lo = 0 stays fixed), unless an end already has
-    |g| <= 1e-9; a final |g| above 1e-9, or a bracket past 1e9, raises
-    RootFindFailed with |g| at the last end examined.
+
+def _phi_1_at(lam_of_c, cs, dist):
+    """(phi_1, phi_1', error estimate) at each c of ``cs``, or the error raised there.
+
+    Arm 1 only, at tol 1e-10, ``selection._SCAN_ENTRIES`` loss-vector
+    entries to a kernel call.
     """
+    per_call = max(selection._SCAN_ENTRIES // len(lam_of_c(0.0)), 1)
+    out = []
+    for k in range(0, len(cs), per_call):
+        for result in selection._phis([lam_of_c(c) for c in cs[k:k + per_call]], dist, 1e-10, with_prime=True,
+                                      arms=(0,)):
+            out.append(result if isinstance(result, PllabError) else (*result[2][0].tolist(), float(result[3][0])))
+    return out
 
-    @functools.lru_cache(maxsize=None)
-    def g(c):
-        values = selection._phi(lam_of_c(c), dist, 1e-10, with_prime=False, arms=(0,))[2]
-        return float(values[0, 0]) - x
 
-    hi = 4.0
-    while g(lo) > 0.0 or g(hi) < 0.0:
-        end = lo if g(lo) > 0.0 else hi
-        if abs(g(end)) <= 1e-9:
-            return float(end)
-        lo, hi = 2.0 * lo, 2.0 * hi
-        if hi > 1e9:
-            raise RootFindFailed(abs(g(end)), "phi_1 inversion bracket expansion")
-    c = brentq(g, lo, hi, xtol=1e-12, rtol=8.9e-16, maxiter=200)
-    if abs(g(c)) > 1e-9:
-        raise RootFindFailed(abs(g(c)), "phi_1 inversion")
-    return float(c)
+def _phi_1_roots(lam_of_c, xs, dist, floor):
+    """For each x of ``xs``, the c >= ``floor`` with phi_1(lam_of_c(c)) = x, for a loss family along which phi_1 increases.
+
+    Newton on g(c) = phi_1 - x from c = 0.  Both families are translation
+    invariant, so g' = -phi_1', which the kernel returns beside phi_1: no
+    integral beyond phi_1's own.  Each c evaluated becomes an end of a
+    sign-change bracket [lo, hi], which starts as [floor, inf).  A Newton
+    step that leaves it (as one on a slope that is not positive does)
+    bisects it instead or, while an end is still open, moves max(4, |c|)
+    toward that end, so that the bracket doubles.  A point stops once |g| is
+    within the kernel's error estimate, or at the end of a step of at most
+    1e-12 + 8.9e-16 |c|: where g(floor) > 0 already, the bracket closes on
+    ``floor`` and that step is 0.  A final |g| above 1e-9, a bracket past 1e9
+    or 100 steps raise RootFindFailed with |g| at the last c evaluated.
+
+    The points advance in lockstep: each step evaluates the points still
+    iterating in one ``_phi_1_at``, in batched kernel calls.  The kernel
+    gives each vector the numbers it gives it alone, so each point takes the
+    iterates of its own one-point solve.  The error of the first failing
+    point in grid order is raised; the points after it stop iterating.
+    """
+    xs = np.asarray(xs, dtype=float).tolist()
+    c, g, roots = [0.0] * len(xs), [0.0] * len(xs), [0.0] * len(xs)
+    lo, hi = [floor] * len(xs), [math.inf] * len(xs)
+    live, failed = list(range(len(xs))), {}
+    for _ in range(_NEWTON_STEPS):
+        if not live:
+            break
+        iterating = []
+        for i, value in zip(live, _phi_1_at(lam_of_c, [c[i] for i in live], dist)):
+            if isinstance(value, PllabError):
+                failed[i] = value
+                continue
+            (phi, prime, err), at = value, c[i]
+            g[i] = residual = phi - xs[i]
+            if residual < 0.0:
+                lo[i] = at
+            else:
+                hi[i] = at
+            new = at + residual / prime if prime else math.nan  # c - g / g'
+            if not (lo[i] < new < hi[i] or new == at):
+                if math.isinf(lo[i]) or math.isinf(hi[i]):
+                    new = at + math.copysign(max(4.0, abs(at)), -residual)
+                else:
+                    new = 0.5 * (lo[i] + hi[i])
+            if abs(residual) <= err:
+                roots[i] = at
+            elif abs(new) > 1e9:
+                failed[i] = RootFindFailed(abs(residual), "phi_1 inversion bracket expansion")
+            elif abs(new - at) > 1e-12 + 8.9e-16 * abs(at):
+                c[i] = new
+                iterating.append(i)
+            elif abs(residual) <= 1e-9:
+                roots[i] = new
+            else:
+                failed[i] = RootFindFailed(abs(residual), "phi_1 inversion")
+        first_failed = min(failed, default=len(xs))
+        live = [i for i in iterating if i < first_failed]
+    failed.update((i, RootFindFailed(abs(g[i]), "phi_1 inversion")) for i in live)
+    if failed:
+        raise failed[min(failed)]
+    return roots
 
 
 def two_arm_quantile(x, dist) -> float:
@@ -191,7 +255,7 @@ def two_arm_quantile(x, dist) -> float:
     """
     if not 0.0 < x < 1.0:
         raise DomainError("x must lie in (0, 1)")
-    return _phi_1_root(lambda c: [-c, 0.0], x, dist, -4.0)
+    return _phi_1_roots(lambda c: [-c, 0.0], [x], dist, -math.inf)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -457,19 +521,22 @@ def three_arm_regularizer_scan(x_grid, dist):
 
     For each x the reward offset c >= 0 solves phi_1 of the loss gaps
     (0, c, c) equal to x (c = 0 at x = 1/3).  Rows carry the square-root
-    envelopes and the 1/2-Tsallis reference derivative for comparison.
+    envelopes and the 1/2-Tsallis reference derivative for comparison.  An
+    x outside [1/3, 1 - 1e-4) raises DomainError before any solve; the grid
+    is then solved in lockstep (``_phi_1_roots``), each root the one a
+    one-point grid gets.
     """
     if dist.support != _FULL_LINE:
         raise SupportError("scan requires a law fully supported on the reals")
+    xs = np.asarray(x_grid, dtype=float)
+    if not np.all((1.0 / 3.0 <= xs) & (xs < 1.0 - 1e-4)):
+        raise DomainError("x grid must lie in [1/3, 1 - 1e-4)")
     rows = []
-    for x in np.asarray(x_grid, dtype=float):
-        if not (1.0 / 3.0 <= x < 1.0 - 1e-4):
-            raise DomainError("x grid must lie in [1/3, 1 - 1e-4)")
-        c = _phi_1_root(lambda c: [0.0, c, c], x, dist, 0.0)
+    for x, c in zip(xs.tolist(), _phi_1_roots(lambda c: [0.0, c, c], xs, dist, 0.0)):
         rows.append(
             {
-                "x": float(x),
-                "c": float(c),
+                "x": x,
+                "c": c,
                 "lower": 0.5 / math.sqrt(1.0 - x) - 1.0,
                 "upper": 2.0 * math.sqrt(2.0) / math.sqrt(1.0 - x) - 1.0,
                 "tsallis_ref": math.sqrt(2.0) / math.sqrt(1.0 - x) - 1.0 / math.sqrt(x),

@@ -32,6 +32,7 @@ Both run their grids through ``_scan``, a chunk of vectors to a kernel call.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -98,7 +99,7 @@ class SelectionProbe:
     n_evals: int
     n_panels: int
 
-    @property
+    @functools.cached_property
     def ratio_1(self):
         with np.errstate(all="ignore"):
             return -self.phi_prime / self.phi
@@ -106,9 +107,10 @@ class SelectionProbe:
     @property
     def ratio_32(self):
         # phi^1.5 underflows while phi does not: there divide by phi and sqrt(phi) in turn
+        ratio_1 = self.ratio_1
         with np.errstate(all="ignore"):
             power = self.phi**1.5
-            return np.where(power < _TINY, self.ratio_1 / np.sqrt(self.phi), -self.phi_prime / power)
+            return np.where(power < _TINY, ratio_1 / np.sqrt(self.phi), -self.phi_prime / power)
 
 
 def _others_product(F, mult, f=None):

@@ -1,17 +1,25 @@
-"""Bracketed ``brentq`` reference for the Tsallis simplex weights.
+"""Bracketed ``brentq`` references for the Tsallis simplex weights and the phi_1 inversions.
 
-This is the solver ``policies.tsallis_weights`` ran before it became a
-warm-started Newton iteration: expand a bracket [lo, hi] below min q until
-the normalization defect changes sign, then ``scipy.optimize.brentq`` to
-1e-15.  ``tsallis_weights`` here returns what the library function of that
-name returned then, bit for bit.  The tests hold the Newton solver to it,
-and to ``kkt_residual``, the stationarity residual of the weights.
+``tsallis_weights`` is the solver ``policies.tsallis_weights`` ran before it
+became a warm-started Newton iteration: expand a bracket [lo, hi] below
+min q until the normalization defect changes sign, then
+``scipy.optimize.brentq`` to 1e-15.  It returns what the library function
+of that name returned then, bit for bit.  The tests hold the Newton solver
+to it, and to ``kkt_residual``, the stationarity residual of the weights.
+
+``phi_1_root`` is the solver ``duality``'s phi_1 inversions ran before they
+became a bracketed Newton iteration on the kernel's own phi_1': double a
+bracket until phi_1 - x changes sign on it, then ``brentq`` on phi_1 alone.
+It returns what ``duality._phi_1_root`` returned then, bit for bit.
 """
+
+import functools
 
 import numpy as np
 from scipy.optimize import brentq
 
-from pllab.errors import SolverDiverged
+from pllab import selection
+from pllab.errors import RootFindFailed, SolverDiverged
 
 
 def tsallis_weights(q, beta):
@@ -49,3 +57,31 @@ def kkt_residual(q, p, beta):
     grad = -(beta / (1.0 - beta)) * np.asarray(p, dtype=float) ** (beta - 1.0)
     stat = q + grad
     return float(np.max(np.abs(stat - np.median(stat))))
+
+
+def phi_1_root(lam_of_c, x, dist, lo):
+    """The c with phi_1(lam_of_c(c)) = x, for a loss family along which phi_1 increases.
+
+    Integrates arm 1 only.  The bracket [lo, 4] doubles until g = phi_1 - x
+    changes sign on it (lo = 0 stays fixed), unless an end already has
+    |g| <= 1e-9; a final |g| above 1e-9, or a bracket past 1e9, raises
+    RootFindFailed with |g| at the last end examined.
+    """
+
+    @functools.lru_cache(maxsize=None)
+    def g(c):
+        values = selection._phi(lam_of_c(c), dist, 1e-10, with_prime=False, arms=(0,))[2]
+        return float(values[0, 0]) - x
+
+    hi = 4.0
+    while g(lo) > 0.0 or g(hi) < 0.0:
+        end = lo if g(lo) > 0.0 else hi
+        if abs(g(end)) <= 1e-9:
+            return float(end)
+        lo, hi = 2.0 * lo, 2.0 * hi
+        if hi > 1e9:
+            raise RootFindFailed(abs(g(end)), "phi_1 inversion bracket expansion")
+    c = brentq(g, lo, hi, xtol=1e-12, rtol=8.9e-16, maxiter=200)
+    if abs(g(c)) > 1e-9:
+        raise RootFindFailed(abs(g(c)), "phi_1 inversion")
+    return float(c)

@@ -4,6 +4,7 @@ import decimal
 import functools
 import math
 
+import brentq_oracle
 import numpy as np
 import pytest
 import quadpack_oracle
@@ -152,6 +153,45 @@ class TestTwoArmQuantile:
         with pytest.raises(RootFindFailed) as info:
             duality.two_arm_quantile(1.0 - 1e-6, SymmetricPareto(0.3))
         assert 0.0 < info.value.residual <= 1.0
+
+
+class TestPhi1Inversion:
+    THREE_ARM_XS = (1.0 / 3.0, 0.4, 0.95, math.nextafter(1.0 - 1e-4, 0.0))
+    TWO_ARM_XS = (0.05, 0.3, 0.4, 0.95, 1.0 - 1e-4)
+
+    @pytest.mark.parametrize("spec", ["splareto:a=2", "lp", "gumbel", "asp:2,3",
+                                      "hybrid:right=trunc(frechet:2),left=gpd:3,1.5"])
+    def test_newton_roots_agree_with_brentq(self, spec):
+        # phi_1 is integrated to 1e-10, so a root is known to about 1e-10 / |phi_1'|;
+        # x = 1/3 is c = 0, the (0, c, c) family's end, and below 1/2 the two-arm c is negative
+        dist = parse_dist(spec)
+        three = [row["c"] for row in duality.three_arm_regularizer_scan(self.THREE_ARM_XS, dist)]
+        cases = [*zip(three, self.THREE_ARM_XS, [lambda c: [0.0, c, c]] * 4, [0.0] * 4),
+                 *((duality.two_arm_quantile(x, dist), x, lambda c: [-c, 0.0], -4.0) for x in self.TWO_ARM_XS)]
+        assert three[0] == 0.0
+        for c, x, lam_of_c, lo in cases:
+            want = brentq_oracle.phi_1_root(lam_of_c, x, dist, lo)
+            slope = selection._phi(lam_of_c(want), dist, 1e-10, with_prime=True, arms=(0,))[2][0, 1]
+            assert abs(c - want) <= 1e-10 / abs(slope), (x, c, want)
+
+    @pytest.mark.parametrize("u,du,x,fallback", [
+        # the first step overshoots the root to c1, and Newton from c1 leaves [0, c1]: bisect it
+        (lambda c: c - 3.0, lambda c: 1.0, 0.6, lambda seen: seen[2] == 0.5 * seen[1]),
+        # the slope at c = 0 is 0, and the bracket [0, inf) is open: step to 4
+        (lambda c: c**3, lambda c: 3.0 * c * c, 0.9, lambda seen: seen[1] == 4.0),
+    ], ids=["bisect", "double"])
+    def test_safeguards_on_a_synthetic_phi_1(self, monkeypatch, u, du, x, fallback):
+        # phi_1 = 1/2 + atan(u(c)) / pi, with the kernel's phi_1' = -dphi_1/dc and an error estimate of 1e-15
+        seen = []
+
+        def phi_1_at(lam_of_c, cs, dist):
+            seen.extend(cs)
+            return [(0.5 + math.atan(u(c)) / math.pi, -du(c) / (math.pi * (1.0 + u(c) ** 2)), 1e-15) for c in cs]
+
+        monkeypatch.setattr(duality, "_phi_1_at", phi_1_at)
+        (c,) = duality._phi_1_roots(lambda c: [0.0, c, c], [x], SymmetricPareto(2.0), 0.0)
+        assert seen[0] == 0.0 and fallback(seen)
+        assert abs(0.5 + math.atan(u(c)) / math.pi - x) <= 1e-15
 
 
 class TestTsallisLaw:

@@ -7,10 +7,10 @@ that moves any draw by enough to change an arm choice changes the bytes.
 The Tsallis FTRL hashes, at beta 0.3, 0.5 and 0.7 and on a switching
 environment, pin the exact simplex solver the same way.
 The ``analyze-phi`` hashes pin the selection kernel to the last bit,
-``trunc(...)`` included for its finite-support edges; the exact
-``two_arm_quantile`` and ``three_arm_regularizer_scan`` roots pin the phi
-inversions on top of it.  The exact ``phi_values`` / ``potential`` values
-pin the QUADPACK oracle in ``quadpack_oracle``, which the kernel must match
+``trunc(...)`` included for its finite-support edges; the
+``two_arm_quantile`` and ``three_arm_regularizer_scan`` roots, each within
+its own error bound, pin the phi inversions on top of it.  The exact
+``phi_values`` / ``potential`` values pin the QUADPACK oracle in ``quadpack_oracle``, which the kernel must match
 to tolerance.  The scalar hash pins ``cdf`` / ``sf`` / ``pdf`` / ``pdf_prime``
 of four glued laws at Python-float arguments out to |x| = 1e300.  The
 ``check-dist`` hashes pin the regularity diagnostics: the evaluation grid and
@@ -154,18 +154,22 @@ def test_phi_values_and_potential_exact(spec):
         assert abs(duality.potential(v, dist) - pot) <= 1e-9
 
 
-# the two phi_1 inversions, splareto:a=2 (regscan's x are the benchmark's)
-TWO_ARM_GOLDEN = {0.3: -0.5955594105028886, 0.9: 2.154444739878279}
-REGSCAN_GOLDEN = {0.4: 0.16238701406622055, 0.95: 4.743193192895689}
+# the two phi_1 inversions, splareto:a=2 (regscan's x are the benchmark's): each
+# root with its own error bound, 1e-10 / |phi_1'| at the root rounded up, as the
+# kernel integrates phi_1 to 1e-10.  Its last digits follow the kernel's rounding
+# and the iterate the solver stops at, not the law.
+TWO_ARM_GOLDEN = {0.3: (-0.5955594105028554, 4.0e-10), 0.9: (2.1544447398752045, 1.8e-9)}
+REGSCAN_GOLDEN = {0.4: (0.16238701406607625, 2.5e-10), 0.95: (4.743193192847999, 5.8e-9)}
 
 
-def test_phi_inversions_exact():
+def test_phi_inversion_values():
     dist = parse_dist("splareto:a=2")
-    for x, c in TWO_ARM_GOLDEN.items():
-        assert duality.two_arm_quantile(x, dist) == c
+    for x, (c, tol) in TWO_ARM_GOLDEN.items():
+        assert abs(duality.two_arm_quantile(x, dist) - c) <= tol, x
     rows = duality.three_arm_regularizer_scan(sorted(REGSCAN_GOLDEN), dist)
-    assert [r["c"] for r in rows] == [REGSCAN_GOLDEN[x] for x in sorted(REGSCAN_GOLDEN)]
-
+    for row, x in zip(rows, sorted(REGSCAN_GOLDEN)):
+        c, tol = REGSCAN_GOLDEN[x]
+        assert abs(row["c"] - c) <= tol, x
 
 
 # duality ift at its defaults (beta 1/2, x in [-20, 20], n = 2048; gbar

@@ -365,6 +365,45 @@ class TestCli:
         assert cli.main([*argv, "--c-grid", spec, "--out", str(out)]) == 2
         assert capsys.readouterr().err == calls[k][2] and not out.exists()
 
+    @staticmethod
+    def _regscan_point_calls(capsys, tmp_path, argv, xs):
+        """(exit code, CSV rows, stderr) of regscan ``argv`` at each x of ``xs`` as a one-point grid."""
+        calls = []
+        for x in xs:
+            out = tmp_path / "point.csv"
+            out.unlink(missing_ok=True)
+            rc = cli.main([*argv, f"--x={float(x)!r}:{float(x)!r}", "--points", "1", "--out", str(out)])
+            rows = out.read_text().splitlines()[1:] if rc != 2 else None
+            calls.append((rc, rows, capsys.readouterr().err))
+        return calls
+
+    def test_regscan_grid_is_its_one_point_calls(self, capsys, tmp_path):
+        # the first Newton step spans two kernel calls; x = 1/3 is the (0, c, c) family's end c = 0
+        argv = ["duality", "regscan", "--dist", "lp"]
+        xs = np.linspace(1.0 / 3.0, 0.999, 45)
+        assert len(xs) > selection._SCAN_ENTRIES // 3
+        calls = self._regscan_point_calls(capsys, tmp_path, argv, xs)
+        assert all(rc == 0 for rc, _, _ in calls)
+        out = tmp_path / "grid.csv"
+        assert cli.main([*argv, f"--x={1.0 / 3.0!r}:0.999", "--points", "45", "--out", str(out)]) == 0
+        header, *rows = out.read_text().splitlines()
+        assert header == "x,c,lower,upper,tsallis_ref" and rows[0].split(",")[1] == "0"
+        assert rows == [row for _, point_rows, _ in calls for row in point_rows]
+
+    @pytest.mark.parametrize("dist,spec,points", [
+        ("splareto:a=0.3", "0.5:0.9998", 3),  # only x = 0.9998's root lies past the bracket's 1e9 cap
+        ("splareto:a=0.2", "0.9:0.9998", 6),  # the last two roots lie past it, each with its own residual
+    ])
+    def test_regscan_grid_fails_at_its_first_failing_point(self, capsys, tmp_path, dist, spec, points):
+        argv = ["duality", "regscan", "--dist", dist]
+        lo, hi = map(float, spec.split(":"))
+        calls = self._regscan_point_calls(capsys, tmp_path, argv, np.linspace(lo, hi, points))
+        k = next(i for i, (rc, _, _) in enumerate(calls) if rc == 2)  # 1 is a violated envelope
+        assert k >= 1 and len(calls[k][2].splitlines()) == 1 and "bracket expansion" in calls[k][2]
+        out = tmp_path / "grid.csv"
+        assert cli.main([*argv, "--x", spec, "--points", str(points), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == calls[k][2] and not out.exists()
+
     @pytest.mark.parametrize("bad", ["frechet:abc", "asp:2", "splareto:a=x", "gpd:"])
     def test_bad_dist_spec_is_usage_error(self, capsys, bad):
         assert cli.main(["check-dist", "--dist", bad]) == 2
