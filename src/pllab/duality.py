@@ -14,9 +14,10 @@ exactly).
 
 The two-arm quantile and the three-arm scan invert phi_1 by a bracketed
 Newton iteration on the phi_1' the selection kernel returns beside it
-(``_phi_1_roots``); a scan's grid points iterate in lockstep, one batched
-kernel call a step, and each gets the root of its one-point solve.  Only
-``regularizer_value`` loads scipy.
+(``_phi_1_roots``); a scan's grid points iterate in lockstep, each step
+one batched kernel call per chunk of the points still iterating, and each
+gets the root of its one-point solve.  Only ``regularizer_value`` loads
+scipy.
 """
 
 from __future__ import annotations

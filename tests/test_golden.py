@@ -10,8 +10,8 @@ The ``analyze-phi`` hashes pin the selection kernel to the last bit,
 ``trunc(...)`` included for its finite-support edges; the
 ``two_arm_quantile`` and ``three_arm_regularizer_scan`` roots, each within
 its own error bound, pin the phi inversions on top of it.  The exact
-``phi_values`` / ``potential`` values pin the QUADPACK oracle in ``quadpack_oracle``, which the kernel must match
-to tolerance.  The scalar hash pins ``cdf`` / ``sf`` / ``pdf`` / ``pdf_prime``
+``phi_values`` / ``potential`` values pin the QUADPACK oracle in
+``quadpack_oracle``, which the kernel must match to tolerance.  The scalar hash pins ``cdf`` / ``sf`` / ``pdf`` / ``pdf_prime``
 of four glued laws at Python-float arguments out to |x| = 1e300.  The
 ``check-dist`` hashes pin the regularity diagnostics: the evaluation grid and
 the seeded block-maximum design.  The IFT values pin ``duality ift``'s
