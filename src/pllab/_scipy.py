@@ -1,12 +1,12 @@
 """scipy's ``quad`` and ``brentq``, imported on their first call.
 
-Importing scipy costs a process about 0.5 s and 45 MB (2-vCPU VM, scipy
-1.17), and most pllab commands never call it.  Each function here imports
-scipy's function of the same name when it is first called and forwards
-every argument, so ``import pllab`` loads no scipy module.  They are functions bound in the
-importing module's namespace, not a lazy module attribute, because
+No pllab path calls either, and scipy is not a runtime dependency: it is
+installed with the ``test`` extra.  The names stay because
 ``bench/tracing.py`` wraps ``selection.quad``, ``policies.brentq`` and
-``duality.brentq`` by looking each name up in that module's dict.
+``duality.brentq`` by looking each one up in its module's dict, so they are
+functions bound in the importing module's namespace.  Each imports scipy's
+function of the same name when it is first called and forwards every
+argument, so ``import pllab`` loads no scipy module.
 """
 
 from __future__ import annotations

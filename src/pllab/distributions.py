@@ -3,7 +3,7 @@
 Every distribution here is a univariate law used as an i.i.d. perturbation
 source for perturbed-leader policies.  The closed forms matter: the selection
 quadrature integrates f and F directly, so each law evaluates them exactly
-rather than through scipy.stats wrappers.
+in numpy, with no statistics library underneath.
 
 The laws are built from a few one-sided primitives on [0, inf) and one
 combinator, ``Hybrid``, which glues a right and a left primitive at 0 with

@@ -16,8 +16,9 @@ The two-arm quantile and the three-arm scan invert phi_1 by a bracketed
 Newton iteration on the phi_1' the selection kernel returns beside it
 (``_phi_1_roots``); a scan's grid points iterate in lockstep, each step
 one batched kernel call per chunk of the points still iterating, and each
-gets the root of its one-point solve.  Only ``regularizer_value`` loads
-scipy.
+gets the root of its one-point solve.  ``regularizer_value`` solves
+phi(nu) = p by damped Newton on a forward-difference Hessian, one batched
+kernel call an iterate (``_phi_inverse``).
 """
 
 from __future__ import annotations
@@ -76,20 +77,21 @@ def potential(nu, dist, tol: float = 1e-9) -> float:
 
 
 def _potentials(nus, dist, tol):
-    """``potential`` at each of several reward vectors of one length K, in one kernel call.
+    """``potential`` at each of several reward vectors of one length K, one kernel call a chunk (``selection._chunks``).
 
     Raises what the first vector that fails raises on its own.
     """
-    nus = selection._checked(nus, tol)
-    gaps = [nu if isinstance(nu, PllabError) else float(nu.max()) - nu for nu in nus]
-    K = max((len(gap) for gap in gaps if not isinstance(gap, PllabError)), default=1)
-    # at the loss-form gaps max(nu) - nu, each arm's error within tol/(2K), so
-    # their sum within tol; the constant shift integrates against sum_i phi_i = 1
     values = []
-    for nu, result in zip(nus, selection._component_integrals(dist, gaps, tol / (2.0 * K), moment=1)):
-        if isinstance(result, PllabError):
-            raise result
-        values.append(float(nu.max()) + float(result[0].sum()))
+    for chunk in selection._chunks(nus):
+        chunk = selection._checked(chunk, tol)
+        gaps = [nu if isinstance(nu, PllabError) else float(nu.max()) - nu for nu in chunk]
+        K = max((len(gap) for gap in gaps if not isinstance(gap, PllabError)), default=1)
+        # at the loss-form gaps max(nu) - nu, each arm's error within tol/(2K), so
+        # their sum within tol; the constant shift integrates against sum_i phi_i = 1
+        for nu, result in zip(chunk, selection._component_integrals(dist, gaps, tol / (2.0 * K), moment=1)):
+            if isinstance(result, PllabError):
+                raise result
+            values.append(float(nu.max()) + float(result[0].sum()))
     return values
 
 
@@ -130,58 +132,112 @@ def regularizer_value(p, dist):
 
     Solves phi(nu) = p for the unique reward vector with nu_K = 0 (the
     selection map is a bijection onto the open simplex for laws fully
-    supported on the reals), then evaluates the conjugate.  Returns (V, nu).
+    supported on the reals; ``_phi_inverse``), then evaluates the conjugate.
+    Returns (V, nu).  p must be a 1-D finite vector of K >= 2 positive
+    entries summing to 1 within 1e-9.
     """
     p = np.asarray(p, dtype=float)
-    if np.any(p <= 0.0) or abs(p.sum() - 1.0) > 1e-9:
+    if not (p.ndim == 1 and len(p) >= 2 and np.isfinite(p).all() and (p > 0.0).all()
+            and abs(p.sum() - 1.0) <= 1e-9):
         raise DomainError("p must be a strictly interior simplex point")
     if dist.support != _FULL_LINE:
         raise SupportError("regularizer requires a law fully supported on the reals")
-    from scipy.optimize import root
-
-    K = len(p)
-
-    def phi_of(y):
-        nu = np.concatenate([y, [0.0]])
-        return selection.phi_values(-nu, dist, tol=1e-10)
-
-    def residual_fn(y):
-        return phi_of(y)[: K - 1] - p[: K - 1]
-
-    y0 = np.log(p[:-1] / p[-1])  # exact for Gumbel, a sane start elsewhere
-    best_y, best_res = None, math.inf
-    for start in (y0, np.zeros(K - 1)):
-        sol = root(residual_fn, start, method="hybr", options={"xtol": 1e-12})
-        res = float(np.max(np.abs(phi_of(sol.x) - p)))
-        if res < best_res:
-            best_y, best_res = sol.x, res
-        if res <= 1e-8:
-            break
-    if best_res > 1e-8:
-        raise RootFindFailed(best_res, "phi(nu) = p root-finding")
-    nu = np.concatenate([best_y, [0.0]])
+    nu = _phi_inverse(p, dist)
     value = float(np.dot(p, nu)) - potential(nu, dist)
     return value, nu
 
 
-# steps of one phi_1 inversion before RootFindFailed; the inversions the tests
-# and the default regscan make take 1 to 16
+# steps of one Newton solve (a phi_1 inversion, or one start of _phi_inverse)
+# before it gives up; the phi_1 inversions the tests and the default regscan
+# make take 1 to 16, the phi(nu) = p solves the tests make 1 to 23
 _NEWTON_STEPS = 100
+
+
+def _phi_inverse(p, dist):
+    """The nu with nu_K = 0 and phi(nu) = p, by damped Newton.
+
+    Each iterate nu costs one ``selection._phis`` call at tol 1e-10: phi at
+    nu and at nu + h e_j for every arm j, h = 1e-6 max(1, max |nu|), which
+    give the residual phi - p and a forward-difference Hessian H of the
+    potential, H_ij = d phi_i / d nu_j.  The step d solves H d = p - phi
+    with d_m = 0 for the arm m of the largest H_mm, and each iterate is
+    shifted to nu_K = 0.  For the exact H, whose rows sum to 0, any m gives
+    the same step; but each row of the reduced system sums to its arm's tie
+    to m alone, and a tie too weak for the differences to resolve beside the
+    row's other entries leaves the system singular.  The arm of the largest
+    H_mm is the one most strongly tied to the others.
+
+    A step that does not lower max |phi - p| is halved, or ends the start
+    once max |phi - p| is within the 1e-8 bound: from there on it meets the
+    kernel's rounding or a Hessian the differences no longer resolve.  An
+    iterate the kernel cannot evaluate counts as one that does not lower
+    it.  A start also ends at a step of at most 1e-13 (1 + max |nu|), at a
+    singular or non-finite step and after ``_NEWTON_STEPS`` iterates; an
+    error at the start itself is raised.  The starts are log(p/p_K), exact
+    for Gumbel, then 0 if the first ends above the bound: the best iterate
+    wins, and a residual above 1e-8 raises RootFindFailed with it.
+    """
+    K = len(p)
+    arms = np.arange(K)
+
+    def phi_and_hessian(nu):
+        nus = np.tile(nu, (K + 1, 1))
+        nus[arms + 1, arms] += 1e-6 * max(1.0, float(np.max(np.abs(nu))))
+        h = nus[arms + 1, arms] - nu
+        phis = []
+        for result in selection._phis(-nus, dist, 1e-10, with_prime=False):
+            if isinstance(result, PllabError):
+                raise result
+            phis.append(result[2][:, 0])
+        phis = np.array(phis)
+        return phis[0], (phis[1:].T - phis[0, :, None]) / h
+
+    best_nu, best_res = None, math.inf
+    for start in (np.log(p / p[-1]), np.zeros(K)):
+        nu, res, step = start, math.inf, np.zeros(K)
+        for _ in range(_NEWTON_STEPS):
+            trial = nu + step
+            trial -= trial[-1]
+            try:
+                phi, hess = phi_and_hessian(trial)
+            except PllabError:
+                if res == math.inf:
+                    raise
+                trial_res = math.inf
+            else:
+                trial_res = float(np.max(np.abs(phi - p)))
+            if trial_res < res:
+                nu, res = trial, trial_res
+                free = np.delete(arms, np.argmax(np.diag(hess)))
+                step = np.zeros(K)
+                try:
+                    step[free] = np.linalg.solve(hess[np.ix_(free, free)], p[free] - phi[free])
+                except np.linalg.LinAlgError:
+                    break
+                if not np.isfinite(step).all():
+                    break
+            elif res <= 1e-8:
+                break
+            else:
+                step = 0.5 * step
+            if np.max(np.abs(step)) <= 1e-13 * (1.0 + np.max(np.abs(nu))):
+                break
+        if res < best_res:
+            best_nu, best_res = nu, res
+        if best_res <= 1e-8:
+            break
+    if best_res > 1e-8:
+        raise RootFindFailed(best_res, "phi(nu) = p root-finding")
+    return best_nu
 
 
 def _phi_1_at(lam_of_c, cs, dist):
     """(phi_1, phi_1', error estimate) at each c of ``cs``, or the error raised there.
 
-    Arm 1 only, at tol 1e-10, ``selection._SCAN_ENTRIES`` loss-vector
-    entries to a kernel call.
+    Arm 1 only, at tol 1e-10, in ``selection._phis``'s chunks.
     """
-    per_call = max(selection._SCAN_ENTRIES // len(lam_of_c(0.0)), 1)
-    out = []
-    for k in range(0, len(cs), per_call):
-        for result in selection._phis([lam_of_c(c) for c in cs[k:k + per_call]], dist, 1e-10, with_prime=True,
-                                      arms=(0,)):
-            out.append(result if isinstance(result, PllabError) else (*result[2][0].tolist(), float(result[3][0])))
-    return out
+    return [result if isinstance(result, PllabError) else (*result[2][0].tolist(), float(result[3][0]))
+            for result in selection._phis([lam_of_c(c) for c in cs], dist, 1e-10, with_prime=True, arms=(0,))]
 
 
 def _phi_1_roots(lam_of_c, xs, dist, floor):

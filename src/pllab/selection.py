@@ -27,7 +27,8 @@ own one-vector calls, and its set-up to the numpy set-up it replaced.
 
 ``counterexample_scan`` returns one probe per c of the family (0, c, ..., c);
 the ``analyze-phi`` command writes its CSV rows straight from the probes.
-Both run their grids through ``_scan``, a chunk of vectors to a kernel call.
+Both run their grids through ``_scan``; ``_phis`` under it, the one phi path,
+makes one kernel call a chunk of vectors.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ _MAX_DEPTH = 40  # bisections of one starting panel before ToleranceNotMet
 _MAX_WORK = 100_000  # panels x distinct gaps in one pass before ToleranceNotMet
 _ROUNDING = 4.0 * np.finfo(float).eps  # per arm, in the check that phi sums to 1
 _TINY = np.finfo(float).tiny
-# loss-vector entries to a kernel call in a scan: a pass's arrays grow with the
+# loss-vector entries to a kernel call of ``_phis``: a pass's arrays grow with the
 # distinct gaps of its vectors, about 30 kB each, so a chunk stays within 4 MB
 _SCAN_ENTRIES = 128
 
@@ -353,25 +354,32 @@ def _checked(vectors, tol):
     return out
 
 
+def _chunks(vectors):
+    """``vectors`` read lazily in lists of ``_SCAN_ENTRIES`` entries, each sized by its first vector: one kernel call each."""
+    vectors = iter(vectors)
+    for first in vectors:
+        yield [first, *itertools.islice(vectors, max(_SCAN_ENTRIES // max(np.size(first), 1), 1) - 1)]
+
+
 def _phis(lams, dist, tol, with_prime, arms=None):
     """Per loss vector, (lam, gap, integrals, errors, evaluations, panels) at a budget of tol/4, or the error it raises.
 
-    The one phi path, one kernel call for every vector: the integral columns
-    are phi and, if asked, phi'.  Where it reads every arm, a phi that does
-    not sum to 1 within K times the error estimate, or any non-finite
-    estimate, raises ToleranceNotMet.
+    The one phi path: it yields the results in order, one kernel call a
+    chunk of ``lams`` (``_chunks``).  The integral columns are phi and, if
+    asked, phi'.  Where it reads every arm, a phi that does not sum to 1
+    within K times the error estimate, or any non-finite estimate, raises
+    ToleranceNotMet.
     """
-    lams = _checked(lams, tol)
-    gaps = [lam if isinstance(lam, DomainError) else lam - lam.min() for lam in lams]
-    out = []
-    for lam, gap, result in zip(lams, gaps, _component_integrals(dist, gaps, tol / 4.0, arms, prime=with_prime)):
-        if not isinstance(result, PllabError) and arms is None:
-            values, errs = result[:2]
-            miss = abs(math.fsum(values[:, 0]) - 1.0) if np.isfinite(values).all() else math.inf
-            if not miss <= len(gap) * (float(errs.max()) + _ROUNDING):
-                result = ToleranceNotMet(miss / len(gap), tol)  # some component is off by at least miss / K
-        out.append(result if isinstance(result, PllabError) else (lam, gap, *result))
-    return out
+    for chunk in _chunks(lams):
+        chunk = _checked(chunk, tol)
+        gaps = [lam if isinstance(lam, DomainError) else lam - lam.min() for lam in chunk]
+        for lam, gap, result in zip(chunk, gaps, _component_integrals(dist, gaps, tol / 4.0, arms, prime=with_prime)):
+            if not isinstance(result, PllabError) and arms is None:
+                values, errs = result[:2]
+                miss = abs(math.fsum(values[:, 0]) - 1.0) if np.isfinite(values).all() else math.inf
+                if not miss <= len(gap) * (float(errs.max()) + _ROUNDING):
+                    result = ToleranceNotMet(miss / len(gap), tol)  # some component is off by at least miss / K
+            yield result if isinstance(result, PllabError) else (lam, gap, *result)
 
 
 def _phi(lam, dist, tol, with_prime, arms=None):
@@ -383,27 +391,24 @@ def _phi(lam, dist, tol, with_prime, arms=None):
 
 
 def _scan(lams, dist, tol):
-    """``phi_quadrature`` at each loss vector in turn, in chunks of ``_SCAN_ENTRIES`` entries to a kernel call.
+    """``phi_quadrature`` at each loss vector in turn, through ``_phis``.
 
     Yields the probes in order and raises the first vector's error there.
     """
-    lams = iter(lams)
-    for lam in lams:
-        chunk = [lam, *itertools.islice(lams, max(_SCAN_ENTRIES // max(np.size(lam), 1), 1) - 1)]
-        for result in _phis(chunk, dist, tol, with_prime=True):
-            if isinstance(result, PllabError):
-                raise result
-            lam, gap, values, errs, n_evals, n_panels = result
-            yield SelectionProbe(
-                lam=lam,
-                lambda_gap=gap,
-                rank=np.argsort(np.argsort(lam, kind="stable")) + 1,  # ties broken by index
-                phi=values[:, 0].copy(),
-                phi_prime=values[:, 1].copy(),
-                quad_error=float(errs.max()),
-                n_evals=n_evals,
-                n_panels=n_panels,
-            )
+    for result in _phis(lams, dist, tol, with_prime=True):
+        if isinstance(result, PllabError):
+            raise result
+        lam, gap, values, errs, n_evals, n_panels = result
+        yield SelectionProbe(
+            lam=lam,
+            lambda_gap=gap,
+            rank=np.argsort(np.argsort(lam, kind="stable")) + 1,  # ties broken by index
+            phi=values[:, 0].copy(),
+            phi_prime=values[:, 1].copy(),
+            quad_error=float(errs.max()),
+            n_evals=n_evals,
+            n_panels=n_panels,
+        )
 
 
 def phi_quadrature(lam, dist: PerturbationDistribution, tol: float = 1e-8) -> SelectionProbe:

@@ -5,10 +5,13 @@ import functools
 import math
 
 import brentq_oracle
+import hybr_oracle
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 import quadpack_oracle
 import recursion_oracle
+from hypothesis import given, settings
 
 from pllab import duality, selection
 from pllab.distributions import (
@@ -79,6 +82,21 @@ class TestPotential:
             probe = duality.duality_probe(nu, dist)
             assert probe.grad_check <= 1e-5, (nu, dist)
 
+    def test_probe_potentials_go_in_chunks(self, monkeypatch):
+        # 2K + 1 = 49 potentials at K = 24, 128 // 24 = 5 loss vectors to a kernel call, each as it is alone
+        sizes = []
+        kernel = selection._component_integrals
+
+        def counted(dist, gaps, *args, moment=0, **kwargs):
+            sizes.extend([len(gaps)] if moment == 1 else [])
+            return kernel(dist, gaps, *args, moment=moment, **kwargs)
+
+        monkeypatch.setattr(selection, "_component_integrals", counted)
+        dist = SymmetricPareto(2.0)
+        probe = duality.duality_probe(np.random.default_rng(1).uniform(-2.0, 2.0, 24), dist)
+        assert sizes == [5] * 9 + [4]
+        assert probe.potential_value == duality.potential(probe.nu, dist, tol=1e-11)
+
     def test_semi_infinite_allowed_for_potential(self):
         value = duality.potential([0.0, 0.0], GeneralizedPareto(2.0))
         assert value > 0.0
@@ -125,6 +143,133 @@ class TestRegularizer:
             duality.regularizer_value([0.5, 0.5], GeneralizedPareto(2.0))
         with pytest.raises(DomainError):
             duality.regularizer_value([0.7, 0.4], Gumbel())
+        # p itself is checked before any solve, not as the loss vector it would become
+        for p in ([math.nan, 0.5], [1.0], [[0.5, 0.5]], 0.5, [0.5, math.inf, -math.inf]):
+            with pytest.raises(DomainError, match="strictly interior simplex point"):
+                duality.regularizer_value(p, Gumbel())
+
+
+def _residual(p, nu, dist):
+    """max |phi(nu) - p|, phi from the kernel at tol 1e-10."""
+    return float(np.max(np.abs(selection.phi_values(-np.asarray(nu), dist, tol=1e-10) - p)))
+
+
+class TestPhiInverse:
+    # TestRegularizer's cases and two larger K, where phi(nu) = p pins nu down well
+    WELL_CONDITIONED = [
+        ([2.0 / 3.0, 1.0 / 3.0], "gumbel"),
+        ([0.5, 0.5], "gumbel"),
+        ([0.8, 0.2], "gumbel"),
+        ([0.35, 0.65], "gumbel"),
+        ([0.55, 0.3, 0.15], "splareto:a=2"),
+        ([0.15, 0.3, 0.55], "splareto:a=2"),
+        ([0.25] * 4, "lp"),
+        ([0.1, 0.15, 0.2, 0.25, 0.3], "lp"),
+        ([0.3, 0.05, 0.1, 0.2, 0.15, 0.2], "splareto:a=3"),
+    ]
+
+    def test_newton_agrees_with_hybr(self):
+        cases = [(np.array(p), parse_dist(spec)) for p, spec in self.WELL_CONDITIONED]
+        rng = np.random.default_rng(77)  # test_legendre_consistency's probes
+        for dist in (SymmetricPareto(2.0), Gumbel(), LaplacePareto()):
+            nu0 = np.append(rng.uniform(-1.5, 1.5, size=2), 0.0)
+            cases.append((selection.phi_values(-nu0, dist, tol=1e-10), dist))
+        for p, dist in cases:
+            value, nu = duality.regularizer_value(p, dist)
+            want_value, want_nu = hybr_oracle.regularizer_value(p, dist)
+            assert nu[-1] == 0.0
+            assert np.max(np.abs(nu - want_nu)) <= 1e-12, (p, dist)
+            assert abs(value - want_value) <= 1e-12, (p, dist)
+
+    @pytest.mark.parametrize("p,spec", [
+        # plain Newton (the last arm's reward held, h = 1e-6, no halving) meets a singular Jacobian on the first two
+        ([1.0 - 1e-12, 5e-13, 5e-13], "splareto:a=2"),
+        ([1.0 - 1e-12, 5e-13, 5e-13], "gumbel"),
+        ([0.999999, 5e-7, 5e-7], "lp"),
+        ([1e-6, 1.0 - 2e-6, 1e-6], "asp:2,3"),
+        # arms 2 and 3 tie far more strongly than either does to arm 4: holding arm 4 stalls, hybr solves it
+        ([1.68040515e-07, 9.97657583e-01, 2.34224520e-03, 3.26010534e-09], "splareto:a=2"),
+    ])
+    def test_near_a_vertex(self, p, spec):
+        # the residual does not pin nu down here: only phi(nu) = p is checked
+        dist, p = parse_dist(spec), np.array(p) / math.fsum(p)
+        value, nu = duality.regularizer_value(p, dist)
+        assert nu[-1] == 0.0 and math.isfinite(value)
+        assert _residual(p, nu, dist) <= 1e-8
+
+    @pytest.mark.parametrize("p,spec", [
+        # holding arm 1, the most likely, leaves arms 2 and 3 row sums far below their tie to each other: it stalls
+        ([0.98, 0.01, 0.01], "splareto:a=0.3"),
+        # a difference step of 1e-6 max(1, |nu_j|), 1e-6 on the arm at 0, is lost in the kernel's error
+        ([5.63318353e-05, 9.99943668e-01], "splareto:a=0.6"),
+    ])
+    def test_tail_without_a_mean_solves_and_then_fails_in_the_potential(self, p, spec):
+        dist, p = parse_dist(spec), np.array(p) / math.fsum(p)
+        assert _residual(p, duality._phi_inverse(p, dist), dist) <= 1e-8
+        with pytest.raises(NonIntegrable):
+            duality.regularizer_value(p, dist)
+
+    @pytest.mark.parametrize("p,spec,most", [
+        ([2.0 / 3.0, 1.0 / 3.0], "gumbel", 1),  # the start is the root: no line search
+        ([0.25] * 4, "lp", 1),
+        ([0.55, 0.3, 0.15], "splareto:a=2", 8),
+        ([1.0 - 1e-12, 5e-13, 5e-13], "splareto:a=2", 40),
+    ])
+    def test_kernel_calls(self, monkeypatch, p, spec, most):
+        # each iterate is one kernel call on K + 1 vectors
+        calls = []
+        kernel = selection._component_integrals
+
+        def counted(dist, gaps, *args, **kwargs):
+            calls.append(len(gaps))
+            return kernel(dist, gaps, *args, **kwargs)
+
+        monkeypatch.setattr(selection, "_component_integrals", counted)
+        duality._phi_inverse(np.array(p), parse_dist(spec))
+        assert 1 <= len(calls) <= most and set(calls) == {len(p) + 1}
+
+    @pytest.mark.parametrize("u,p1,path", [
+        # the step from the start d = log 9 lands far past the root, where the synthetic kernel fails at
+        # |d| > 1000, and halving it still overshoots for a while: once it lowers the residual the start
+        # converges without the second
+        (lambda d: 10.0 * math.atan(d), 0.9,
+         lambda seen: 0.0 not in seen and any(abs(d) > 1000.0 for d in seen)),
+        # phi_1 is flat past |d| = 2, so at the start d = log 19 the Jacobian is 0: the start from 0 solves it
+        (lambda d: 2.0 * min(max(d, -2.0), 2.0), 0.95, lambda seen: seen[0] > 2.0 and 0.0 in seen),
+    ], ids=["halve", "restart"])
+    def test_safeguards_on_a_synthetic_phi(self, monkeypatch, u, p1, path):
+        # K = 2 with phi_1 = 1 / (1 + exp(-u(d))) at d = nu_1 - nu_2, an error estimate of 0, and a DomainError
+        # past |d| = 1000
+        seen = []
+
+        def phi_1(d):
+            return 1.0 / (1.0 + math.exp(-u(d)))
+
+        def phis(lams, dist, tol, with_prime, arms=None):
+            for lam in lams:
+                d = float(lam[1] - lam[0])
+                seen.append(d)
+                if abs(d) > 1000.0:
+                    yield DomainError("synthetic kernel: |d| > 1000")
+                else:
+                    yield lam, lam - lam.min(), np.array([[phi_1(d)], [1.0 - phi_1(d)]]), np.zeros(2), 0, 0
+
+        monkeypatch.setattr(selection, "_phis", phis)
+        nu = duality._phi_inverse(np.array([p1, 1.0 - p1]), SymmetricPareto(2.0))
+        assert nu[-1] == 0.0 and abs(phi_1(nu[0]) - p1) <= 1e-8
+        assert path(seen[::3])  # the iterates, without their difference steps
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(["gumbel", "splareto:a=2", "lp", "asp:2,3"]),
+           st.lists(st.floats(0.0, 1.0), min_size=2, max_size=4).filter(lambda u: sum(u) > 0.0))
+    def test_solves_interior_points(self, spec, u):
+        # p_i >= 1e-3, summing to 1 within rounding
+        dist, u = parse_dist(spec), np.array(u)
+        p = 1e-3 + (1.0 - 1e-3 * len(u)) * (u / u.sum())
+        value, nu = duality.regularizer_value(p, dist)
+        assert _residual(p, nu, dist) <= 1e-8
+        # Fenchel-Young holds with equality at p = phi(nu), the potential taken here at a tighter tol
+        assert abs(duality.potential(nu, dist, tol=1e-11) + value - float(np.dot(p, nu))) <= 1e-7
 
 
 class TestTwoArmQuantile:

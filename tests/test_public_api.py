@@ -182,6 +182,7 @@ assert cli.main(["simulate", "--policy", "ftpl:lp:m=0.23", "--env", "bern:0.1,0.
                  "--out", out + "/regret.csv"]) == 0
 root = duality.two_arm_quantile(0.3, parse_dist("splareto:a=2"))
 assert cli.main(["duality", "regscan", "--points", "3", "--out", out + "/regscan.csv"]) == 0
+duality.regularizer_value([0.55, 0.3, 0.15], parse_dist("splareto:a=2"))
 print(repr(root))
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
