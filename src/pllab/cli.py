@@ -149,12 +149,13 @@ def _cmd_duality_ift(args):
     sp = SymmetricPareto(a=2.0)
     ref_sp = np.asarray(sp.pdf(res.x_grid))
     ref_lap = 0.5 * np.exp(-np.abs(res.x_grid))
+    columns = (res.x_grid, res.pdf, res.imag_residual, res.cdf, ref_sp, ref_lap)
     lines = ["x,pdf,imag,cdf,ref_splareto2,ref_laplace"]
-    for i, x in enumerate(res.x_grid):
-        lines.append(
-            f"{x:.17g},{res.pdf[i]:.17g},{res.imag_residual[i]:.3g},"
-            f"{res.cdf[i]:.17g},{ref_sp[i]:.17g},{ref_lap[i]:.17g}"
-        )
+    # rows from Python floats, 256 at a time: the floats of all n rows at once
+    # would raise the process's peak memory by about 200 bytes a row
+    for start in range(0, len(res.x_grid), 256):
+        block = (col[start:start + 256].tolist() for col in columns)
+        lines += ["%.17g,%.17g,%.3g,%.17g,%.17g,%.17g" % row for row in zip(*block)]
     harness._write_text(args.out, "\n".join(lines) + "\n")
     final = res.cdf[-1]
     max_imag = float(np.max(np.abs(res.imag_residual)))

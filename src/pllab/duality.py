@@ -23,6 +23,7 @@ kernel call an iterate (``_phi_inverse``).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -36,6 +37,7 @@ from ._scipy import brentq  # noqa: F401
 from .errors import (
     DomainError,
     GridError,
+    NonIntegrable,
     PllabError,
     RootFindFailed,
     SupportError,
@@ -134,7 +136,8 @@ def regularizer_value(p, dist):
     selection map is a bijection onto the open simplex for laws fully
     supported on the reals; ``_phi_inverse``), then evaluates the conjugate.
     Returns (V, nu).  p must be a 1-D finite vector of K >= 2 positive
-    entries summing to 1 within 1e-9.
+    entries summing to 1 within 1e-9.  A tail index of 1 or less, where the
+    potential does not exist, raises NonIntegrable before the solve.
     """
     p = np.asarray(p, dtype=float)
     if not (p.ndim == 1 and len(p) >= 2 and np.isfinite(p).all() and (p > 0.0).all()
@@ -142,6 +145,8 @@ def regularizer_value(p, dist):
         raise DomainError("p must be a strictly interior simplex point")
     if dist.support != _FULL_LINE:
         raise SupportError("regularizer requires a law fully supported on the reals")
+    if min(dist.tail_index_left, dist.tail_index_right) <= 1.0:
+        raise NonIntegrable("the integral of z^1 f needs tail indices above 1")
     nu = _phi_inverse(p, dist)
     value = float(np.dot(p, nu)) - potential(nu, dist)
     return value, nu
@@ -351,6 +356,24 @@ def ift_frequencies(x_min: float, x_max: float, n: int):
     return (0.5 - n / 2 + k) * (2.0 * math.pi / (x_max - x_min))
 
 
+@functools.cache
+def _gauss_legendre():
+    """The 24-point Gauss-Legendre nodes and weights on [-1, 1], built on first use, read-only."""
+    x, w = np.polynomial.legendre.leggauss(24)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
+@functools.cache
+def _gauss_laguerre():
+    """The 40-point Gauss-Laguerre nodes and weights, built on first use, read-only."""
+    x, w = np.polynomial.laguerre.laggauss(40)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
 def _panels(lo, hi, width, graded=()):
     """Nodes and weights of 24-point Gauss-Legendre panels: between the ``graded`` edges below lo, then on [lo, hi].
 
@@ -358,7 +381,7 @@ def _panels(lo, hi, width, graded=()):
     """
     n_panels = int(min(150_000, max(24, math.ceil((hi - lo) / width))))
     edges = np.concatenate([graded, np.linspace(lo, hi, n_panels + 1)])
-    x_gl, w_gl = np.polynomial.legendre.leggauss(24)
+    x_gl, w_gl = _gauss_legendre()
     half = 0.5 * np.diff(edges)
     return ((edges[:-1] + half)[:, None] + half[:, None] * x_gl).ravel(), (half[:, None] * w_gl).ravel()
 
@@ -493,6 +516,12 @@ def _tsallis_nodes(beta, t_max, S):
     return tsallis_quantile(np.power(s, -a, out=s), beta), w  # p = s^-a, in place
 
 
+def _log1m(e):
+    """log(1 - e) for complex e, as 1/2 log1p(|1 - e|^2 - 1) + i arg(1 - e) without forming 1 - e."""
+    re, im = e.real, e.imag
+    return 0.5 * np.log1p(re * (re - 2.0) + im * im) + 1j * np.arctan2(-im, 1.0 - re)
+
+
 def _tsallis_tail(beta, ts, S):
     """T(t) = 2 integral_0^eps cos(t c(p)) dp of ``tsallis_quantile`` at eps = S^(-1/(1-beta)), for t > 0.
 
@@ -504,13 +533,20 @@ def _tsallis_tail(beta, ts, S):
     Anal. 44(3), 2006): exp(-t coef y) is the Gauss-Laguerre weight in
     x = t coef y, and for t coef S >= 4 the rest is smooth enough that 40
     nodes reach rounding.
+
+    (1 - s^-a)^(beta-1) is exp((beta-1) log(1 - e)) with e = s^-a, and
+    |e| <= S^-a <= 1/32 (``_tail_start``).  The log is taken from the real
+    and imaginary parts of e (``_log1m``), not of 1 - e: rounding 1 - e
+    costs the log about 1e-16 / |e| of relative accuracy (up to 2.8e-10 at
+    the defaults), and numpy's complex log takes a slow path for values near
+    the unit circle, where 1 - e lies.
     """
     coef, a = beta / (1.0 - beta), 1.0 / (1.0 - beta)
-    x, w = np.polynomial.laguerre.laggauss(40)
+    x, w = _gauss_laguerre()
     tc = (ts * coef)[:, None]
     log_s = np.log(S - 1j * x / tc)
     # i t c(s) + x on the path, the Laguerre weight taken out
-    phase = 1j * tc * (np.exp((beta - 1.0) * np.log(1.0 - np.exp(-a * log_s))) - S)
+    phase = 1j * tc * (np.exp((beta - 1.0) * _log1m(np.exp(-a * log_s))) - S)
     # ds = -i dx / (t coef), and 2 Re(-i z) = 2 Im z
     return 2.0 * a * (np.exp(phase - (a + 1.0) * log_s) @ w).imag / (ts * coef)
 

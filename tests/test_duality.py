@@ -148,6 +148,15 @@ class TestRegularizer:
             with pytest.raises(DomainError, match="strictly interior simplex point"):
                 duality.regularizer_value(p, Gumbel())
 
+    def test_tail_without_a_mean_raises_before_the_solve(self, monkeypatch):
+        # near this vertex phi(nu) = p cannot be solved to 1e-8 under splareto:a=0.6
+        # (RootFindFailed, residual 2.6e-8, after 200 kernel calls); the potential
+        # does not exist there either, and that is checked first
+        monkeypatch.setattr(selection, "_phis", lambda *a, **kw: pytest.fail("the solve ran"))
+        p = np.array([0.954809391, 3.71901559e-7, 0.0451902372])
+        with pytest.raises(NonIntegrable, match="tail indices above 1"):
+            duality.regularizer_value(p / math.fsum(p), parse_dist("splareto:a=0.6"))
+
 
 def _residual(p, nu, dist):
     """max |phi(nu) - p|, phi from the kernel at tol 1e-10."""
@@ -480,6 +489,31 @@ class TestCharFn:
         near = duality._tsallis_gbar(beta, -x_max, x_max, n, start)
         far = duality._tsallis_gbar(beta, -x_max, x_max, n, 4.0 * start)
         assert np.max(np.abs(near - far)) <= 1e-12
+
+    def test_tail_log_is_accurate(self):
+        # log(1 - e) over the tail's range |e| <= S^-a <= 1/32, every phase, against
+        # -sum_{k <= 12} e^k / k (truncated below 1e-19 relative there), by Horner
+        rng = np.random.default_rng(29)
+        e = 10.0 ** rng.uniform(-9.0, math.log10(1.0 / 32.0), 20_000)
+        e = e * np.exp(1j * np.concatenate([rng.uniform(-math.pi, math.pi, 19_992),
+                                             np.arange(-3, 5) * (math.pi / 4.0)]))
+        ref = np.zeros_like(e)
+        for k in range(12, 0, -1):
+            ref = e * (1.0 / k + ref)
+        ref = -ref
+        assert np.all(np.abs(duality._log1m(e) - ref) <= 1e-15 * np.abs(ref))
+
+    @pytest.mark.parametrize("rule,build", [
+        (duality._gauss_legendre, lambda: np.polynomial.legendre.leggauss(24)),
+        (duality._gauss_laguerre, lambda: np.polynomial.laguerre.laggauss(40)),
+    ], ids=["legendre", "laguerre"])
+    def test_gauss_rules_are_built_once_and_read_only(self, rule, build):
+        assert rule() is rule()
+        for cached, fresh in zip(rule(), build()):
+            assert np.array_equal(cached, fresh)
+            assert not cached.flags.writeable
+            with pytest.raises(ValueError):
+                cached[0] = 0.0
 
 
 @pytest.fixture(scope="module")

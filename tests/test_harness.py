@@ -6,8 +6,8 @@ import os
 import numpy as np
 import pytest
 
-from pllab import cli, harness, selection
-from pllab.distributions import PerturbationDistribution
+from pllab import cli, duality, harness, selection
+from pllab.distributions import PerturbationDistribution, SymmetricPareto
 from pllab.environments import checkpoint_grid
 from pllab.errors import DomainError, ScheduleExhausted
 
@@ -584,6 +584,22 @@ class TestCli:
         assert cli.main(["duality", "sanity-normal", "--n", "32768"]) == 0
         sup = float(capsys.readouterr().out.split("= ")[1].split()[0])
         assert sup <= 1e-4
+
+    @pytest.mark.parametrize("n", [64, 2048])
+    def test_ift_csv_round_trips(self, tmp_path, n):
+        # every .17g field reads back as the float it was written from; imag has 3 digits
+        out = tmp_path / "ift.csv"
+        argv = ["duality", "ift", "--out", str(out)] + (["--n", str(n)] if n != 2048 else [])
+        assert cli.main(argv) == 0
+        header, *rows = out.read_text().splitlines()
+        assert header == "x,pdf,imag,cdf,ref_splareto2,ref_laplace" and len(rows) == n
+        res = duality.tsallis_ift_pipeline(n=n)
+        columns = [res.x_grid, res.pdf, res.cdf, SymmetricPareto(2.0).pdf(res.x_grid),
+                   0.5 * np.exp(-np.abs(res.x_grid))]
+        fields = [row.split(",") for row in rows]
+        for j, column in zip((0, 1, 3, 4, 5), columns):
+            assert [float(f[j]) for f in fields] == np.asarray(column).tolist(), header.split(",")[j]
+        assert [f[2] for f in fields] == [format(v, ".3g") for v in res.imag_residual.tolist()]
 
     def test_duality_subcommands(self, tmp_path):
         assert cli.main(["duality", "sanity-normal"]) == 0

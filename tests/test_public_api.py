@@ -169,11 +169,12 @@ def test_bench_tracer_wraps_the_uncalled_duality_brentq(monkeypatch):
 
 # other test modules import scipy into this process, so the check runs in a
 # fresh interpreter: the import, a phi scan, a short simulation and both phi_1
-# inversions load no scipy module
+# inversions load no scipy module, and the import builds no Gauss rule
 NO_SCIPY_SCRIPT = """
 import sys
 from pllab import cli, duality
 from pllab.distributions import parse_dist
+built = [rule.cache_info().currsize for rule in (duality._gauss_legendre, duality._gauss_laguerre)]
 out = sys.argv[1]
 assert cli.main(["analyze-phi", "--dist", "splareto:a=2", "--lambda", "0,c,c",
                  "--c-grid", "0:1:0.5", "--out", out + "/phi.csv"]) == 0
@@ -183,6 +184,7 @@ assert cli.main(["simulate", "--policy", "ftpl:lp:m=0.23", "--env", "bern:0.1,0.
 root = duality.two_arm_quantile(0.3, parse_dist("splareto:a=2"))
 assert cli.main(["duality", "regscan", "--points", "3", "--out", out + "/regscan.csv"]) == 0
 duality.regularizer_value([0.55, 0.3, 0.15], parse_dist("splareto:a=2"))
+print(built)
 print(repr(root))
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
@@ -196,7 +198,8 @@ def test_import_and_phi_scan_and_simulation_load_no_scipy(tmp_path):
         capture_output=True, text=True, check=True,
     )
     # the commands print their own lines first
-    root, loaded = proc.stdout.splitlines()[-2:]
+    built, root, loaded = proc.stdout.splitlines()[-3:]
+    assert built == "[0, 0]"
     want, tol = TWO_ARM_GOLDEN[0.3]
     assert abs(float(root) - want) <= tol
     assert loaded == "[]"
