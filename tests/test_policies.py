@@ -8,9 +8,9 @@ import pytest
 from brentq_oracle import kkt_residual
 from ftpl_oracle import ftpl_select
 
-from pllab import duality
+from pllab import duality, policies
 from pllab.distributions import Gumbel, LaplacePareto, PerturbationDistribution, SymmetricPareto, parse_dist
-from pllab.errors import DomainError
+from pllab.errors import DomainError, SolverDiverged
 from pllab.harness import COUNTERS
 from pllab.policies import (
     TAPE_CHUNK,
@@ -293,6 +293,86 @@ class TestFtrlSolver:
         _, p = ftrl_select(state, Tsallis(0.5))
         assert np.all(p > 0.0)
         assert abs(p.sum() - 1.0) <= 1e-10
+
+    @pytest.mark.parametrize("where", [0, 3, -1], ids=["first", "middle", "last"])
+    def test_nan_loss_raises_wherever_it_sits(self, where):
+        # Python's min() passes over a NaN that is not first; the defect must still see it
+        for beta in (0.3, 0.5):
+            q = [0.5, 1.0, 2.0, 0.0, 3.0]
+            q[where] = math.nan
+            with pytest.raises(SolverDiverged):
+                tsallis_weights(q, beta)
+            with pytest.raises(SolverDiverged):
+                tsallis_weights(np.array(q), beta, 0.0)
+
+    @pytest.mark.parametrize("beta", [0.0, 1.0, 1.5, math.nan])
+    def test_beta_outside_the_unit_interval_is_a_domain_error(self, beta):
+        # not a ZeroDivisionError, nor an OverflowError from x ** expo once expo > 0
+        with pytest.raises(DomainError):
+            tsallis_weights([0.0, 1e200], beta)
+
+    @pytest.mark.parametrize("where", [0, 2, -1], ids=["first", "middle", "last"])
+    def test_infinite_loss_gets_weight_zero(self, where):
+        q = [0.5, 1.0, 2.0, 0.25]
+        finite = [v for i, v in enumerate(q) if i != where % len(q)]
+        q[where] = math.inf
+        for start in (None, -5.0):
+            p, c, _ = tsallis_weights(q, 0.5, start)
+            assert p[where] == 0.0 and abs(p.sum() - 1.0) <= 1e-15
+            p_finite, c_finite, _ = tsallis_weights(finite, 0.5)
+            np.testing.assert_allclose(np.delete(p, where % len(q)), p_finite, rtol=0, atol=1e-15)
+            assert abs(c - c_finite) <= 1e-14
+
+
+class _FixedUniform:
+    """Stands in for a run's generator: ``random()`` returns the given u."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+class TestFtrlDraw:
+    """ftrl_select's arm is min(searchsorted(cumsum(p), u, side="right"), K - 1)."""
+
+    @staticmethod
+    def _draw(monkeypatch, p, u):
+        # the Tsallis weights are replaced by p, and the run's uniform by u
+        monkeypatch.setattr(policies, "tsallis_weights", lambda q, beta, start: (np.asarray(p), 0.0, 1))
+        state = PolicyState.fresh(len(p), 1.0, _FixedUniform(u))
+        arm, got = ftrl_select(state, Tsallis(0.5))
+        assert got.tolist() == list(p)
+        return arm
+
+    @staticmethod
+    def _reference(p, u):
+        return min(int(np.searchsorted(np.cumsum(p), u, side="right")), len(p) - 1)
+
+    def test_seeded_weights(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        for _ in range(300):
+            k = int(rng.choice([1, 2, 3, 8, 50]))
+            p = rng.dirichlet(np.full(k, rng.choice([0.1, 1.0, 10.0])))
+            u = rng.random()
+            assert self._draw(monkeypatch, p, u) == self._reference(p, u)
+
+    @pytest.mark.parametrize("p", [[0.25, 0.25, 0.5], [0.0, 0.5, 0.5], [0.1, 0.2, 0.3, 0.4]])
+    def test_uniform_equal_to_a_partial_sum(self, monkeypatch, p):
+        # u equal to a partial sum goes to the next arm with positive weight, as side="right" does
+        for u in [0.0, *np.cumsum(p)[:-1]]:
+            assert self._draw(monkeypatch, p, u) == self._reference(p, u)
+        assert self._draw(monkeypatch, [0.0, 0.5, 0.5], 0.0) == 1
+
+    def test_partial_sums_one_ulp_below_one_clip_to_the_last_arm(self, monkeypatch):
+        p = [0.1] * 10
+        total = np.cumsum(p)[-1]
+        assert total == np.nextafter(1.0, 0.0)
+        # the largest double below 1, a value Generator.random can return
+        for u in (total, np.nextafter(total, 0.0)):
+            assert self._reference(p, u) == self._draw(monkeypatch, p, u)
+        assert self._draw(monkeypatch, p, total) == 9
 
 
 class TestExp3Equivalence:
