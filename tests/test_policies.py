@@ -294,12 +294,13 @@ class TestFtrlSolver:
         assert np.all(p > 0.0)
         assert abs(p.sum() - 1.0) <= 1e-10
 
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf], ids=["nan", "-inf"])
     @pytest.mark.parametrize("where", [0, 3, -1], ids=["first", "middle", "last"])
-    def test_nan_loss_raises_wherever_it_sits(self, where):
+    def test_nan_or_minus_inf_loss_raises_wherever_it_sits(self, where, bad):
         # Python's min() passes over a NaN that is not first; the defect must still see it
         for beta in (0.3, 0.5):
             q = [0.5, 1.0, 2.0, 0.0, 3.0]
-            q[where] = math.nan
+            q[where] = bad
             with pytest.raises(SolverDiverged):
                 tsallis_weights(q, beta)
             with pytest.raises(SolverDiverged):
