@@ -105,7 +105,8 @@ def _cmd_analyze_phi(args):
     grid = _parse_grid(args.c_grid)
     lam = _lambda_template(args.lam)
     lines = ["c,i,sigma_i,phi,phi_prime,ratio_1,ratio_32,quad_error"]
-    for c, probe in zip(grid.tolist(), selection._scan((lam(c) for c in grid), dist, args.tol)):
+    cs = grid.tolist()  # Python floats, which overflow to inf in lam without a numpy warning
+    for c, probe in zip(cs, selection._phis((lam(c) for c in cs), dist, args.tol, with_prime=True)):
         if args.stats:
             print(f"stats: c={c:.17g} evals={probe.n_evals} panels={probe.n_panels} "
                   f"quad_error={probe.quad_error:.3g}", file=sys.stderr)
@@ -170,7 +171,10 @@ def _cmd_duality_regscan(args):
         raise PllabError(f"--x {args.x!r} must read lo:hi")
     if not 1 <= args.points <= _MAX_GRID_POINTS:
         raise PllabError(f"--points must lie in [1, {_MAX_GRID_POINTS}], got {args.points}")
-    grid = np.linspace(_number(lo, args.x), _number(hi, args.x), args.points)
+    ends = _number(lo, args.x), _number(hi, args.x)
+    if not all(map(math.isfinite, ends)):
+        raise PllabError(f"--x {args.x!r} needs finite ends")
+    grid = np.linspace(*ends, args.points)
     rows = duality.three_arm_regularizer_scan(grid, dist)
     lines = ["x,c,lower,upper,tsallis_ref"]
     ok = True

@@ -18,7 +18,10 @@ Newton iteration on the phi_1' the selection kernel returns beside it
 one batched kernel call per chunk of the points still iterating, and each
 gets the root of its one-point solve.  ``regularizer_value`` solves
 phi(nu) = p by damped Newton on a forward-difference Hessian, one batched
-kernel call an iterate (``_phi_inverse``).
+kernel call an iterate (``_phi_inverse``).  Both read the
+``selection.SelectionProbe``s that ``selection._phis`` yields, one per
+loss vector in order, until it raises the error of the first vector that
+fails.
 """
 
 from __future__ import annotations
@@ -84,8 +87,7 @@ def _potentials(nus, dist, tol):
     Raises what the first vector that fails raises on its own.
     """
     values = []
-    for chunk in selection._chunks(nus):
-        chunk = selection._checked(chunk, tol)
+    for chunk in selection._chunks(nus, tol):
         gaps = [nu if isinstance(nu, PllabError) else float(nu.max()) - nu for nu in chunk]
         K = max((len(gap) for gap in gaps if not isinstance(gap, PllabError)), default=1)
         # at the loss-form gaps max(nu) - nu, each arm's error within tol/(2K), so
@@ -189,12 +191,7 @@ def _phi_inverse(p, dist):
         nus = np.tile(nu, (K + 1, 1))
         nus[arms + 1, arms] += 1e-6 * max(1.0, float(np.max(np.abs(nu))))
         h = nus[arms + 1, arms] - nu
-        phis = []
-        for result in selection._phis(-nus, dist, 1e-10, with_prime=False):
-            if isinstance(result, PllabError):
-                raise result
-            phis.append(result[2][:, 0])
-        phis = np.array(phis)
+        phis = np.array([probe.phi for probe in selection._phis(-nus, dist, 1e-10, with_prime=False)])
         return phis[0], (phis[1:].T - phis[0, :, None]) / h
 
     best_nu, best_res = None, math.inf
@@ -237,12 +234,17 @@ def _phi_inverse(p, dist):
 
 
 def _phi_1_at(lam_of_c, cs, dist):
-    """(phi_1, phi_1', error estimate) at each c of ``cs``, or the error raised there.
+    """(phi_1, phi_1', error estimate) at each c of ``cs`` up to the first that fails, then the error raised there.
 
     Arm 1 only, at tol 1e-10, in ``selection._phis``'s chunks.
     """
-    return [result if isinstance(result, PllabError) else (*result[2][0].tolist(), float(result[3][0]))
-            for result in selection._phis([lam_of_c(c) for c in cs], dist, 1e-10, with_prime=True, arms=(0,))]
+    out = []
+    try:
+        for probe in selection._phis([lam_of_c(c) for c in cs], dist, 1e-10, with_prime=True, arms=(0,)):
+            out.append((float(probe.phi[0]), float(probe.phi_prime[0]), probe.quad_error))
+    except PllabError as exc:
+        out.append(exc)
+    return out
 
 
 def _phi_1_roots(lam_of_c, xs, dist, floor):
@@ -458,10 +460,11 @@ def _check_grid(x_min, x_max, n):
     # the pipelines mirror the upper n // 2 frequencies into n samples, so n >= 2
     if n < 2 or n & (n - 1) != 0:
         raise GridError(f"n must be a power of two of at least 2, got {n}")
-    if not (math.isfinite(x_min) and math.isfinite(x_max)):
-        raise GridError(f"the x range [{x_min}, {x_max}] must be finite")
     if not x_max > x_min:
         raise GridError("x_max must exceed x_min")
+    # the width, and the top frequency (n/2 - 1/2) 2 pi / width that sizes the quadrature panels, must not overflow
+    if not (math.isfinite(x_max - x_min) and math.isfinite((n / 2 - 0.5) * (2.0 * math.pi / (x_max - x_min)))):
+        raise GridError(f"the x range [{x_min}, {x_max}] must have a finite width and top frequency")
 
 
 def ift_density(gbar, x_min: float, x_max: float, n: int) -> IftResult:

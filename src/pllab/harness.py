@@ -136,8 +136,11 @@ def simulate_run(config: ExperimentConfig, run_index: int):
 
     losses = loss_rows(model, 1, config.horizon, env_rng)
     arms = np.empty(config.horizon, dtype=int)
-    for t in range(config.horizon):
-        arms[t] = policy.step(state, losses[t])
+    # a perturbation over eta that overflows reads +-inf, as one that overflows in sample_array
+    # does; entered once a run, since entering it costs about a tenth of an FTPL round
+    with np.errstate(over="ignore"):
+        for t in range(config.horizon):
+            arms[t] = policy.step(state, losses[t])
     checkpoints, curve = regret(arms, losses, model)
     counters = {key: getattr(state, key) for key in COUNTERS}
     counters["wall_s"] = time.perf_counter() - start

@@ -25,10 +25,12 @@ it alone.  The tests hold the kernel to the scalar QUADPACK loop it
 replaced, to a Monte-Carlo estimate of the argmin frequencies and to its
 own one-vector calls, and its set-up to the numpy set-up it replaced.
 
-``counterexample_scan`` returns one probe per c of the family (0, c, ..., c);
-the ``analyze-phi`` command writes its CSV rows straight from the probes.
-Both run their grids through ``_scan``; ``_phis`` under it, the one phi path,
-makes one kernel call a chunk of vectors.
+Every phi evaluation goes through ``_phis``, which makes one kernel call a
+chunk of loss vectors and yields one ``SelectionProbe`` per vector, in
+order; at the first vector that fails it raises that vector's error, after
+the probes before it.  ``counterexample_scan`` returns one probe per c of
+the family (0, c, ..., c), and the ``analyze-phi`` command writes its CSV
+rows straight from the probes.
 """
 
 from __future__ import annotations
@@ -82,23 +84,28 @@ _WEIGHTS[1, 1::2] = np.r_[_WG, _WG[-2::-1]]
 class SelectionProbe:
     """Quadrature result for one loss vector.
 
-    ``rank[i]`` is the 1-based rank of lambda_i in nondecreasing order (ties
-    broken by index), ``ratio_1 = -phi'/phi`` and ``ratio_32 = -phi'/phi^1.5``
-    are the stability ratios (nan where phi underflows to 0), and
-    ``quad_error`` bounds the absolute quadrature error of any single
-    component.  ``n_evals`` counts integrand evaluations (one per node and
-    distinct gap) and ``n_panels`` the Gauss-Kronrod panels evaluated, over
-    every refinement pass.
+    ``phi`` and ``phi_prime`` hold the arms the probe read (every arm but
+    in ``duality``'s phi_1 inversions); ``phi_prime`` is None where it was
+    not asked for.  ``rank[i]`` is the 1-based rank of lambda_i in
+    nondecreasing order (ties broken by index), ``ratio_1 = -phi'/phi`` and
+    ``ratio_32 = -phi'/phi^1.5`` are the stability ratios (nan where phi
+    underflows to 0), and ``quad_error`` bounds the absolute quadrature
+    error of any single component read.  ``n_evals`` counts integrand
+    evaluations (one per node and distinct gap) and ``n_panels`` the
+    Gauss-Kronrod panels evaluated, over every refinement pass.
     """
 
     lam: np.ndarray
     lambda_gap: np.ndarray
-    rank: np.ndarray
     phi: np.ndarray
-    phi_prime: np.ndarray
+    phi_prime: np.ndarray | None
     quad_error: float
     n_evals: int
     n_panels: int
+
+    @functools.cached_property
+    def rank(self):
+        return np.argsort(np.argsort(self.lam, kind="stable")) + 1  # ties broken by index
 
     @functools.cached_property
     def ratio_1(self):
@@ -343,72 +350,47 @@ def _loss_vector(lam, tol):
     return lam
 
 
-def _checked(vectors, tol):
-    """Each vector through ``_loss_vector``, or the DomainError it raises there."""
-    out = []
-    for v in vectors:
-        try:
-            out.append(_loss_vector(v, tol))
-        except DomainError as exc:
-            out.append(exc)
-    return out
+def _chunks(vectors, tol):
+    """``vectors`` read lazily in lists of ``_SCAN_ENTRIES`` entries, each sized by its first vector.
 
-
-def _chunks(vectors):
-    """``vectors`` read lazily in lists of ``_SCAN_ENTRIES`` entries, each sized by its first vector: one kernel call each."""
+    One kernel call a list.  Each entry is its vector through
+    ``_loss_vector``, or the DomainError it raises there.
+    """
     vectors = iter(vectors)
     for first in vectors:
-        yield [first, *itertools.islice(vectors, max(_SCAN_ENTRIES // max(np.size(first), 1), 1) - 1)]
+        chunk = []
+        for v in (first, *itertools.islice(vectors, max(_SCAN_ENTRIES // max(np.size(first), 1), 1) - 1)):
+            try:
+                chunk.append(_loss_vector(v, tol))
+            except DomainError as exc:
+                chunk.append(exc)
+        yield chunk
 
 
 def _phis(lams, dist, tol, with_prime, arms=None):
-    """Per loss vector, (lam, gap, integrals, errors, evaluations, panels) at a budget of tol/4, or the error it raises.
+    """One ``SelectionProbe`` per loss vector of ``lams``, in order, at a budget of tol/4.
 
-    The one phi path: it yields the results in order, one kernel call a
-    chunk of ``lams`` (``_chunks``).  The integral columns are phi and, if
-    asked, phi'.  Where it reads every arm, a phi that does not sum to 1
-    within K times the error estimate, or any non-finite estimate, raises
-    ToleranceNotMet.
+    The one phi path: one kernel call a chunk of ``lams`` (``_chunks``).  It
+    yields the probes before the first vector that fails, then raises that
+    vector's error.  ``phi`` and, if asked, ``phi_prime`` hold the read
+    arms (``arms`` defaults to all), and ``quad_error`` is the largest
+    estimate among them.  Where it reads every arm, a phi that does not sum
+    to 1 within K times the error estimate, or any non-finite estimate,
+    raises ToleranceNotMet.
     """
-    for chunk in _chunks(lams):
-        chunk = _checked(chunk, tol)
+    for chunk in _chunks(lams, tol):
         gaps = [lam if isinstance(lam, DomainError) else lam - lam.min() for lam in chunk]
         for lam, gap, result in zip(chunk, gaps, _component_integrals(dist, gaps, tol / 4.0, arms, prime=with_prime)):
-            if not isinstance(result, PllabError) and arms is None:
-                values, errs = result[:2]
+            if isinstance(result, PllabError):
+                raise result
+            values, errs, n_evals, n_panels = result
+            if arms is None:
                 miss = abs(math.fsum(values[:, 0]) - 1.0) if np.isfinite(values).all() else math.inf
                 if not miss <= len(gap) * (float(errs.max()) + _ROUNDING):
-                    result = ToleranceNotMet(miss / len(gap), tol)  # some component is off by at least miss / K
-            yield result if isinstance(result, PllabError) else (lam, gap, *result)
-
-
-def _phi(lam, dist, tol, with_prime, arms=None):
-    """``_phis`` of one loss vector: its tuple, or the error raised."""
-    (result,) = _phis([lam], dist, tol, with_prime, arms)
-    if isinstance(result, PllabError):
-        raise result
-    return result
-
-
-def _scan(lams, dist, tol):
-    """``phi_quadrature`` at each loss vector in turn, through ``_phis``.
-
-    Yields the probes in order and raises the first vector's error there.
-    """
-    for result in _phis(lams, dist, tol, with_prime=True):
-        if isinstance(result, PllabError):
-            raise result
-        lam, gap, values, errs, n_evals, n_panels = result
-        yield SelectionProbe(
-            lam=lam,
-            lambda_gap=gap,
-            rank=np.argsort(np.argsort(lam, kind="stable")) + 1,  # ties broken by index
-            phi=values[:, 0].copy(),
-            phi_prime=values[:, 1].copy(),
-            quad_error=float(errs.max()),
-            n_evals=n_evals,
-            n_panels=n_panels,
-        )
+                    raise ToleranceNotMet(miss / len(gap), tol)  # some component is off by at least miss / K
+            yield SelectionProbe(lam=lam, lambda_gap=gap, phi=values[:, 0].copy(),
+                                 phi_prime=values[:, 1].copy() if with_prime else None,
+                                 quad_error=float(errs.max()), n_evals=n_evals, n_panels=n_panels)
 
 
 def phi_quadrature(lam, dist: PerturbationDistribution, tol: float = 1e-8) -> SelectionProbe:
@@ -418,7 +400,7 @@ def phi_quadrature(lam, dist: PerturbationDistribution, tol: float = 1e-8) -> Se
     of every component within ``tol``, or when phi misses 1 by more than K
     times that estimate.
     """
-    (probe,) = _scan([lam], dist, tol)
+    (probe,) = _phis([lam], dist, tol, with_prime=True)
     return probe
 
 
@@ -428,7 +410,8 @@ def phi_values(lam, dist, tol: float = 1e-9):
     Raises ToleranceNotMet when the kernel cannot meet ``tol``, or when phi
     misses 1 by more than K times its error estimate.
     """
-    return _phi(lam, dist, tol, with_prime=False)[2][:, 0].copy()
+    (probe,) = _phis([lam], dist, tol, with_prime=False)
+    return probe.phi
 
 
 def counterexample_scan(dist, K, c_grid):
@@ -442,4 +425,4 @@ def counterexample_scan(dist, K, c_grid):
     c_grid = np.asarray(list(c_grid), dtype=float)
     if K >= 3 and np.any(c_grid < 2.0 * math.sqrt(K) - 1e-12):
         raise DomainError(f"for K >= 3 the grid must start at 2 sqrt(K) = {2*math.sqrt(K):.4f}")
-    return list(_scan((np.concatenate([[0.0], np.full(K - 1, c)]) for c in c_grid), dist, 1e-8))
+    return list(_phis((np.concatenate([[0.0], np.full(K - 1, c)]) for c in c_grid), dist, 1e-8, with_prime=True))

@@ -70,8 +70,8 @@ def phi_1_root(lam_of_c, x, dist, lo):
 
     @functools.lru_cache(maxsize=None)
     def g(c):
-        values = selection._phi(lam_of_c(c), dist, 1e-10, with_prime=False, arms=(0,))[2]
-        return float(values[0, 0]) - x
+        (probe,) = selection._phis([lam_of_c(c)], dist, 1e-10, with_prime=False, arms=(0,))
+        return float(probe.phi[0]) - x
 
     hi = 4.0
     while g(lo) > 0.0 or g(hi) < 0.0:

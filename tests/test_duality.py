@@ -255,13 +255,14 @@ class TestPhiInverse:
             return 1.0 / (1.0 + math.exp(-u(d)))
 
         def phis(lams, dist, tol, with_prime, arms=None):
-            for lam in lams:
-                d = float(lam[1] - lam[0])
-                seen.append(d)
+            ds = [float(lam[1] - lam[0]) for lam in lams]
+            seen.extend(ds)  # every vector handed over, as the real kernel checks a whole chunk first
+            for lam, d in zip(lams, ds):
                 if abs(d) > 1000.0:
-                    yield DomainError("synthetic kernel: |d| > 1000")
-                else:
-                    yield lam, lam - lam.min(), np.array([[phi_1(d)], [1.0 - phi_1(d)]]), np.zeros(2), 0, 0
+                    raise DomainError("synthetic kernel: |d| > 1000")
+                yield selection.SelectionProbe(lam=lam, lambda_gap=lam - lam.min(),
+                                               phi=np.array([phi_1(d), 1.0 - phi_1(d)]), phi_prime=None,
+                                               quad_error=0.0, n_evals=0, n_panels=0)
 
         monkeypatch.setattr(selection, "_phis", phis)
         nu = duality._phi_inverse(np.array([p1, 1.0 - p1]), SymmetricPareto(2.0))
@@ -325,7 +326,8 @@ class TestPhi1Inversion:
         assert three[0] == 0.0
         for c, x, lam_of_c, lo in cases:
             want = brentq_oracle.phi_1_root(lam_of_c, x, dist, lo)
-            slope = selection._phi(lam_of_c(want), dist, 1e-10, with_prime=True, arms=(0,))[2][0, 1]
+            (probe,) = selection._phis([lam_of_c(want)], dist, 1e-10, with_prime=True, arms=(0,))
+            slope = probe.phi_prime[0]
             assert abs(c - want) <= 1e-10 / abs(slope), (x, c, want)
 
     @pytest.mark.parametrize("u,du,x,fallback", [

@@ -2,6 +2,7 @@
 
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -269,6 +270,13 @@ class TestCli:
                 "--runs", "1", "--seed", "0"]
         assert cli.main(argv) == 0
 
+    def test_ftpl_at_tiny_m_runs(self):
+        # r / eta overflows to +-inf, as a perturbation that overflows when drawn does; under the
+        # warnings-as-errors filter a numpy overflow warning would fail the run
+        argv = ["simulate", "--policy", "ftpl:frechet:0.5:m=1e-300", "--env", "bern:0.5,0.1", "--T", "200",
+                "--runs", "1", "--seed", "1", "--threads", "1"]
+        assert cli.main(argv) == 0
+
     def test_bad_policy_spec_is_usage_error(self, tmp_path):
         rc = cli.main(
             ["simulate", "--policy", "ftpl:nope:m=1", "--env", "bern:0.1,0.2",
@@ -512,6 +520,9 @@ class TestCli:
             SIM + ["--policy", "ftpl:laplace:1e155:m=1", "--env", "bern:0.1,0.2"],
             # a generalized Pareto scale^-(shape+2), the power in f' at 0, beyond the float range
             ["check-dist", "--dist", "gpd:320,0.1"],
+            # finite ends whose top frequency, or whose width, overflows
+            ["duality", "ift", "--xmin=0", "--xmax", "1e-308", "--n", "4", "--out", "unused.csv"],
+            ["duality", "ift", "--xmin=-1e308", "--xmax", "1e308", "--out", "unused.csv"],
         ],
         ids=["policy-m", "policy-cap", "tsallis-m-nan", "tsallis-m-inf", "ftpl-m-nan", "shannon-m-nan", "cap-zero",
              "cap-negative", "switch-missing-mu", "bern-number", "sched-number", "sched-short",
@@ -532,7 +543,8 @@ class TestCli:
              "verdict-m-zero-stolp", "verdict-K-negative-advlp", "verdict-K-negative-tsallisref",
              "verdict-m-inf", "verdict-m-nan", "verdict-gap-nan", "verdict-gap-negative",
              "check-dist-laplace-rate-squared-overflow", "phi-laplace-rate-squared-overflow",
-             "ftpl-laplace-rate-squared-overflow", "check-dist-gpd-density-overflow"],
+             "ftpl-laplace-rate-squared-overflow", "check-dist-gpd-density-overflow", "ift-top-frequency-overflow",
+             "ift-width-overflow"],
     )
     def test_bad_input_is_usage_error(self, capsys, tmp_path, monkeypatch, argv):
         monkeypatch.chdir(tmp_path)
@@ -557,6 +569,24 @@ class TestCli:
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "unused.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        # c is a Python float, so 1e308 c overflows to inf without a numpy scalar's warning
+        ["analyze-phi", "--dist", "lp", "--lambda", "0,1e308c", "--c-grid", "10:10"],
+        # a non-finite end, rejected before np.linspace would warn of an invalid value
+        ["duality", "regscan", "--x", "0.4:inf", "--points", "2", "--out", "unused.csv"],
+        ["duality", "regscan", "--x", "inf:inf", "--points", "1", "--out", "unused.csv"],
+    ], ids=["lambda-overflow", "regscan-x-inf", "regscan-x-both-inf"])
+    def test_usage_error_prints_no_warning(self, capsys, tmp_path, monkeypatch, argv):
+        # numpy's own warnings are attributed to numpy, out of reach of the pyproject filter: record them all
+        monkeypatch.chdir(tmp_path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        assert [str(w.message) for w in caught] == []
         assert not (tmp_path / "unused.csv").exists()
 
     def test_ift_takes_no_eps(self, tmp_path):

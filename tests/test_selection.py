@@ -348,25 +348,56 @@ class TestScans:
         assert abs(slope) < 0.01  # bounded, in contrast with the symmetric case
 
 
+class TestProbeStream:
+    """``_phis``: one probe per loss vector in order, then the error of the first vector that fails."""
+
+    def test_non_finite_vector_raises_after_the_probes_before_it(self):
+        seen = []
+        with pytest.raises(DomainError, match="finite"):
+            for probe in selection._phis([[0.0, 1.0], [0.0, math.nan], [0.0, 2.0]], Gumbel(), 1e-8, with_prime=True):
+                seen.append(probe)
+        assert len(seen) == 1 and seen[0].lam.tolist() == [0.0, 1.0]
+
+    def test_failure_in_a_later_chunk_follows_every_probe_before_it(self):
+        n = selection._SCAN_ENTRIES // 2 + 5  # K = 2: the failing vector sits in the second chunk
+        lams = [[0.0, 0.01 * i] for i in range(n)] + [[0.0, math.inf], [0.0, 1.0]]
+        seen = []
+        with pytest.raises(DomainError, match="finite"):
+            for probe in selection._phis(lams, Gumbel(), 1e-8, with_prime=False):
+                seen.append(probe.lam.tolist())
+        assert seen == lams[:n]
+
+    def test_probe_without_phi_prime(self):
+        (probe,) = selection._phis([[0.0, 1.0, 3.0]], Gumbel(), 1e-8, with_prime=False)
+        assert probe.phi_prime is None and np.array_equal(probe.phi, phi_values([0.0, 1.0, 3.0], Gumbel(), 1e-8))
+
+    def test_rank_is_read_on_demand(self):
+        lam = [1.0, 0.0, 1.0, -2.0, 0.0, 3.0]
+        probe = phi_quadrature(lam, Gumbel())
+        assert "rank" not in vars(probe)  # a probe no caller ranks pays for no argsort
+        assert np.array_equal(probe.rank, np.argsort(np.argsort(lam, kind="stable")) + 1)
+
+
 class TestWork:
     """Kernel work per evaluation: each distinct gap once, only the arms read."""
 
     def test_equal_gaps_integrated_once(self):
         dist = parse_dist("splareto:a=2")
-        _, _, tied, _, n_evals, n_panels = selection._phi([0.0, 2.0, 2.0], dist, 1e-10, with_prime=False)
-        pair = selection._phi([0.0, 2.0], dist, 1e-10, with_prime=False)
-        assert (n_evals, n_panels) == pair[4:]  # arm 3 shares arm 2's gap
-        assert n_evals == 2 * 15 * n_panels  # 15 nodes per panel for each of two distinct gaps
-        assert tied[1, 0] == tied[2, 0]
+        (tied, pair) = selection._phis([[0.0, 2.0, 2.0], [0.0, 2.0]], dist, 1e-10, with_prime=False)
+        assert (tied.n_evals, tied.n_panels) == (pair.n_evals, pair.n_panels)  # arm 3 shares arm 2's gap
+        assert tied.n_evals == 2 * 15 * tied.n_panels  # 15 nodes per panel for each of two distinct gaps
+        assert tied.phi[1] == tied.phi[2]
 
     def test_inversion_step_integrates_arm_1_only(self):
         dist = parse_dist("splareto:a=2")
-        full = selection._phi([0.0, 2.0, 2.0], dist, 1e-10, with_prime=True)
-        _, _, values, errs, n_evals, n_panels = selection._phi([0.0, 2.0, 2.0], dist, 1e-10, with_prime=True,
-                                                               arms=(0,))
-        assert n_evals == 15 * n_panels
+        # the all-arms run at _phis's budget of tol/4, straight from the kernel: a probe keeps only its largest
+        # arm estimate, and this compares arm 1's own
+        (full,) = selection._component_integrals(dist, [np.array([0.0, 2.0, 2.0])], 1e-10 / 4.0, prime=True)
+        (arm_1,) = selection._phis([[0.0, 2.0, 2.0]], dist, 1e-10, with_prime=True, arms=(0,))
+        assert arm_1.n_evals == 15 * arm_1.n_panels
         # arm 1 alone refines on its own error estimate, so its panels may differ from the all-arms run's
-        assert values.shape == (1, 2) and np.all(np.abs(values[0] - full[2][0]) <= errs[0] + full[3][0])
+        values = np.array([arm_1.phi, arm_1.phi_prime]).T
+        assert values.shape == (1, 2) and np.all(np.abs(values[0] - full[0][0]) <= arm_1.quad_error + full[1][0])
 
     def test_probe_reports_its_work(self):
         probe = phi_quadrature([0.0, 1.0, 1.0, 3.0], SymmetricPareto(2.0), tol=1e-8)
