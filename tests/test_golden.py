@@ -102,6 +102,24 @@ def test_ftpl_meta_counters(tmp_path, policy):
     assert counters == META_GOLDEN[policy]
 
 
+# the .meta sidecar's per-run root_evals of each Tsallis FTRL golden config: they
+# pin the solver's iterate path (start, steps and stop), which the CSV hashes
+# see only through the arms it changes
+ROOT_EVALS_GOLDEN = {
+    ("ftrl:tsallis:beta=0.5:m=0.23", ENV): (1254, 1228),
+    ("ftrl:tsallis:beta=0.3:m=0.23", ENV): (1274, 1239),
+    ("ftrl:tsallis:beta=0.7:m=0.23", ENV): (1230, 1212),
+    ("ftrl:tsallis:beta=0.5:m=0.23", SWITCH): (1273, 1274),
+}
+
+
+@pytest.mark.parametrize("policy,env", sorted(ROOT_EVALS_GOLDEN))
+def test_ftrl_root_evals(tmp_path, policy, env):
+    _digest(tmp_path, policy, env)
+    meta = dict(line.split("=", 1) for line in (tmp_path / "golden.csv.meta").read_text().split())
+    assert tuple(map(int, meta["run_root_evals"].split(","))) == ROOT_EVALS_GOLDEN[policy, env]
+
+
 PHI_GOLDEN = {
     ("splareto:a=2", "0,c"): "e58553ad150bbe6db9b888acfa662a5bcdbaf4d49704d35f8a26094b685bb71d",
     ("splareto:a=2", "0,c,c"): "548a0ab2c1f129c845f30a85d11ce1b338af9552de755432c919c54b7ea4beb7",
