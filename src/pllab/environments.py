@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,7 +111,11 @@ def loss_rows(model, t0, n, rng):
     if isinstance(model, StochasticBernoulli):
         mu = np.asarray(model.mu)
     elif isinstance(model, SwitchingAdversary):
-        mu = np.array([model.mean_at(t) for t in range(t0, t0 + n)])
+        # mean_at's phase test for every round at once; a phase beyond the last
+        # round selects mu1 throughout, so clipping it keeps (t - 1) // phase in int64
+        phase = min(model.phase, t0 + n)
+        t = np.arange(t0, t0 + n)
+        mu = np.where(((t - 1) // phase % 2 == 0)[:, None], model.mu1, model.mu2)
     else:
         raise DomainError(f"unknown loss model {model!r}")
     return (rng.random((n, model.k)) < mu).astype(float)
@@ -181,8 +186,11 @@ def parse_environment(spec: str):
         return StochasticBernoulli(mu=tuple(_number(v, spec) for v in rest.split(",")))
     if head == "sched":
         try:
-            mat = np.loadtxt(rest, delimiter=",", ndmin=2)
-        except ValueError as exc:
+            with warnings.catch_warnings():
+                # loadtxt's one warning is of a file without data rows, which holds no schedule
+                warnings.simplefilter("error", UserWarning)
+                mat = np.loadtxt(rest, delimiter=",", ndmin=2)
+        except (ValueError, UserWarning) as exc:
             raise DomainError(f"schedule {rest!r}: {exc}") from None
         return FixedSchedule(losses=mat)
     if head == "switch":

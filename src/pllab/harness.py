@@ -4,9 +4,10 @@ Reproducibility contract: the RNG stream of run j under master seed s is
 ``default_rng(SeedSequence((s, j)))`` split once for the environment and once
 for the policy.  Rerunning a config therefore reproduces every CSV byte for
 byte, independently of the parallelism degree (results are merged by run
-index).  A run draws all its loss rows with one ``loss_rows`` call and its
-perturbations from a tape (see ``policies``); both read their stream in the
-same order as one draw per round, so neither changes a number.  Wall-clock
+index).  A run draws all its loss rows with one ``loss_rows`` call, plays
+them with one ``policy.play`` call, and draws its perturbations from a tape
+(see ``policies``); the rows and the tape read their streams in the same
+order as one draw per round, so neither changes a number.  Wall-clock
 time and the sampling counters go to a sidecar file so they cannot break
 that contract.
 
@@ -68,14 +69,23 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path):
-        """Load the flat ``[experiment]`` key=value config format; unknown keys are an error."""
+        """Load the flat ``[experiment]`` key=value config format; unknown keys are an error.
+
+        A file that configparser cannot read (no section header, a section or
+        key given twice, a line without ``=``, a bad ``%`` interpolation,
+        bytes that are not UTF-8) raises ``DomainError``.
+        """
         parser = configparser.ConfigParser()
-        read = parser.read(path)
+        try:
+            read = parser.read(path, encoding="utf-8")
+            vals = dict(parser["experiment"]) if "experiment" in parser else None
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            # configparser's messages run over several lines; an error is one line
+            raise DomainError(f"config file {path!r}: {' '.join(str(exc).split())}") from None
         if not read:
             raise DomainError(f"config file {path!r} not found")
-        if "experiment" not in parser:
+        if vals is None:
             raise DomainError(f"config file {path!r} lacks an [experiment] section")
-        vals = dict(parser["experiment"])
         try:
             threads = vals.pop("threads", None)
             config = cls(
@@ -135,12 +145,7 @@ def simulate_run(config: ExperimentConfig, run_index: int):
     state = policy.fresh_state(model.k, pol_rng)
 
     losses = loss_rows(model, 1, config.horizon, env_rng)
-    arms = np.empty(config.horizon, dtype=int)
-    # a perturbation over eta that overflows reads +-inf, as one that overflows in sample_array
-    # does; entered once a run, since entering it costs about a tenth of an FTPL round
-    with np.errstate(over="ignore"):
-        for t in range(config.horizon):
-            arms[t] = policy.step(state, losses[t])
+    arms = policy.play(state, losses)
     checkpoints, curve = regret(arms, losses, model)
     counters = {key: getattr(state, key) for key in COUNTERS}
     counters["wall_s"] = time.perf_counter() - start

@@ -16,6 +16,12 @@ first block holds no win reads further blocks of 64, 256, ... vectors.
 element by element, so the tape yields the same bits, in the same order, as
 drawing each vector afresh.
 
+Each policy's ``play(state, losses)`` plays every row of a run's (T, K)
+loss matrix in one loop and returns the arms; the per-round oracles in
+``tests/ftpl_oracle.py`` and ``tests/ftrl_oracle.py`` must match it bit for
+bit.  ``FtrlPolicy.play`` holds ``lhat`` and the weights as Python floats
+from round to round and writes the state back when it returns.
+
 FTRL with the Tsallis regularizer finds the normalizing constant c of its
 weights by Newton's method on a convex, increasing defect, in Python floats,
 starting from the previous round's root (``PolicyState.last_c``).  It stops
@@ -50,8 +56,6 @@ __all__ = [
     "Tsallis",
     "geometric_resample",
     "ftpl_update",
-    "ftrl_select",
-    "ftrl_update",
     "tsallis_weights",
     "shannon_weights",
     "FtplPolicy",
@@ -219,9 +223,22 @@ def tsallis_weights(q, beta, start=None):
     convexity lands right of it.  Returns (p, c, evals), p an ndarray and
     evals the number of defect evaluations taken.
 
-    The iteration runs on b = ratio (c - min q), where ratio = (1-beta)/beta,
-    so that p_i = (ratio (q_i - min q) - b)^expo; measured from min q, b keeps
-    its full precision however large q is.  It starts at
+    This is the ndarray face of ``_tsallis_solve``, the one solver, which
+    ``FtrlPolicy.play`` calls on lists.
+    """
+    if not 0.0 < beta < 1.0:
+        raise DomainError("tsallis_beta must lie in (0, 1)")
+    ratio = (1.0 - beta) / beta
+    p, c, evals = _tsallis_solve(np.asarray(q, dtype=float).tolist(), ratio, -1.0 / (1.0 - beta), start)
+    return np.array(p), c, evals
+
+
+def _tsallis_solve(q, ratio, expo, start):
+    """``tsallis_weights`` on a list q, at ratio = (1-beta)/beta and expo = -1/(1-beta); p is a list.
+
+    The iteration runs on b = ratio (c - min q), so that
+    p_i = (ratio (q_i - min q) - b)^expo; measured from min q, b keeps its
+    full precision however large q is.  It starts at
     min(ratio (start - min q), -1), where b = -1 gives the closest arm alone
     mass 1, so defect(-1) >= 0, and stops at the first step that lowers b by
     at most 2 ulp(b): the root to rounding, reached without a last step
@@ -236,11 +253,6 @@ def tsallis_weights(q, beta, start=None):
     wherever it sits), after ``NEWTON_MAX_EVALS`` evaluations and on a
     normalization residual above 1e-10; a +inf entry of q gets weight 0.
     """
-    if not 0.0 < beta < 1.0:
-        raise DomainError("tsallis_beta must lie in (0, 1)")
-    q = np.asarray(q, dtype=float).tolist()
-    ratio = (1.0 - beta) / beta
-    expo = -1.0 / (1.0 - beta)
     # min() passes over a NaN that is not first; that NaN still reaches rq and the defect
     q_min = min(q)
     rq = [ratio * (v - q_min) for v in q]
@@ -269,36 +281,17 @@ def tsallis_weights(q, beta, start=None):
     total = sum(p)
     if abs(total - 1.0) > 1e-10:
         raise SolverDiverged(f"normalization residual {abs(total - 1.0):.2e}")
-    return np.array([v / total for v in p]), b / ratio + q_min, evals
+    return [v / total for v in p], b / ratio + q_min, evals
 
 
-def ftrl_select(state: PolicyState, regularizer):
-    """Solve for the exact simplex weights, sample an arm, return (arm, p).
+def _draw(p, u):
+    """The arm drawn from weights p (a list) at a uniform u.
 
-    The arm is the number of partial sums of p at or below a uniform u,
-    clipped to K - 1 where rounding leaves the last partial sum below u;
-    the partial sums are added in order, as ``np.cumsum`` adds them.
+    It is the number of partial sums of p at or below u, clipped to K - 1
+    where rounding leaves the last partial sum below u; the partial sums are
+    added in order, as ``np.cumsum`` adds them.
     """
-    q = state.eta * state.lhat
-    if isinstance(regularizer, Shannon):
-        p = shannon_weights(q)
-    elif isinstance(regularizer, Tsallis):
-        p, state.last_c, evals = tsallis_weights(q, regularizer.tsallis_beta, state.last_c)
-        state.root_evals += evals
-    else:
-        raise DomainError(f"unknown regularizer {regularizer!r}")
-    u = state.rng.random()
-    arm = min(bisect_right(list(accumulate(p.tolist())), u), state.k - 1)
-    return arm, p
-
-
-def ftrl_update(state: PolicyState, arm: int, loss: float, p) -> PolicyState:
-    """Exact importance-weighted update lhat_arm += loss / p_arm."""
-    if not 0.0 <= loss <= 1.0:
-        raise DomainError("losses must lie in [0, 1]")
-    state.lhat[arm] += loss / p[arm]
-    state.t += 1
-    return state
+    return min(bisect_right(list(accumulate(p)), u), len(p) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -314,20 +307,30 @@ class FtplPolicy:
     def fresh_state(self, k, rng):
         return PolicyState.fresh(k, self.m, rng, self.resample_cap)
 
-    def step(self, state, loss_row):
-        """One round: play the perturbed leader, estimate 1/w, update; return the arm."""
-        # the selection vector and the first resampling block, b = min(16, M)
-        # rows, are one tape slice under one argmin: picks[0] is the arm and
-        # picks[j] the winner of resampling trial j.  Only a block without a
-        # win reads on, from 64 rows, exactly as geometric_resample would
-        cap, eta = state.cap(), state.eta
-        b = min(16, cap)
-        picks = (state.lhat - _perturbations(state, self.dist, 1 + b) / eta).argmin(axis=1).tolist()
-        arm = picks[0]
-        west = picks.index(arm, 1) if picks.count(arm) > 1 else _resample(state, self.dist, arm, cap, eta, b, 64)
-        state.resample_trials += west
-        ftpl_update(state, arm, float(loss_row[arm]), west)
-        return arm
+    def play(self, state, losses):
+        """Play one round per row of the (T, K) loss matrix ``losses``; return the T arms.
+
+        Each round plays the perturbed leader, estimates 1/w and updates.
+        """
+        arms = np.empty(len(losses), dtype=int)
+        dist = self.dist
+        # a perturbation over eta that overflows reads +-inf, as one that overflows in
+        # sample_array does; entered once a call, since entering it costs about a tenth of a round
+        with np.errstate(over="ignore"):
+            for r in range(len(losses)):
+                # the selection vector and the first resampling block, b = min(16, M)
+                # rows, are one tape slice under one argmin: picks[0] is the arm and
+                # picks[j] the winner of resampling trial j.  Only a block without a
+                # win reads on, from 64 rows, exactly as geometric_resample would
+                cap, eta = state.cap(), state.eta
+                b = min(16, cap)
+                picks = (state.lhat - _perturbations(state, dist, 1 + b) / eta).argmin(axis=1).tolist()
+                arm = picks[0]
+                west = picks.index(arm, 1) if picks.count(arm) > 1 else _resample(state, dist, arm, cap, eta, b, 64)
+                state.resample_trials += west
+                ftpl_update(state, arm, losses.item(r, arm), west)
+                arms[r] = arm
+        return arms
 
     def cap_description(self):
         if self.resample_cap is not None:
@@ -343,11 +346,47 @@ class FtrlPolicy:
     def fresh_state(self, k, rng):
         return PolicyState.fresh(k, self.m, rng)
 
-    def step(self, state, loss_row):
-        """One round: solve for p, sample an arm, update with that p; return the arm."""
-        arm, p = ftrl_select(state, self.regularizer)
-        ftrl_update(state, arm, float(loss_row[arm]), p)
-        return arm
+    def play(self, state, losses):
+        """Play one round per row of the (T, K) loss matrix ``losses``; return the T arms.
+
+        Each round solves for the exact weights p at q = eta lhat, draws an
+        arm from p (``_draw``) and adds loss / p_arm to that arm's lhat.  The
+        rounds run on Python floats: ``lhat`` is read into a list, and it,
+        ``t``, ``last_c`` and ``root_evals`` are written back to ``state``
+        when the call ends, also when a round raises, so that the state holds
+        every round that completed.  The arithmetic is that of the ndarray
+        round it replaced, operation for operation, so every number is the same.
+        """
+        reg = self.regularizer
+        tsallis = isinstance(reg, Tsallis)
+        if tsallis:
+            beta = reg.tsallis_beta
+            ratio, expo = (1.0 - beta) / beta, -1.0 / (1.0 - beta)
+        elif not isinstance(reg, Shannon):
+            raise DomainError(f"unknown regularizer {reg!r}")
+        arms = np.empty(len(losses), dtype=int)
+        m, random = state.m, state.rng.random
+        lhat, t, c, evals = state.lhat.tolist(), state.t, state.last_c, state.root_evals
+        try:
+            for r in range(len(losses)):
+                eta = m / math.sqrt(t)
+                q = [eta * v for v in lhat]
+                if tsallis:
+                    p, c, n = _tsallis_solve(q, ratio, expo, c)
+                    evals += n
+                else:
+                    p = shannon_weights(q).tolist()
+                arm = _draw(p, random())
+                loss = losses.item(r, arm)
+                if not 0.0 <= loss <= 1.0:
+                    raise DomainError("losses must lie in [0, 1]")
+                lhat[arm] += loss / p[arm]
+                t += 1
+                arms[r] = arm
+        finally:
+            state.lhat[:] = lhat
+            state.t, state.last_c, state.root_evals = t, c, evals
+        return arms
 
     def cap_description(self):
         return "exact-w"

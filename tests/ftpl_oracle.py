@@ -1,10 +1,11 @@
-"""The unfused FTPL round: the byte oracle for ``FtplPolicy.step``.
+"""The unfused FTPL round: the byte oracle for ``FtplPolicy.play``.
 
-``FtplPolicy.step`` reads the selection vector and the first resampling
-block off the perturbation tape as one slice and takes one argmin over it.
-Here the round runs as two separate reads: ``ftpl_select`` reads one vector
-and plays its argmin, then ``geometric_resample`` reads blocks of 16, 64,
-256, ... vectors until the played arm wins again.  The tape order is the
+Each round of ``FtplPolicy.play`` reads the selection vector and the first
+resampling block off the perturbation tape as one slice and takes one
+argmin over it.  Here the round runs as two separate reads:
+``ftpl_select`` reads one vector and plays its argmin, then
+``geometric_resample`` reads blocks of 16, 64, 256, ... vectors until the
+played arm wins again.  The tape order is the
 same, so the two must agree on every arm, every bit of ``lhat`` and every
 counter.
 """

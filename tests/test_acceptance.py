@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 from brentq_oracle import kkt_residual
+from ftrl_oracle import ftrl_select, ftrl_update
 from mc_oracle import phi_monte_carlo
 
 from pllab import duality, harness, selection
@@ -25,7 +26,7 @@ from pllab.distributions import (
     Truncated,
     parse_dist,
 )
-from pllab.policies import PolicyState, Tsallis, ftrl_select, ftrl_update, geometric_resample
+from pllab.policies import PolicyState, Tsallis, geometric_resample
 
 BERN8 = "bern:" + ",".join(["0.1"] + ["0.3"] * 7)  # K=8, unique best arm, gap 0.2
 

@@ -71,6 +71,17 @@ class TestLossGeneration:
         reference = np.vstack([(rng.random(model.k) < np.asarray(mean_at(t))).astype(float) for t in range(1, T + 1)])
         assert one_block.tobytes() == reference.tobytes()
 
+    @pytest.mark.parametrize("phase", [1, 7, 500, 99999999999999999999999])
+    @pytest.mark.parametrize("t0,n", [(1, 1200), (498, 1200), (9, 0)])
+    def test_switch_rows_follow_mean_at(self, phase, t0, n):
+        # the phase test of every round at once, against mean_at round by round;
+        # a 23-digit phase is clipped before it meets int64
+        model = SwitchingAdversary(phase=phase, mu1=(0.2, 0.5, 0.9), mu2=(0.9, 0.5, 0.2))
+        rows = loss_rows(model, t0, n, np.random.default_rng(6))
+        u = np.random.default_rng(6).random((n, 3))
+        reference = np.array([[float(u[i, j] < model.mean_at(t0 + i)[j]) for j in range(3)] for i in range(n)])
+        assert rows.shape == (n, 3) and rows.tobytes() == reference.tobytes()
+
     def test_loss_rows_of_a_schedule(self):
         model = FixedSchedule(losses=np.array([[0.3, 0.7], [0.1, 0.2], [0.5, 0.5]]))
         np.testing.assert_array_equal(loss_rows(model, 2, 2, None), [[0.1, 0.2], [0.5, 0.5]])

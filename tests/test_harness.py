@@ -444,6 +444,13 @@ class TestCli:
             SIM + ["--policy", "ftpl:lp:m=0.2", "--env", "switch:phase=5,mu1=0.1|0.2,mu2=0.3|nan"],
             SIM + ["--policy", "ftpl:lp:m=0.2", "--env", "sched:nan.csv", "--T", "2"],
             SIM + ["--config", "old.ini"],
+            # INI files that configparser cannot read
+            SIM + ["--config", "no_header.ini"],
+            SIM + ["--config", "two_sections.ini"],
+            SIM + ["--config", "two_keys.ini"],
+            SIM + ["--config", "no_equals.ini"],
+            SIM + ["--config", "latin1.ini"],
+            SIM + ["--config", "percent.ini"],
             ["verdict", "--csv", "plain.csv", "--envelope", "advlp"],
             ["verdict", "--csv", "no_gaps.csv", "--envelope", "stolp"],
             ["verdict", "--csv", "bad.csv", "--envelope", "advlp"],
@@ -527,6 +534,8 @@ class TestCli:
         ids=["policy-m", "policy-cap", "tsallis-m-nan", "tsallis-m-inf", "ftpl-m-nan", "shannon-m-nan", "cap-zero",
              "cap-negative", "switch-missing-mu", "bern-number", "sched-number", "sched-short",
              "seed-negative", "threads-zero", "threads-negative", "bern-nan", "switch-nan", "sched-nan", "config-unknown-key",
+             "config-no-header", "config-two-sections", "config-two-keys", "config-no-equals", "config-not-utf8",
+             "config-bad-interpolation",
              "verdict-no-K", "verdict-no-gaps", "verdict-no-rows", "verdict-bad-cell", "verdict-short-row",
              "verdict-no-run-column", "verdict-unknown-envelope", "lambda-number",
              "lambda-scaled-number", "grid-number", "grid-zero-step", "grid-step-away", "regscan-x-no-colon",
@@ -566,6 +575,13 @@ class TestCli:
             "[experiment]\npolicy = ftpl:lp:m=0.2\nenv = bern:0.1,0.2\nT = 10\nruns = 1\nseed = 0\n"
             "checkpoint_ratio = 2.0\n"
         )
+        good = "[experiment]\npolicy = ftpl:lp:m=0.2\nenv = bern:0.1,0.2\nT = 10\nruns = 1\nseed = 0\n"
+        (tmp_path / "no_header.ini").write_text(good.split("\n", 1)[1])
+        (tmp_path / "two_sections.ini").write_text(good + "[experiment]\n")
+        (tmp_path / "two_keys.ini").write_text(good + "seed = 1\n")
+        (tmp_path / "no_equals.ini").write_text(good + "threads\n")
+        (tmp_path / "latin1.ini").write_bytes(good.encode() + "out = r\xe9gret.csv\n".encode("latin-1"))
+        (tmp_path / "percent.ini").write_text(good + "out = 50%.csv\n")
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
@@ -577,10 +593,13 @@ class TestCli:
         # a non-finite end, rejected before np.linspace would warn of an invalid value
         ["duality", "regscan", "--x", "0.4:inf", "--points", "2", "--out", "unused.csv"],
         ["duality", "regscan", "--x", "inf:inf", "--points", "1", "--out", "unused.csv"],
-    ], ids=["lambda-overflow", "regscan-x-inf", "regscan-x-both-inf"])
+        # a schedule file without data rows, of which np.loadtxt warns
+        SIM + ["--policy", "ftpl:lp:m=0.2", "--env", "sched:empty.csv", "--out", "unused.csv"],
+    ], ids=["lambda-overflow", "regscan-x-inf", "regscan-x-both-inf", "sched-empty"])
     def test_usage_error_prints_no_warning(self, capsys, tmp_path, monkeypatch, argv):
         # numpy's own warnings are attributed to numpy, out of reach of the pyproject filter: record them all
         monkeypatch.chdir(tmp_path)
+        (tmp_path / "empty.csv").write_text("")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert cli.main(argv) == 2

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from brentq_oracle import kkt_residual
 from ftpl_oracle import ftpl_select
+from ftrl_oracle import ftrl_select, ftrl_update
 
-from pllab import duality, policies
+from pllab import duality
 from pllab.distributions import Gumbel, LaplacePareto, PerturbationDistribution, SymmetricPareto, parse_dist
 from pllab.errors import DomainError, SolverDiverged
 from pllab.harness import COUNTERS
@@ -19,11 +20,10 @@ from pllab.policies import (
     PolicyState,
     Shannon,
     Tsallis,
-    ftpl_update,
-    ftrl_select,
-    ftrl_update,
-    geometric_resample,
+    _draw,
     _perturbations,
+    ftpl_update,
+    geometric_resample,
     parse_policy,
     shannon_weights,
     tsallis_weights,
@@ -325,55 +325,36 @@ class TestFtrlSolver:
             assert abs(c - c_finite) <= 1e-14
 
 
-class _FixedUniform:
-    """Stands in for a run's generator: ``random()`` returns the given u."""
-
-    def __init__(self, u):
-        self.u = u
-
-    def random(self):
-        return self.u
-
-
 class TestFtrlDraw:
-    """ftrl_select's arm is min(searchsorted(cumsum(p), u, side="right"), K - 1)."""
-
-    @staticmethod
-    def _draw(monkeypatch, p, u):
-        # the Tsallis weights are replaced by p, and the run's uniform by u
-        monkeypatch.setattr(policies, "tsallis_weights", lambda q, beta, start: (np.asarray(p), 0.0, 1))
-        state = PolicyState.fresh(len(p), 1.0, _FixedUniform(u))
-        arm, got = ftrl_select(state, Tsallis(0.5))
-        assert got.tolist() == list(p)
-        return arm
+    """``FtrlPolicy.play`` draws its arm as min(searchsorted(cumsum(p), u, side="right"), K - 1)."""
 
     @staticmethod
     def _reference(p, u):
         return min(int(np.searchsorted(np.cumsum(p), u, side="right")), len(p) - 1)
 
-    def test_seeded_weights(self, monkeypatch):
+    def test_seeded_weights(self):
         rng = np.random.default_rng(21)
         for _ in range(300):
             k = int(rng.choice([1, 2, 3, 8, 50]))
             p = rng.dirichlet(np.full(k, rng.choice([0.1, 1.0, 10.0])))
             u = rng.random()
-            assert self._draw(monkeypatch, p, u) == self._reference(p, u)
+            assert _draw(p.tolist(), u) == self._reference(p, u)
 
     @pytest.mark.parametrize("p", [[0.25, 0.25, 0.5], [0.0, 0.5, 0.5], [0.1, 0.2, 0.3, 0.4]])
-    def test_uniform_equal_to_a_partial_sum(self, monkeypatch, p):
+    def test_uniform_equal_to_a_partial_sum(self, p):
         # u equal to a partial sum goes to the next arm with positive weight, as side="right" does
-        for u in [0.0, *np.cumsum(p)[:-1]]:
-            assert self._draw(monkeypatch, p, u) == self._reference(p, u)
-        assert self._draw(monkeypatch, [0.0, 0.5, 0.5], 0.0) == 1
+        for u in [0.0, *np.cumsum(p)[:-1].tolist()]:
+            assert _draw(p, u) == self._reference(p, u)
+        assert _draw([0.0, 0.5, 0.5], 0.0) == 1
 
-    def test_partial_sums_one_ulp_below_one_clip_to_the_last_arm(self, monkeypatch):
+    def test_partial_sums_one_ulp_below_one_clip_to_the_last_arm(self):
         p = [0.1] * 10
         total = np.cumsum(p)[-1]
         assert total == np.nextafter(1.0, 0.0)
         # the largest double below 1, a value Generator.random can return
-        for u in (total, np.nextafter(total, 0.0)):
-            assert self._reference(p, u) == self._draw(monkeypatch, p, u)
-        assert self._draw(monkeypatch, p, total) == 9
+        for u in (float(total), float(np.nextafter(total, 0.0))):
+            assert self._reference(p, u) == _draw(p, u)
+        assert _draw(p, float(total)) == 9
 
 
 class TestExp3Equivalence:
@@ -402,11 +383,28 @@ class TestExp3Equivalence:
             assert np.all(np.abs(freq - p_closed) <= 3.7 * sigma + 1e-12)
 
 
+def _explicit_round(policy, state, row):
+    """One round of ``policy`` by the per-round oracles; return the arm."""
+    if isinstance(policy, FtplPolicy):
+        return ftpl_oracle.explicit_round(state, policy.dist, row)
+    arm, p = ftrl_select(state, policy.regularizer)
+    ftrl_update(state, arm, float(row[arm]), p)
+    return arm
+
+
+def _snapshot(state):
+    """Everything a round reads or writes in ``state``, the rng's position included."""
+    return (state.lhat.tobytes(), state.t, state.last_c, state.tape.tobytes(), state.tape_pos, state.tape_law,
+            [getattr(state, key) for key in COUNTERS], state.rng.bit_generator.state)
+
+
+PLAY_SPECS = ["ftpl:lp:m=0.23", "ftpl:lp:m=0.23:cap=3", "ftrl:tsallis:beta=0.5:m=0.23", "ftrl:shannon:m=0.1"]
+
+
 class TestPolicyStep:
     @pytest.mark.parametrize(
         "spec,k,tail",
-        [pytest.param(spec, 3, False, id=spec) for spec in
-         ["ftpl:lp:m=0.23", "ftpl:lp:m=0.23:cap=3", "ftrl:tsallis:beta=0.5:m=0.23", "ftrl:shannon:m=0.1"]]
+        [pytest.param(spec, 3, False, id=spec) for spec in PLAY_SPECS]
         # caps at and around the first resampling block's 16 rows, one arm,
         # and a large m, whose played non-leaders have a w low enough that the
         # first block misses and the 64-row tail runs
@@ -415,26 +413,59 @@ class TestPolicyStep:
            pytest.param("ftpl:lp:m=8", 3, True, id="ftpl:lp:m=8-low-w")],
     )
     def test_step_equals_explicit_round(self, spec, k, tail):
+        # play over 200 rows against the per-round oracles, one round at a time
         policy = parse_policy(spec)
         loss_rows = (np.random.default_rng(12).random((200, k)) < [0.1, 0.4, 0.5][:k]).astype(float)
         state = policy.fresh_state(k, np.random.default_rng(13))
         twin = policy.fresh_state(k, np.random.default_rng(13))
-        arms, twin_arms, tails = [], [], 0
+        arms = policy.play(state, loss_rows).tolist()
+        twin_arms, tails = [], 0
         for row in loss_rows:
-            arms.append(policy.step(state, row))
-            if isinstance(policy, FtplPolicy):
-                drawn = twin.vectors_drawn
-                arm = ftpl_oracle.explicit_round(twin, policy.dist, row)
-                tails += twin.vectors_drawn - drawn > 1 + 16
-            else:
-                arm, p = ftrl_select(twin, policy.regularizer)
-                ftrl_update(twin, arm, float(row[arm]), p)
-            twin_arms.append(arm)
+            drawn = twin.vectors_drawn
+            twin_arms.append(_explicit_round(policy, twin, row))
+            tails += twin.vectors_drawn - drawn > 1 + 16
         assert arms == twin_arms and len(set(arms)) == k
         assert tails > 0 or not tail
         assert state.lhat.tobytes() == twin.lhat.tobytes()
         assert (state.t, state.last_c) == (twin.t, twin.last_c) and state.t == 201
         assert [getattr(state, key) for key in COUNTERS] == [getattr(twin, key) for key in COUNTERS]
+
+    @pytest.mark.parametrize("spec", PLAY_SPECS)
+    def test_split_play_equals_one_call(self, spec):
+        policy = parse_policy(spec)
+        loss_rows = (np.random.default_rng(14).random((300, 3)) < [0.1, 0.4, 0.5]).astype(float)
+        whole = policy.fresh_state(3, np.random.default_rng(15))
+        split = policy.fresh_state(3, np.random.default_rng(15))
+        arms = policy.play(whole, loss_rows)
+        parts = [policy.play(split, loss_rows[:137]), policy.play(split, loss_rows[137:])]
+        assert np.concatenate(parts).tolist() == arms.tolist()
+        assert _snapshot(split) == _snapshot(whole) and whole.t == 301
+
+    @pytest.mark.parametrize("spec", PLAY_SPECS)
+    def test_zero_rows_leave_the_state_unchanged(self, spec):
+        policy = parse_policy(spec)
+        state = policy.fresh_state(3, np.random.default_rng(16))
+        policy.play(state, (np.random.default_rng(17).random((50, 3)) < 0.4).astype(float))
+        before = _snapshot(state)
+        arms = policy.play(state, np.empty((0, 3)))
+        assert arms.shape == (0,) and _snapshot(state) == before
+
+    @pytest.mark.parametrize("spec", PLAY_SPECS)
+    def test_a_raising_round_keeps_the_rounds_before_it(self, spec):
+        # a loss outside [0, 1] in round 6 raises; the state holds rounds 1-5 and
+        # whatever round 6 did before the raise, as the per-round oracle leaves it
+        policy = parse_policy(spec)
+        loss_rows = (np.random.default_rng(18).random((10, 3)) < [0.1, 0.4, 0.5]).astype(float)
+        loss_rows[5] = 2.0
+        state = policy.fresh_state(3, np.random.default_rng(19))
+        twin = policy.fresh_state(3, np.random.default_rng(19))
+        with pytest.raises(DomainError):
+            policy.play(state, loss_rows)
+        for row in loss_rows[:5]:
+            _explicit_round(policy, twin, row)
+        with pytest.raises(DomainError):
+            _explicit_round(policy, twin, loss_rows[5])
+        assert _snapshot(state) == _snapshot(twin) and state.t == 6
 
 
 class TestPolicyParsing:

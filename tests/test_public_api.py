@@ -31,6 +31,8 @@ TEST_ONLY = {
     "duality.two_arm_quantile": "golden pin: the exact two-arm roots",
     "duality.regularizer_value": "north-star number: the Legendre-dual regularizer",
     "policies.geometric_resample": "criterion 10: the resampling estimator alone, without a selection",
+    "policies.tsallis_weights": "the Tsallis solver on ndarrays, which FtrlPolicy.play runs on lists; "
+                                "the KKT, warm-start and brentq-oracle tests",
 }
 
 # every settable public value: a defaulted parameter of an __all__ function or
