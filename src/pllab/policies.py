@@ -354,8 +354,9 @@ class FtrlPolicy:
         rounds run on Python floats: ``lhat`` is read into a list, and it,
         ``t``, ``last_c`` and ``root_evals`` are written back to ``state``
         when the call ends, also when a round raises, so that the state holds
-        every round that completed.  The arithmetic is that of the ndarray
-        round it replaced, operation for operation, so every number is the same.
+        every round that completed.  The arithmetic is that of the per-round
+        ndarray oracle in ``tests/ftrl_oracle.py``, operation for operation,
+        so every number matches it bit for bit.
         """
         reg = self.regularizer
         tsallis = isinstance(reg, Tsallis)
